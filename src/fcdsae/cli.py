@@ -7,11 +7,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
-from fcdsae import dataset, network, quantized, trainer
+from fcdsae import dataset, metrics, network, quantized, trainer
 from fcdsae.errors import DomainError, FrameError, ParseError
 from fcdsae.quantized import QFormat
 from fcdsae.sparsity import SparsityConfig
@@ -117,11 +118,16 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _load_model(path):
+    params, std = network.load_model(path)
+    if std is None:
+        raise ParseError(f"{path}: model file has no standardizer records")
+    return params, std
+
+
 def _cmd_quantize(args) -> int:
     fmt = QFormat.parse(args.format)
-    params, std = network.load_model(args.model)
-    if std is None:
-        raise ParseError(f"{args.model}: model file has no standardizer records")
+    params, std = _load_model(args.model)
     qm = quantized.quantize_model(params, std, fmt)
     quantized.save_qmodel(qm, args.out)
     print(f"quantized to {fmt}; saturated values: {qm.saturation_count}")
@@ -132,25 +138,20 @@ def _cmd_quantize(args) -> int:
 
 def _cmd_eval(args) -> int:
     examples = _load_examples(args.data)
-    from fcdsae.metrics import confusion, metric_block
-
     if args.model:
-        params, std = network.load_model(args.model)
-        if std is None:
-            raise ParseError(f"{args.model}: model file has no standardizer records")
-        x = std.transform_matrix(examples)
-        preds = trainer.predict_batch(params, x)
-        trues = [e.class_label for e in examples]
-        cm = confusion(trues, list(preds))
-        block = metric_block(cm)
-        print(block.format_table())
+        params, std = _load_model(args.model)
+        if len(std.mean) != dataset.N_FEATURES:
+            raise ParseError(f"{args.model}: model takes {len(std.mean)} "
+                             f"inputs, the data has {dataset.N_FEATURES}")
+        preds = trainer.predict_batch(params, std.transform_matrix(examples))
+        cm = metrics.confusion([e.class_label for e in examples], list(preds))
+        print(metrics.metric_block(cm).format_table())
     else:
         qm = quantized.load_qmodel(args.qmodel)
         result = quantized.evaluate_quantized(qm, examples)
-        block = result.metrics
-        cm = confusion([e.class_label for e in examples], result.predictions)
-        print(block.format_table())
-        print(f"quantized accuracy: {block.accuracy:.4f}")
+        cm = result.confusion
+        print(result.metrics.format_table())
+        print(f"quantized accuracy: {result.metrics.accuracy:.4f}")
     if args.out_confusion:
         with open(args.out_confusion, "w") as fh:
             fh.write(cm.to_csv())
@@ -166,6 +167,8 @@ def _cmd_infer(args) -> int:
         values = [float(p) for p in parts]
     except ValueError:
         raise UsageError(f"--row contains a non-numeric value: {args.row!r}")
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError(f"--row contains a non-finite value: {args.row!r}")
     qm = quantized.load_qmodel(args.qmodel)
     frame = quantized.frame_from_features(values)
     outs, pred = quantized.q_forward(qm, frame)
@@ -198,8 +201,10 @@ def _apply_config_defaults(argv: list[str]) -> list[str]:
             conf = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise UsageError(f"bad config file {path}: {exc}")
+    if not isinstance(conf, dict):
+        raise UsageError(f"config file {path} must hold a JSON object")
     out = [a for j, a in enumerate(argv) if j not in (i, i + 1)]
     for key, value in conf.items():
         flag = "--" + str(key).replace("_", "-")
@@ -215,16 +220,10 @@ def main(argv: list[str] | None = None) -> int:
         argv = _apply_config_defaults(argv)
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
+    except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParseError, FrameError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (ParseError, FrameError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

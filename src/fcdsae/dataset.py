@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,9 +30,9 @@ BASE_VALUES = {
 }
 
 
-@dataclass(frozen=True)
-class SensorRecord:
-    """One timestamped bench row: 10 features plus the HFR target."""
+class SensorRecord(NamedTuple):
+    """One timestamped bench row: 10 features plus the HFR target, in CSV
+    column order."""
 
     t: float
     power: float
@@ -48,12 +49,9 @@ class SensorRecord:
 
 def record_features(record: SensorRecord) -> np.ndarray:
     """The 10 network input values in canonical column order (t first; the
-    schema carries 9 named sensor channels, so t fills the tenth slot)."""
-    return np.array([record.t, record.power, record.current_density,
-                     record.stack_voltage, record.cell_voltage_variance,
-                     record.water_temp_out, record.h2_pressure_in,
-                     record.hcp_power, record.air_pressure_in,
-                     record.air_flow])
+    schema carries 9 named sensor channels, so t fills the tenth slot). A
+    raw 10-value vector passes through unchanged."""
+    return np.array(record[:N_FEATURES])
 
 
 @dataclass(frozen=True)
@@ -107,12 +105,13 @@ def parse_csv(path) -> list[SensorRecord]:
             vals = []
             for col_name, cell in zip(COLUMNS, row):
                 try:
-                    vals.append(float(cell))
+                    value = float(cell)
                 except ValueError:
-                    raise ParseError(
-                        f"{path} row {row_num}, column {col_name!r}: "
-                        f"non-numeric value {cell!r}"
-                    ) from None
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise ParseError(f"{path} row {row_num}, column "
+                                     f"{col_name!r}: not a finite number {cell!r}")
+                vals.append(value)
             records.append(SensorRecord(*vals))
         return records
 
@@ -123,10 +122,7 @@ def write_csv(records: list[SensorRecord], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(COLUMNS)
         for r in records:
-            row = [r.t, r.power, r.current_density, r.stack_voltage,
-                   r.cell_voltage_variance, r.water_temp_out, r.h2_pressure_in,
-                   r.hcp_power, r.air_pressure_in, r.air_flow, r.hfr]
-            writer.writerow([format(v, ".12g") for v in row])
+            writer.writerow([format(v, ".12g") for v in r])
 
 
 @dataclass
@@ -217,16 +213,5 @@ def generate_synthetic(n: int, seed: int,
         hfr = synthetic_hfr(z_power[i], z_airflow[i], z_watertemp[i],
                             z_h2press[i], noise[i])
         records.append(SensorRecord(
-            t=float(i + 1),
-            power=feats["Power"][i],
-            current_density=feats["CurrD"][i],
-            stack_voltage=feats["StaVol"][i],
-            cell_voltage_variance=feats["Var"][i],
-            water_temp_out=feats["WaterTempOut"][i],
-            h2_pressure_in=feats["H2PressIn"][i],
-            hcp_power=feats["HCPPower"][i],
-            air_pressure_in=feats["AirPressIn"][i],
-            air_flow=feats["AirFlow"][i],
-            hfr=hfr,
-        ))
+            float(i + 1), *(feats[col][i] for col in FEATURE_COLUMNS), hfr))
     return records

@@ -3,10 +3,13 @@ backpropagation and Adam updates, plus the plain-text model file format."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from fcdsae import modelfile
+from fcdsae.dataset import Standardizer
 from fcdsae.errors import DimensionError, ParseError
 
 DEFAULT_TOPOLOGY = (10, 32, 16, 3)
@@ -59,10 +62,6 @@ class NetworkParams:
     def topology(self) -> tuple[int, ...]:
         return (self.layers[0].fan_in,) + tuple(l.fan_out for l in self.layers)
 
-    @property
-    def n_hidden(self) -> int:
-        return len(self.layers) - 1
-
     def copy(self) -> "NetworkParams":
         return NetworkParams(
             [LayerParams(l.weights.copy(), l.biases.copy()) for l in self.layers]
@@ -80,10 +79,6 @@ class ForwardTrace:
     @property
     def output(self) -> np.ndarray:
         return self.post[-1]
-
-    @property
-    def batch_size(self) -> int:
-        return self.inputs.shape[0]
 
 
 def init_network(topology: tuple[int, ...] = DEFAULT_TOPOLOGY,
@@ -104,11 +99,6 @@ def forward(params: NetworkParams, batch: np.ndarray) -> ForwardTrace:
     ReLU is applied after every layer, including the output layer.
     """
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    if batch.shape[1] != params.layers[0].fan_in:
-        raise DimensionError(
-            f"input width {batch.shape[1]} does not match layer 0 fan_in "
-            f"{params.layers[0].fan_in}"
-        )
     pre, post = [], []
     x = batch
     for i, layer in enumerate(params.layers):
@@ -238,70 +228,39 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def save_model(params: NetworkParams, path, standardizer=None) -> None:
-    """Write the versioned plain-text model file.
+def _finite(word: str) -> float:
+    value = float(word)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {word!r}")
+    return value
 
-    Optional STDMEAN/STDSTD lines (written between the header and the first
-    layer) carry the frozen standardization statistics so a saved model is
-    directly usable for evaluation.
-    """
-    lines = [MODEL_MAGIC]
+
+def save_model(params: NetworkParams, path, standardizer=None) -> None:
+    """Write the versioned plain-text model file, with the frozen
+    standardization statistics as STDMEAN/STDSTD records when given, so a
+    saved model is directly usable for evaluation."""
+    records = []
     if standardizer is not None:
-        lines.append("STDMEAN " + " ".join(_fmt(v) for v in standardizer.mean))
-        lines.append("STDSTD " + " ".join(_fmt(v) for v in standardizer.std))
-    for layer in params.layers:
-        lines.append(f"LAYER {layer.fan_in} {layer.fan_out}")
-        for row in layer.weights:
-            lines.append(" ".join(_fmt(v) for v in row))
-        lines.append("BIAS")
-        lines.append(" ".join(_fmt(v) for v in layer.biases))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        records = [("STDMEAN", standardizer.mean), ("STDSTD", standardizer.std)]
+    modelfile.write(path, MODEL_MAGIC, records,
+                    [(l.weights, l.biases) for l in params.layers], _fmt)
 
 
 def load_model(path):
     """Read a model file; returns (NetworkParams, Standardizer or None)."""
-    from fcdsae.dataset import Standardizer
-
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != MODEL_MAGIC:
-        raise ParseError(f"{path}: missing '{MODEL_MAGIC}' header")
-    idx = 1
-    mean = std = None
-    while idx < len(lines) and lines[idx].startswith(("STDMEAN", "STDSTD")):
-        tag, *vals = lines[idx].split()
-        vec = np.array([float(v) for v in vals])
-        if tag == "STDMEAN":
-            mean = vec
-        else:
-            std = vec
-        idx += 1
-    layers = []
-    while idx < len(lines):
-        head = lines[idx].split()
-        if head[0] != "LAYER" or len(head) != 3:
-            raise ParseError(f"{path} line {idx + 1}: expected LAYER header")
-        fan_in, fan_out = int(head[1]), int(head[2])
-        idx += 1
-        rows = []
-        for r in range(fan_out):
-            vals = [float(v) for v in lines[idx].split()]
-            if len(vals) != fan_in:
-                raise ParseError(
-                    f"{path} line {idx + 1}: expected {fan_in} weights"
-                )
-            rows.append(vals)
-            idx += 1
-        if lines[idx] != "BIAS":
-            raise ParseError(f"{path} line {idx + 1}: expected BIAS line")
-        idx += 1
-        biases = [float(v) for v in lines[idx].split()]
-        if len(biases) != fan_out:
-            raise ParseError(f"{path} line {idx + 1}: expected {fan_out} biases")
-        idx += 1
-        layers.append(LayerParams(np.array(rows), np.array(biases)))
-    standardizer = None
-    if mean is not None and std is not None:
-        standardizer = Standardizer(mean=mean, std=std)
-    return NetworkParams(layers), standardizer
+    records, layers = modelfile.read(path, MODEL_MAGIC, ("STDMEAN", "STDSTD"),
+                                     _finite)
+    params = NetworkParams([LayerParams(np.array(w), np.array(b))
+                            for w, b in layers])
+    if not records:
+        return params, None
+    if len(records) != 2:
+        raise ParseError(f"{path}: STDMEAN and STDSTD must come as a pair")
+    for tag, vec in records.items():
+        if len(vec) != params.layers[0].fan_in:
+            raise ParseError(f"{path}: {tag} has {len(vec)} values, the input "
+                             f"width is {params.layers[0].fan_in}")
+    if min(records["STDSTD"]) <= 0:
+        raise ParseError(f"{path}: every STDSTD value must be > 0")
+    return params, Standardizer(mean=np.array(records["STDMEAN"]),
+                                std=np.array(records["STDSTD"]))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from fcdsae import modelfile
 from fcdsae.errors import DomainError, FrameError, ParseError
 
 QMODEL_MAGIC = "FCDSAE-Q 1"
@@ -80,12 +81,10 @@ SCALE_FORMAT = QFormat(total_bits=32, integer_bits=8)
 
 def quantize(x: float, fmt: QFormat) -> int:
     """Round half away from zero to the nearest representable raw word,
-    saturating at the format's range bounds."""
-    scaled = float(x) * (1 << fmt.frac_bits)
+    saturating at the format's range bounds (infinities included)."""
+    scaled = min(max(float(x) * (1 << fmt.frac_bits), fmt.raw_min), fmt.raw_max)
     raw = int(math.floor(abs(scaled) + 0.5))
-    if scaled < 0:
-        raw = -raw
-    return min(max(raw, fmt.raw_min), fmt.raw_max)
+    return -raw if scaled < 0 else raw
 
 
 def dequantize(raw: int, fmt: QFormat) -> float:
@@ -119,10 +118,6 @@ class QuantizedModel:
     def input_width(self) -> int:
         return len(self.weights[0][0])
 
-    @property
-    def output_width(self) -> int:
-        return len(self.biases[-1])
-
 
 def quantize_model(params, std, fmt: QFormat = QFormat()) -> QuantizedModel:
     """Quantize every weight, bias, and standardizer constant; values beyond
@@ -140,7 +135,7 @@ def quantize_model(params, std, fmt: QFormat = QFormat()) -> QuantizedModel:
         weights.append([[q(w, fmt) for w in row] for row in layer.weights])
         biases.append([q(b, fmt) for b in layer.biases])
     std_mean = [q(m, INPUT_FORMAT) for m in std.mean]
-    std_invstd = [q(1.0 / s, SCALE_FORMAT) for s in std.std]
+    std_invstd = [q(1.0 / float(s), SCALE_FORMAT) for s in std.std]
     return QuantizedModel(fmt=fmt, weights=weights, biases=biases,
                           std_mean=std_mean, std_invstd=std_invstd,
                           saturation_count=saturated)
@@ -188,7 +183,7 @@ def q_forward(qm: QuantizedModel, frame: list[int]) -> tuple[list[int], int]:
 @dataclass
 class QuantEvalResult:
     metrics: "MetricBlock"
-    predictions: list[int]
+    confusion: "ConfusionMatrix"
     accuracy_delta: float | None = None
 
 
@@ -198,17 +193,12 @@ def evaluate_quantized(qm: QuantizedModel, examples,
     accuracy delta against the float path when its accuracy is supplied."""
     from fcdsae.metrics import confusion, metric_block
 
-    preds, trues = [], []
-    for ex in examples:
-        _, pred = q_forward(qm, frame_from_features(ex.features))
-        preds.append(pred)
-        trues.append(ex.class_label)
-    block = metric_block(confusion(trues, preds))
-    delta = None
-    if float_accuracy is not None:
-        delta = float_accuracy - block.accuracy
-    return QuantEvalResult(metrics=block, predictions=preds,
-                           accuracy_delta=delta)
+    preds = [q_forward(qm, frame_from_features(ex.features))[1]
+             for ex in examples]
+    cm = confusion([ex.class_label for ex in examples], preds)
+    block = metric_block(cm)
+    delta = None if float_accuracy is None else float_accuracy - block.accuracy
+    return QuantEvalResult(metrics=block, confusion=cm, accuracy_delta=delta)
 
 
 def dump_frames(qm: QuantizedModel, frames: list[list[int]]) -> str:
@@ -221,68 +211,53 @@ def dump_frames(qm: QuantizedModel, frames: list[list[int]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+_QTAGS = ("Q", "QIN", "QSCALE", "STDMEAN", "STDINVSTD")
+
+
+def _format_words(fmt: QFormat) -> list[int]:
+    return [fmt.total_bits, fmt.integer_bits]
+
+
 def save_qmodel(qm: QuantizedModel, path) -> None:
-    lines = [QMODEL_MAGIC,
-             f"Q {qm.fmt.total_bits} {qm.fmt.integer_bits}",
-             f"QIN {INPUT_FORMAT.total_bits} {INPUT_FORMAT.integer_bits}",
-             f"QSCALE {SCALE_FORMAT.total_bits} {SCALE_FORMAT.integer_bits}",
-             "STDMEAN " + " ".join(str(v) for v in qm.std_mean),
-             "STDINVSTD " + " ".join(str(v) for v in qm.std_invstd)]
-    for w_layer, b_layer in zip(qm.weights, qm.biases):
-        fan_out, fan_in = len(w_layer), len(w_layer[0])
-        lines.append(f"LAYER {fan_in} {fan_out}")
-        for row in w_layer:
-            lines.append(" ".join(str(v) for v in row))
-        lines.append("BIAS")
-        lines.append(" ".join(str(v) for v in b_layer))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    records = [("Q", _format_words(qm.fmt)), ("QIN", _format_words(INPUT_FORMAT)),
+               ("QSCALE", _format_words(SCALE_FORMAT)),
+               ("STDMEAN", qm.std_mean), ("STDINVSTD", qm.std_invstd)]
+    modelfile.write(path, QMODEL_MAGIC, records, zip(qm.weights, qm.biases), str)
+
+
+def _check_words(path, what: str, words, fmt: QFormat) -> None:
+    for w in words:
+        if not fmt.raw_min <= w <= fmt.raw_max:
+            raise ParseError(f"{path}: {what} word {w} is outside the {fmt} "
+                             f"range [{fmt.raw_min}, {fmt.raw_max}]")
 
 
 def load_qmodel(path) -> QuantizedModel:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != QMODEL_MAGIC:
-        raise ParseError(f"{path}: missing '{QMODEL_MAGIC}' header")
-    head = lines[1].split()
-    if head[0] != "Q" or len(head) != 3:
-        raise ParseError(f"{path}: missing Q format line")
-    fmt = QFormat(total_bits=int(head[1]), integer_bits=int(head[2]))
-    idx = 2
-    std_mean = std_invstd = None
-    while idx < len(lines) and not lines[idx].startswith("LAYER"):
-        tag, *vals = lines[idx].split()
-        if tag == "STDMEAN":
-            std_mean = [int(v) for v in vals]
-        elif tag == "STDINVSTD":
-            std_invstd = [int(v) for v in vals]
-        elif tag not in ("QIN", "QSCALE"):
-            raise ParseError(f"{path} line {idx + 1}: unexpected record {tag!r}")
-        idx += 1
-    if std_mean is None or std_invstd is None:
-        raise ParseError(f"{path}: missing standardizer records")
-    weights, biases = [], []
-    while idx < len(lines):
-        head = lines[idx].split()
-        if head[0] != "LAYER" or len(head) != 3:
-            raise ParseError(f"{path} line {idx + 1}: expected LAYER header")
-        fan_in, fan_out = int(head[1]), int(head[2])
-        idx += 1
-        rows = []
-        for _ in range(fan_out):
-            vals = [int(v) for v in lines[idx].split()]
-            if len(vals) != fan_in:
-                raise ParseError(f"{path} line {idx + 1}: expected {fan_in} words")
-            rows.append(vals)
-            idx += 1
-        if lines[idx] != "BIAS":
-            raise ParseError(f"{path} line {idx + 1}: expected BIAS line")
-        idx += 1
-        b = [int(v) for v in lines[idx].split()]
-        if len(b) != fan_out:
-            raise ParseError(f"{path} line {idx + 1}: expected {fan_out} biases")
-        idx += 1
-        weights.append(rows)
-        biases.append(b)
-    return QuantizedModel(fmt=fmt, weights=weights, biases=biases,
-                          std_mean=std_mean, std_invstd=std_invstd)
+    records, layers = modelfile.read(path, QMODEL_MAGIC, _QTAGS, int)
+    missing = [tag for tag in _QTAGS if tag not in records]
+    if missing:
+        raise ParseError(f"{path}: missing records {missing}")
+    for tag, fixed in (("QIN", INPUT_FORMAT), ("QSCALE", SCALE_FORMAT)):
+        if records[tag] != _format_words(fixed):
+            raise ParseError(f"{path}: {tag} must be {fixed.total_bits} "
+                             f"{fixed.integer_bits} ({fixed}), the engine's "
+                             "fixed format")
+    if len(records["Q"]) != 2:
+        raise ParseError(f"{path}: Q record must be '<total_bits> <integer_bits>'")
+    try:
+        fmt = QFormat(*records["Q"])
+    except DomainError as exc:
+        raise ParseError(f"{path}: Q record: {exc}") from None
+    width = len(layers[0][0][0])
+    for tag, word_fmt in (("STDMEAN", INPUT_FORMAT), ("STDINVSTD", SCALE_FORMAT)):
+        if len(records[tag]) != width:
+            raise ParseError(f"{path}: {tag} has {len(records[tag])} words, "
+                             f"the input width is {width}")
+        _check_words(path, tag, records[tag], word_fmt)
+    for i, (rows, biases) in enumerate(layers):
+        _check_words(path, f"layer {i} weight", (w for r in rows for w in r), fmt)
+        _check_words(path, f"layer {i} bias", biases, fmt)
+    return QuantizedModel(fmt=fmt, weights=[rows for rows, _ in layers],
+                          biases=[biases for _, biases in layers],
+                          std_mean=records["STDMEAN"],
+                          std_invstd=records["STDINVSTD"])

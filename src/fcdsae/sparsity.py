@@ -62,12 +62,14 @@ def average_activation(trace: ForwardTrace, layer_index: int,
 
 
 def kl_divergence(xi: float, xi_k: float) -> float:
-    """KL divergence between Bernoulli(xi) and Bernoulli(xi_k), natural log."""
+    """KL divergence between Bernoulli(xi) and Bernoulli(xi_k), natural log,
+    clamped at 0 against rounding when xi_k is within an ulp of xi."""
     if not 0.0 < xi < 1.0:
         raise DomainError(f"xi must lie in (0,1), got {xi}")
     if not 0.0 < xi_k < 1.0:
         raise DomainError(f"xi_k must lie in (0,1), got {xi_k}")
-    return xi * math.log(xi / xi_k) + (1.0 - xi) * math.log((1.0 - xi) / (1.0 - xi_k))
+    kl = xi * math.log(xi / xi_k) + (1.0 - xi) * math.log((1.0 - xi) / (1.0 - xi_k))
+    return kl if kl > 0.0 else 0.0
 
 
 def penalty_total(summaries: list[ActivationSummary], cfg: SparsityConfig) -> float:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from fcdsae import network, sparsity
-from fcdsae.dataset import SplitDataset, Standardizer
+from fcdsae.dataset import SplitDataset, Standardizer, record_features
 from fcdsae.errors import DomainError
 from fcdsae.metrics import ConfusionMatrix, MetricBlock, confusion, metric_block
 from fcdsae.network import AdamState, NetworkParams
@@ -106,11 +106,7 @@ def predict_batch(params: NetworkParams, std_features: np.ndarray) -> np.ndarray
 
 def predict(params: NetworkParams, std: Standardizer, record) -> int:
     """Class of one record (SensorRecord or raw 10-feature vector)."""
-    from fcdsae.dataset import SensorRecord, record_features
-
-    feats = record_features(record) if isinstance(record, SensorRecord) \
-        else np.asarray(record, dtype=np.float64)
-    z = std.transform(feats)
+    z = std.transform(record_features(record))
     return int(predict_batch(params, z.reshape(1, -1))[0])
 
 

@@ -1,8 +1,13 @@
 import json
+from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from fcdsae import network
 from fcdsae.cli import main
+from fcdsae.dataset import Standardizer
 
 
 def run(capsys, *argv):
@@ -184,3 +189,114 @@ class TestConfigFile:
         code, _, _ = run(capsys, "--config", str(tmp_path / "no.json"),
                          "gen-data", "--n", "5", "--out", str(tmp_path / "d.csv"))
         assert code == 1
+
+
+ROW = "1,24.2,222.4,363.8,83,68.5,165.5,0.44,145.6,28.6"
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """A 20-row data.csv, a model.txt trained on it and its Q8.8 model.qtxt."""
+    tmp = tmp_path_factory.mktemp("saved")
+    files = SimpleNamespace(data=str(tmp / "data.csv"),
+                            model=str(tmp / "model.txt"),
+                            qmodel=str(tmp / "model.qtxt"))
+    assert main(["gen-data", "--n", "20", "--seed", "3",
+                 "--out", files.data]) == 0
+    assert main(["train", "--data", files.data, "--epochs", "1",
+                 "--out-model", files.model]) == 0
+    assert main(["quantize", "--model", files.model,
+                 "--out", files.qmodel]) == 0
+    return files
+
+
+def _edited(src, dst, line, words):
+    """Copy src to dst with one line replaced (None cuts the file there)."""
+    lines = Path(src).read_text().splitlines()
+    lines[line:] = [] if words is None else [words] + lines[line + 1:]
+    dst.write_text("\n".join(lines) + "\n")
+    return str(dst)
+
+
+def _words(path, line):
+    return Path(path).read_text().splitlines()[line].split()
+
+
+def _four_input_model(tmp):
+    path = tmp / "m.txt"
+    network.save_model(network.init_network((4, 4, 3), seed=1), path,
+                       Standardizer(mean=np.zeros(4), std=np.ones(4)))
+    return str(path)
+
+
+def _write(path, content):
+    path.write_bytes(content)
+    return str(path)
+
+
+# id -> f(saved files, tmp dir) returning (argv, exit code). model.txt lines
+# are: magic, STDMEAN, STDSTD, LAYER 10 32, weight rows...; model.qtxt lines
+# are: magic, Q, QIN, QSCALE, STDMEAN, STDINVSTD, LAYER 10 32, weight rows...
+MALFORMED = {
+    "model-cut-mid-layer": lambda s, tmp: (
+        ["eval", "--model", _edited(s.model, tmp / "m.txt", 9, None),
+         "--data", s.data], 2),
+    "model-header-only": lambda s, tmp: (
+        ["eval", "--model", _edited(s.model, tmp / "m.txt", 3, None),
+         "--data", s.data], 2),
+    "model-stdstd-zero": lambda s, tmp: (
+        ["quantize", "--model",
+         _edited(s.model, tmp / "m.txt", 2, "STDSTD" + " 0" * 10),
+         "--out", str(tmp / "out.qtxt")], 2),
+    "model-nan-weight": lambda s, tmp: (
+        ["eval", "--model", _edited(s.model, tmp / "m.txt", 4, " ".join(
+            ["nan"] + _words(s.model, 4)[1:])),
+         "--data", s.data], 2),
+    "model-four-inputs": lambda s, tmp: (
+        ["eval", "--model", _four_input_model(tmp), "--data", s.data], 2),
+    "qmodel-header-only": lambda s, tmp: (
+        ["infer", "--qmodel", _edited(s.qmodel, tmp / "m.qtxt", 6, None),
+         "--row", ROW], 2),
+    "qmodel-cut-mid-layer": lambda s, tmp: (
+        ["infer", "--qmodel", _edited(s.qmodel, tmp / "m.qtxt", 12, None),
+         "--row", ROW], 2),
+    "qmodel-stdmean-9-words": lambda s, tmp: (
+        ["infer", "--qmodel", _edited(s.qmodel, tmp / "m.qtxt", 4, " ".join(
+            _words(s.qmodel, 4)[:-1])),
+         "--row", ROW], 2),
+    "qmodel-qin-16-8": lambda s, tmp: (
+        ["infer", "--qmodel", _edited(s.qmodel, tmp / "m.qtxt", 2, "QIN 16 8"),
+         "--row", ROW], 2),
+    "qmodel-word-out-of-range": lambda s, tmp: (
+        ["eval", "--qmodel", _edited(s.qmodel, tmp / "m.qtxt", 7, " ".join(
+            ["99999999999"] + _words(s.qmodel, 7)[1:])),
+         "--data", s.data], 2),
+    "infer-row-nan": lambda s, tmp: (
+        ["infer", "--qmodel", s.qmodel, "--row", ROW.replace("24.2", "nan")], 1),
+    "infer-row-inf": lambda s, tmp: (
+        ["infer", "--qmodel", s.qmodel, "--row", ROW.replace("24.2", "-inf")], 1),
+    "csv-inf-cell": lambda s, tmp: (
+        ["eval", "--qmodel", s.qmodel, "--data", _write(
+            tmp / "d.csv", Path(s.data).read_bytes().replace(b"\n1,", b"\ninf,"))],
+        2),
+    "csv-not-utf8": lambda s, tmp: (
+        ["eval", "--model", s.model, "--data", _write(tmp / "d.csv", b"\xff\n")],
+        2),
+    "config-list": lambda s, tmp: (
+        ["--config", _write(tmp / "c.json", b"[1, 2]"), "gen-data",
+         "--n", "5", "--out", str(tmp / "d.csv")], 1),
+    "config-scalar": lambda s, tmp: (
+        ["--config", _write(tmp / "c.json", b"3"), "gen-data",
+         "--n", "5", "--out", str(tmp / "d.csv")], 1),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_input_is_a_one_line_error(case, saved, tmp_path, capsys):
+    """Every malformed input exits 1 (usage) or 2 (data) with a one-line
+    `error:` message; an exception escaping main fails the test."""
+    argv, expected = MALFORMED[case](saved, tmp_path)
+    code, _, err = run(capsys, *argv)
+    assert code == expected
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

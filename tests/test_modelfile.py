@@ -1,0 +1,100 @@
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fcdsae import network, quantized
+from fcdsae.dataset import Standardizer
+from fcdsae.errors import ParseError
+from fcdsae.quantized import QFormat
+
+
+def _saved_texts():
+    """model.txt and Q8.8 model.qtxt text of a small 4-3-2 network."""
+    params = network.init_network((4, 3, 2), seed=3)
+    std = Standardizer(mean=np.array([1.0, -2.0, 30.0, 0.5]),
+                       std=np.array([0.5, 2.0, 10.0, 0.25]))
+    with tempfile.TemporaryDirectory() as tmp:
+        model, qmodel = Path(tmp, "m.txt"), Path(tmp, "m.qtxt")
+        network.save_model(params, model, standardizer=std)
+        quantized.save_qmodel(quantized.quantize_model(params, std, QFormat(16, 8)),
+                              qmodel)
+        return model.read_text(), qmodel.read_text()
+
+
+MODEL_TEXT, QMODEL_TEXT = _saved_texts()
+
+
+def load_and_use(text, qmodel):
+    """Load `text` as a model.txt or model.qtxt and run what loads. Returns
+    False if the loader refused it with ParseError."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "m")
+        path.write_text(text)
+        try:
+            if qmodel:
+                qm = quantized.load_qmodel(path)
+            else:
+                params, std = network.load_model(path)
+        except ParseError:
+            return False
+    if qmodel:
+        words, _ = quantized.q_forward(qm, [0] * qm.input_width)
+        assert all(qm.fmt.raw_min <= w <= qm.fmt.raw_max for w in words)
+    else:
+        network.forward(params, np.zeros((1, params.layers[0].fan_in)))
+        if std is not None:
+            quantized.quantize_model(params, std, QFormat(32, 2))
+    return True
+
+
+@pytest.mark.parametrize("qmodel", [False, True], ids=["model", "qmodel"])
+def test_truncated_at_every_line(qmodel):
+    lines = (QMODEL_TEXT if qmodel else MODEL_TEXT).splitlines()
+    for cut in range(len(lines) + 1):
+        # a file cut right after a bias row is a valid, shallower model
+        ends_layer = cut >= 2 and lines[cut - 2] == "BIAS"
+        assert load_and_use("\n".join(lines[:cut]) + "\n", qmodel) == ends_layer
+
+
+TOKENS = st.sampled_from(["", "0", "-1", "1.5", "nan", "inf", "-inf", "1e999",
+                          "1e-320", "99999999999", "abc", "LAYER", "BIAS",
+                          "STDMEAN", "STDSTD", "Q", "QIN", "2 3", "4"])
+
+
+@pytest.mark.parametrize("qmodel", [False, True], ids=["model", "qmodel"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_one_mutated_token_loads_or_raises_parse_error(qmodel, data):
+    text = QMODEL_TEXT if qmodel else MODEL_TEXT
+    lines = [ln.split() for ln in text.splitlines()]
+    row = data.draw(st.integers(0, len(lines) - 1))
+    col = data.draw(st.integers(0, len(lines[row]) - 1))
+    ascii_text = st.text(st.characters(min_codepoint=9, max_codepoint=126),
+                         max_size=4)
+    lines[row][col] = data.draw(TOKENS | ascii_text)
+    load_and_use("\n".join(" ".join(ln) for ln in lines) + "\n", qmodel)
+
+
+@pytest.mark.parametrize("old,new,match", [
+    ("LAYER 3 2", "LAYER 4 2", "line 10: fan_in 4 does not match"),
+    ("LAYER 3 2", "LAYER 3 0", "line 10: expected 'LAYER"),
+    ("STDSTD", "STDMEAN", "line 3: unknown or duplicate record 'STDMEAN'"),
+    ("STDSTD", "STDDEV", "line 3: unknown or duplicate record 'STDDEV'"),
+    ("\nBIAS\n", "\nBIAS\n1\n", "line 9: expected 3 values, got 1"),
+])
+def test_grammar_fault_names_the_line(tmp_path, old, new, match):
+    path = tmp_path / "m.txt"
+    assert old in MODEL_TEXT
+    path.write_text(MODEL_TEXT.replace(old, new, 1))
+    with pytest.raises(ParseError, match=match):
+        network.load_model(path)
+
+
+def test_blank_lines_ignored(tmp_path):
+    plain, spaced = tmp_path / "a.qtxt", tmp_path / "b.qtxt"
+    plain.write_text(QMODEL_TEXT)
+    spaced.write_text("\n" + QMODEL_TEXT.replace("\n", "\n\n"))
+    assert quantized.load_qmodel(spaced) == quantized.load_qmodel(plain)

@@ -1,7 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fcdsae import network, sparsity
 from fcdsae.errors import DomainError
@@ -66,6 +66,7 @@ class TestKlDivergence:
             sparsity.kl_divergence(xi, xi_k)
 
     @given(st.floats(0.001, 0.999), st.floats(0.001, 0.999))
+    @example(xi=0.001, xi_k=0.0010000000000000002)
     def test_nonnegative(self, xi, xi_k):
         assert sparsity.kl_divergence(xi, xi_k) >= 0.0
 
