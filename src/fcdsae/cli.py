@@ -118,11 +118,25 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _check_topology(path, n_inputs: int, n_outputs: int) -> None:
+    """The loaders read any topology; the commands serve only 10->...->3."""
+    if (n_inputs, n_outputs) != (dataset.N_FEATURES, metrics.N_CLASSES):
+        raise ParseError(f"{path}: model maps {n_inputs} inputs to "
+                         f"{n_outputs} outputs, not 10 to 3")
+
+
 def _load_model(path):
     params, std = network.load_model(path)
     if std is None:
         raise ParseError(f"{path}: model file has no standardizer records")
+    _check_topology(path, params.topology[0], params.topology[-1])
     return params, std
+
+
+def _load_qmodel(path):
+    qm = quantized.load_qmodel(path)
+    _check_topology(path, qm.input_width, len(qm.biases[-1]))
+    return qm
 
 
 def _cmd_quantize(args) -> int:
@@ -140,14 +154,11 @@ def _cmd_eval(args) -> int:
     examples = _load_examples(args.data)
     if args.model:
         params, std = _load_model(args.model)
-        if len(std.mean) != dataset.N_FEATURES:
-            raise ParseError(f"{args.model}: model takes {len(std.mean)} "
-                             f"inputs, the data has {dataset.N_FEATURES}")
         preds = trainer.predict_batch(params, std.transform_matrix(examples))
         cm = metrics.confusion([e.class_label for e in examples], list(preds))
         print(metrics.metric_block(cm).format_table())
     else:
-        qm = quantized.load_qmodel(args.qmodel)
+        qm = _load_qmodel(args.qmodel)
         result = quantized.evaluate_quantized(qm, examples)
         cm = result.confusion
         print(result.metrics.format_table())
@@ -169,7 +180,7 @@ def _cmd_infer(args) -> int:
         raise UsageError(f"--row contains a non-numeric value: {args.row!r}")
     if not all(math.isfinite(v) for v in values):
         raise UsageError(f"--row contains a non-finite value: {args.row!r}")
-    qm = quantized.load_qmodel(args.qmodel)
+    qm = _load_qmodel(args.qmodel)
     frame = quantized.frame_from_features(values)
     outs, pred = quantized.q_forward(qm, frame)
     print(f"class: {pred}")

@@ -147,7 +147,7 @@ class Standardizer:
         return (np.asarray(features, dtype=np.float64) - self.mean) / self.std
 
     def transform_matrix(self, examples: list[LabeledExample]) -> np.ndarray:
-        return np.stack([self.transform(e.features) for e in examples])
+        return self.transform(np.stack([e.features for e in examples]))
 
 
 @dataclass
@@ -175,7 +175,7 @@ def split(examples: list[LabeledExample], seed: int) -> SplitDataset:
 # coefficients of the frozen synthetic HFR formula
 _HFR_CENTER = 90.0
 _NOISE_SIGMA = 0.2
-_HFR_CLIP = (85.0, 95.0)
+_HFR_LOW, _HFR_HIGH = 85.0, 95.0
 
 
 def synthetic_hfr(z_power: float, z_airflow: float, z_watertemp: float,
@@ -185,7 +185,7 @@ def synthetic_hfr(z_power: float, z_airflow: float, z_watertemp: float,
     sig = (_HFR_CENTER
            + 1.3 * math.tanh(1.2 * z_power - 0.8 * z_airflow)
            + 0.7 * math.tanh(z_watertemp + 0.5 * z_h2press))
-    return float(np.clip(sig + noise, *_HFR_CLIP))
+    return float(min(max(sig + noise, _HFR_LOW), _HFR_HIGH))
 
 
 def generate_synthetic(n: int, seed: int,

@@ -70,10 +70,9 @@ class NetworkParams:
 
 @dataclass
 class ForwardTrace:
-    """Per-layer pre/post activations for one batch; inputs kept for backprop."""
+    """Per-layer post-ReLU activations for one batch; inputs kept for backprop."""
 
     inputs: np.ndarray
-    pre: list[np.ndarray]
     post: list[np.ndarray]
 
     @property
@@ -94,12 +93,12 @@ def init_network(topology: tuple[int, ...] = DEFAULT_TOPOLOGY,
 
 
 def forward(params: NetworkParams, batch: np.ndarray) -> ForwardTrace:
-    """Run the batch through every layer, recording pre/post activations.
+    """Run the batch through every layer, recording post-ReLU activations.
 
     ReLU is applied after every layer, including the output layer.
     """
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    pre, post = [], []
+    post = []
     x = batch
     for i, layer in enumerate(params.layers):
         if x.shape[1] != layer.fan_in:
@@ -107,12 +106,9 @@ def forward(params: NetworkParams, batch: np.ndarray) -> ForwardTrace:
                 f"activation width {x.shape[1]} does not match layer {i} "
                 f"fan_in {layer.fan_in}"
             )
-        z = x @ layer.weights.T + layer.biases
-        a = np.maximum(z, 0.0)
-        pre.append(z)
-        post.append(a)
-        x = a
-    return ForwardTrace(inputs=batch, pre=pre, post=post)
+        x = np.maximum(x @ layer.weights.T + layer.biases, 0.0)
+        post.append(x)
+    return ForwardTrace(inputs=batch, post=post)
 
 
 def mse_loss(output: np.ndarray, targets: np.ndarray) -> float:
@@ -134,7 +130,8 @@ def backward(trace: ForwardTrace, params: NetworkParams, targets: np.ndarray,
 
     `sparsity_grads`, when given, holds one (batch x width) matrix per hidden
     layer; each is added to that layer's post-activation delta before the
-    delta is pushed through the ReLU. The ReLU subgradient at exactly 0 is 0.
+    delta is pushed through the ReLU. The ReLU subgradient at exactly 0 is 0,
+    so the mask `post > 0` equals `pre > 0` (NaN fails both).
     """
     targets = np.asarray(targets, dtype=np.float64)
     out = trace.output
@@ -143,7 +140,7 @@ def backward(trace: ForwardTrace, params: NetworkParams, targets: np.ndarray,
             f"output shape {out.shape} != target shape {targets.shape}"
         )
     n_layers = len(params.layers)
-    if len(trace.pre) != n_layers:
+    if len(trace.post) != n_layers:
         raise DimensionError("trace depth does not match network depth")
     if sparsity_grads is not None and len(sparsity_grads) != n_layers - 1:
         raise DimensionError(
@@ -163,7 +160,7 @@ def backward(trace: ForwardTrace, params: NetworkParams, targets: np.ndarray,
                     f"layer {i} activations {trace.post[i].shape}"
                 )
             delta_post = delta_post + sg
-        delta_pre = delta_post * (trace.pre[i] > 0.0)
+        delta_pre = delta_post * (trace.post[i] > 0.0)
         prev_act = trace.inputs if i == 0 else trace.post[i - 1]
         grad_w = delta_pre.T @ prev_act
         grad_b = delta_pre.sum(axis=0)
@@ -173,26 +170,28 @@ def backward(trace: ForwardTrace, params: NetworkParams, targets: np.ndarray,
     return grads
 
 
+# Adam decay rates and denominator guard (Kingma & Ba defaults)
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Adam moment buffers and hyperparameters for one network."""
+    """Adam moment buffers for one network, each one flat vector over every
+    layer's weights then biases, in layer order."""
 
-    first_moment: list[tuple[np.ndarray, np.ndarray]]
-    second_moment: list[tuple[np.ndarray, np.ndarray]]
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     step_count: int = 0
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def for_network(cls, params: NetworkParams, lr: float = 0.001,
-                    beta1: float = 0.9, beta2: float = 0.999,
-                    eps: float = 1e-8) -> "AdamState":
-        zeros = lambda: [(np.zeros_like(l.weights), np.zeros_like(l.biases))
-                         for l in params.layers]
-        return cls(first_moment=zeros(), second_moment=zeros(),
-                   lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    def for_network(cls, params: NetworkParams,
+                    lr: float = 0.001) -> "AdamState":
+        size = sum(l.weights.size + l.biases.size for l in params.layers)
+        return cls(first_moment=np.zeros(size), second_moment=np.zeros(size),
+                   lr=lr)
 
 
 def adam_step(params: NetworkParams,
@@ -207,20 +206,23 @@ def adam_step(params: NetworkParams,
     for i, (gw, gb) in enumerate(grads):
         if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
             raise ValueError(f"non-finite gradient in layer {i}; update rejected")
+    # Adam is elementwise: one pass over all tensors gives per-tensor bits
+    g = np.concatenate([t.ravel() for pair in grads for t in pair])
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
-    for i, layer in enumerate(params.layers):
-        for buf_idx, (tensor, g) in enumerate(
-                [(layer.weights, grads[i][0]), (layer.biases, grads[i][1])]):
-            m = state.first_moment[i][buf_idx]
-            v = state.second_moment[i][buf_idx]
-            m *= state.beta1
-            m += (1.0 - state.beta1) * g
-            v *= state.beta2
-            v += (1.0 - state.beta2) * (g * g)
-            tensor -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
+    m, v = state.first_moment, state.second_moment
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    v += (1.0 - BETA2) * (g * g)
+    update = state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+    offset = 0
+    for layer in params.layers:
+        for tensor in (layer.weights, layer.biases):
+            tensor -= update[offset:offset + tensor.size].reshape(tensor.shape)
+            offset += tensor.size
     return params, state
 
 

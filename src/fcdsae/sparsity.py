@@ -3,7 +3,6 @@ and its analytic gradient for injection into backpropagation."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +37,6 @@ class ActivationSummary:
     `clamped` is the value the penalty actually uses.
     """
 
-    layer_index: int
     raw: np.ndarray
     clamped: np.ndarray
 
@@ -58,27 +56,29 @@ def average_activation(trace: ForwardTrace, layer_index: int,
         raise DomainError("empty batch")
     raw = acts.mean(axis=0)
     clamped = np.clip(raw, clamp_eps, 1.0 - clamp_eps)
-    return ActivationSummary(layer_index=layer_index, raw=raw, clamped=clamped)
+    return ActivationSummary(raw=raw, clamped=clamped)
+
+
+def _kl(xi: float, xi_k: np.ndarray) -> np.ndarray:
+    """Elementwise KL divergence between Bernoulli(xi) and Bernoulli(xi_k),
+    natural log, clamped at 0 against rounding when xi_k is within an ulp of
+    xi. NaN propagates, so a diverged batch still yields a non-finite loss."""
+    kl = xi * np.log(xi / xi_k) + (1.0 - xi) * np.log((1.0 - xi) / (1.0 - xi_k))
+    return np.maximum(kl, 0.0)
 
 
 def kl_divergence(xi: float, xi_k: float) -> float:
-    """KL divergence between Bernoulli(xi) and Bernoulli(xi_k), natural log,
-    clamped at 0 against rounding when xi_k is within an ulp of xi."""
+    """KL divergence between Bernoulli(xi) and Bernoulli(xi_k) for one unit."""
     if not 0.0 < xi < 1.0:
         raise DomainError(f"xi must lie in (0,1), got {xi}")
     if not 0.0 < xi_k < 1.0:
         raise DomainError(f"xi_k must lie in (0,1), got {xi_k}")
-    kl = xi * math.log(xi / xi_k) + (1.0 - xi) * math.log((1.0 - xi) / (1.0 - xi_k))
-    return kl if kl > 0.0 else 0.0
+    return float(_kl(xi, xi_k))
 
 
 def penalty_total(summaries: list[ActivationSummary], cfg: SparsityConfig) -> float:
     """psi times the summed KL divergence over all penalized hidden units."""
-    total = 0.0
-    for summary in summaries:
-        for xi_k in summary.clamped:
-            total += kl_divergence(cfg.xi, float(xi_k))
-    return cfg.psi * total
+    return cfg.psi * float(sum(_kl(cfg.xi, s.clamped).sum() for s in summaries))
 
 
 def penalty_gradient(summary: ActivationSummary, cfg: SparsityConfig,
@@ -87,19 +87,19 @@ def penalty_gradient(summary: ActivationSummary, cfg: SparsityConfig,
 
     d/dh of psi*KL(xi || mean(h)) through the batch mean is
     (psi/p) * (-xi/xi_k + (1-xi)/(1-xi_k)); a clamped mean is a constant,
-    so its gradient is zero. Returns a (batch_size x width) matrix.
+    so its gradient is zero. Returns a read-only (batch_size x width) view
+    that repeats the per-unit row.
     """
     xi_k = summary.clamped
     per_unit = (cfg.psi / batch_size) * (
         -cfg.xi / xi_k + (1.0 - cfg.xi) / (1.0 - xi_k)
     )
     per_unit = np.where(summary.was_clamped, 0.0, per_unit)
-    return np.tile(per_unit, (batch_size, 1))
+    return np.broadcast_to(per_unit, (batch_size, per_unit.size))
 
 
 def total_loss(mse: float, summaries: list[ActivationSummary],
                cfg: SparsityConfig) -> float:
-    """MSE plus the sparsity penalty. Bit-identical to the MSE when psi=0."""
-    if cfg.psi == 0.0:
-        return mse
+    """MSE plus the sparsity penalty. Bit-identical to the MSE when psi=0:
+    the clamped KL sum is finite, so the penalty is exactly +0.0."""
     return mse + penalty_total(summaries, cfg)

@@ -32,9 +32,11 @@ class TrainConfig:
             raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr <= 0:
             raise DomainError(f"lr must be > 0, got {self.lr}")
-        if self.topology[0] != 10 or self.topology[-1] != 3:
+        if (len(self.topology) < 3 or self.topology[0] != 10
+                or self.topology[-1] != 3):
             raise DomainError(
-                f"topology must map 10 inputs to 3 outputs, got {self.topology}"
+                f"topology must map 10 inputs through at least one hidden "
+                f"layer to 3 outputs, got {self.topology}"
             )
 
 
@@ -116,19 +118,16 @@ def _hidden_summaries(trace, cfg: sparsity.SparsityConfig):
 
 
 def evaluate_total_loss(params: NetworkParams, x: np.ndarray, targets: np.ndarray,
-                        cfg: sparsity.SparsityConfig) -> tuple[float, float]:
-    """(one-hot MSE, J_total) of the whole matrix in one pass."""
+                        cfg: sparsity.SparsityConfig
+                        ) -> tuple[np.ndarray, float, float, float]:
+    """Argmax predictions, one-hot MSE, J_total and the unclamped mean
+    activation over every hidden unit, all from one forward pass."""
     trace = network.forward(params, x)
     mse = network.mse_loss(trace.output, targets)
-    return mse, sparsity.total_loss(mse, _hidden_summaries(trace, cfg), cfg)
-
-
-def mean_hidden_activation(params: NetworkParams, x: np.ndarray) -> float:
-    """Batch-mean activation (unclamped) averaged over every hidden unit."""
-    trace = network.forward(params, x)
-    means = np.concatenate([trace.post[i].mean(axis=0)
-                            for i in range(len(trace.post) - 1)])
-    return float(means.mean())
+    summaries = _hidden_summaries(trace, cfg)
+    mean_activation = float(np.concatenate([s.raw for s in summaries]).mean())
+    return (np.argmax(trace.output, axis=1), mse,
+            sparsity.total_loss(mse, summaries, cfg), mean_activation)
 
 
 def train(cfg: TrainConfig, data: SplitDataset
@@ -177,9 +176,10 @@ def train(cfg: TrainConfig, data: SplitDataset
             grads = network.backward(trace, params, tb, sgrads)
             params, state = network.adam_step(params, grads, state)
 
-        train_acc = float(np.mean(predict_batch(params, x_train) == y_train))
+        train_preds, mse_full, j_full, _ = evaluate_total_loss(
+            params, x_train, t_train, scfg)
+        train_acc = float(np.mean(train_preds == y_train))
         val_acc = float(np.mean(predict_batch(params, x_test) == y_test))
-        mse_full, j_full = evaluate_total_loss(params, x_train, t_train, scfg)
         hist_train_acc.append(train_acc)
         hist_val_acc.append(val_acc)
         hist_j.append(j_full)
@@ -189,16 +189,15 @@ def train(cfg: TrainConfig, data: SplitDataset
             best_params = params.copy()
 
     params = best_params
-    test_preds = predict_batch(params, x_test)
+    test_preds, final_mse, _, mean_activation = evaluate_total_loss(
+        params, x_test, one_hot(y_test), scfg)
     cm = confusion(y_test.tolist(), test_preds.tolist())
     block = metric_block(cm)
-    final_mse = network.mse_loss(network.forward(params, x_test).output,
-                                 one_hot(y_test))
     report = TrainReport(
         train_accuracy=hist_train_acc, val_accuracy=hist_val_acc,
         j_total=hist_j, mse=hist_mse, best_epoch=best_epoch,
         final_metrics=block, final_confusion=cm, final_mse=final_mse,
-        mean_hidden_activation=mean_hidden_activation(params, x_test),
+        mean_hidden_activation=mean_activation,
         config=cfg, wall_time_s=time.perf_counter() - t0,
     )
     return params, std, report

@@ -5,9 +5,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fcdsae import network
+from fcdsae import network, quantized
 from fcdsae.cli import main
 from fcdsae.dataset import Standardizer
+from fcdsae.quantized import QFormat
 
 
 def run(capsys, *argv):
@@ -222,10 +223,18 @@ def _words(path, line):
     return Path(path).read_text().splitlines()[line].split()
 
 
-def _four_input_model(tmp):
+def _model(tmp, topology):
     path = tmp / "m.txt"
-    network.save_model(network.init_network((4, 4, 3), seed=1), path,
-                       Standardizer(mean=np.zeros(4), std=np.ones(4)))
+    n_in = topology[0]
+    network.save_model(network.init_network(topology, seed=1), path,
+                       Standardizer(mean=np.zeros(n_in), std=np.ones(n_in)))
+    return str(path)
+
+
+def _qmodel(tmp, topology):
+    path = tmp / "m.qtxt"
+    params, std = network.load_model(_model(tmp, topology))
+    quantized.save_qmodel(quantized.quantize_model(params, std, QFormat()), path)
     return str(path)
 
 
@@ -253,7 +262,16 @@ MALFORMED = {
             ["nan"] + _words(s.model, 4)[1:])),
          "--data", s.data], 2),
     "model-four-inputs": lambda s, tmp: (
-        ["eval", "--model", _four_input_model(tmp), "--data", s.data], 2),
+        ["eval", "--model", _model(tmp, (4, 4, 3)), "--data", s.data], 2),
+    "model-10-4-2-eval": lambda s, tmp: (
+        ["eval", "--model", _model(tmp, (10, 4, 2)), "--data", s.data], 2),
+    "model-10-4-2-quantize": lambda s, tmp: (
+        ["quantize", "--model", _model(tmp, (10, 4, 2)),
+         "--out", str(tmp / "out.qtxt")], 2),
+    "qmodel-10-4-2-eval": lambda s, tmp: (
+        ["eval", "--qmodel", _qmodel(tmp, (10, 4, 2)), "--data", s.data], 2),
+    "qmodel-10-4-2-infer": lambda s, tmp: (
+        ["infer", "--qmodel", _qmodel(tmp, (10, 4, 2)), "--row", ROW], 2),
     "qmodel-header-only": lambda s, tmp: (
         ["infer", "--qmodel", _edited(s.qmodel, tmp / "m.qtxt", 6, None),
          "--row", ROW], 2),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -19,7 +21,7 @@ def trace_for(activations):
     """Wrap raw hidden activations (batch x width) into a two-layer trace."""
     acts = np.asarray(activations, dtype=float)
     out = np.zeros((acts.shape[0], 1))
-    return network.ForwardTrace(inputs=acts, pre=[acts, out], post=[acts, out])
+    return network.ForwardTrace(inputs=acts, post=[acts, out])
 
 
 class TestConfig:
@@ -83,7 +85,7 @@ class TestKlDivergence:
 class TestPenaltyTotal:
     def summary(self, values):
         vals = np.asarray(values, float)
-        return ActivationSummary(layer_index=0, raw=vals, clamped=vals)
+        return ActivationSummary(raw=vals, clamped=vals)
 
     def test_zero_weight(self):
         cfg = SparsityConfig(psi=0.0)
@@ -98,6 +100,22 @@ class TestPenaltyTotal:
         total = sparsity.penalty_total([self.summary([0.5, 0.5])], cfg)
         assert total == pytest.approx(0.1 * 2 * KL_005_05, abs=1e-6)
 
+    @given(st.floats(0.001, 0.999),
+           st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=32))
+    @example(xi=0.001, means=[0.0010000000000000002])
+    def test_matches_math_log_reference(self, xi, means):
+        cfg = SparsityConfig(xi=xi, psi=1.0)
+        terms = [max(xi * math.log(xi / m)
+                     + (1.0 - xi) * math.log((1.0 - xi) / (1.0 - m)), 0.0)
+                 for m in means]
+        total = sparsity.penalty_total(
+            [self.summary(means), self.summary([xi])], cfg)
+        assert total >= 0.0
+        # np.log and math.log may differ in the last ulp of each term
+        assert total == pytest.approx(math.fsum(terms), rel=1e-12, abs=1e-12)
+        assert sparsity.penalty_total([self.summary([xi] * len(means))],
+                                      cfg) == 0.0
+
     def test_psi_zero_total_loss_bit_equals_mse(self):
         cfg = SparsityConfig(psi=0.0)
         mse = 0.123456789
@@ -108,20 +126,20 @@ class TestPenaltyGradient:
     def test_stationary_at_target(self):
         cfg = SparsityConfig(xi=0.05, psi=1.0)
         vals = np.array([0.05])
-        summary = ActivationSummary(0, raw=vals, clamped=vals)
+        summary = ActivationSummary(raw=vals, clamped=vals)
         grad = sparsity.penalty_gradient(summary, cfg, batch_size=1)
         npt.assert_allclose(grad, 0.0, atol=1e-15)
 
     def test_scalar_derivative(self):
         cfg = SparsityConfig(xi=0.05, psi=1.0)
         vals = np.array([0.2])
-        summary = ActivationSummary(0, raw=vals, clamped=vals)
+        summary = ActivationSummary(raw=vals, clamped=vals)
         grad = sparsity.penalty_gradient(summary, cfg, batch_size=1)
         npt.assert_allclose(grad, [[-0.25 + 1.1875]])
 
     def test_clamped_unit_has_zero_gradient(self):
         cfg = SparsityConfig(xi=0.05, psi=1.0)
-        summary = ActivationSummary(0, raw=np.array([3.0]),
+        summary = ActivationSummary(raw=np.array([3.0]),
                                     clamped=np.array([1.0 - 1e-6]))
         grad = sparsity.penalty_gradient(summary, cfg, batch_size=2)
         npt.assert_array_equal(grad, 0.0)

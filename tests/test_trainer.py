@@ -19,7 +19,8 @@ class TestConfig:
     @pytest.mark.parametrize("kw", [dict(max_epochs=0), dict(batch_size=0),
                                     dict(lr=0.0),
                                     dict(topology=(5, 32, 3)),
-                                    dict(topology=(10, 32, 2))])
+                                    dict(topology=(10, 32, 2)),
+                                    dict(topology=(10, 3))])
     def test_invalid(self, kw):
         with pytest.raises(DomainError):
             TrainConfig(**kw)
