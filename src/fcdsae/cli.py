@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from fcdsae import dataset, metrics, network, quantized, trainer
-from fcdsae.errors import DomainError, FrameError, ParseError
+from fcdsae.errors import DimensionError, DomainError, FrameError, ParseError
 from fcdsae.quantized import QFormat
 from fcdsae.sparsity import SparsityConfig
 
@@ -234,7 +234,8 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, FrameError, OSError, UnicodeDecodeError) as exc:
+    except (ParseError, FrameError, DimensionError, OSError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -2,10 +2,11 @@
 saturating arithmetic, model quantization, and the streaming-frame path that
 mirrors the deployed accelerator word-for-word.
 
-All raw words are Python ints, so every arithmetic step is exact regardless
-of format width. Per-layer products accumulate in a double-width value and
-are re-quantized (round half away from zero, then saturate) back to the
-compute format after each layer.
+Per-layer products accumulate in a double-width value and are re-quantized
+(round half away from zero, then saturate) back to the compute format after
+each layer. Two engines compute the same words. `q_forward` is the spec: one
+frame on Python ints, exact at any width. `q_forward_batch` runs many frames
+on int64 arrays; its docstring gives the bound that keeps it exact.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from fcdsae import modelfile
-from fcdsae.errors import DomainError, FrameError, ParseError
+from fcdsae.errors import DimensionError, DomainError, FrameError, ParseError
 
 QMODEL_MAGIC = "FCDSAE-Q 1"
 
@@ -83,6 +86,8 @@ def quantize(x: float, fmt: QFormat) -> int:
     """Round half away from zero to the nearest representable raw word,
     saturating at the format's range bounds (infinities included)."""
     scaled = min(max(float(x) * (1 << fmt.frac_bits), fmt.raw_min), fmt.raw_max)
+    if scaled != scaled:
+        raise DomainError("cannot quantize NaN")
     raw = int(math.floor(abs(scaled) + 0.5))
     return -raw if scaled < 0 else raw
 
@@ -91,16 +96,25 @@ def dequantize(raw: int, fmt: QFormat) -> float:
     return raw * 2.0 ** -fmt.frac_bits
 
 
+def _rounded(magnitude, shift: int):
+    """magnitude / 2^shift rounded half up, for magnitude >= 0 and shift >= 1
+    (every shift the engine uses: 38 - f or f). The one rounding expression
+    of both engines, on Python ints and int64 arrays alike; it adds nothing
+    before shifting, so it cannot overflow int64."""
+    return (magnitude >> shift) + ((magnitude >> (shift - 1)) & 1)
+
+
 def requantize(acc: int, shift: int, fmt: QFormat) -> int:
     """Scale an exact accumulator down by 2^shift (round half away from
     zero) and saturate into fmt's raw range."""
-    if shift > 0:
-        half = 1 << (shift - 1)
-        if acc >= 0:
-            acc = (acc + half) >> shift
-        else:
-            acc = -((-acc + half) >> shift)
-    return min(max(acc, fmt.raw_min), fmt.raw_max)
+    q = _rounded(abs(acc), shift)
+    return min(max(q if acc >= 0 else -q, fmt.raw_min), fmt.raw_max)
+
+
+def _requantize_array(acc: np.ndarray, shift: int, fmt: QFormat) -> np.ndarray:
+    """`requantize` over an int64 array with |acc| < 2^63."""
+    q = _rounded(np.abs(acc), shift)
+    return np.clip(np.where(acc < 0, -q, q), fmt.raw_min, fmt.raw_max)
 
 
 @dataclass
@@ -147,6 +161,13 @@ def frame_from_features(features) -> list[int]:
     return [quantize(float(x), INPUT_FORMAT) for x in features]
 
 
+def _check_frame_words(lowest, highest) -> None:
+    if lowest < INPUT_FORMAT.raw_min or highest > INPUT_FORMAT.raw_max:
+        raise FrameError(
+            f"frame word outside the {INPUT_FORMAT} range "
+            f"[{INPUT_FORMAT.raw_min}, {INPUT_FORMAT.raw_max}]")
+
+
 def q_forward(qm: QuantizedModel, frame: list[int]) -> tuple[list[int], int]:
     """Fixed-point forward pass over one frame.
 
@@ -159,6 +180,7 @@ def q_forward(qm: QuantizedModel, frame: list[int]) -> tuple[list[int], int]:
         raise FrameError(
             f"frame has {len(frame)} words, model expects {qm.input_width}"
         )
+    _check_frame_words(min(frame), max(frame))
     f = qm.fmt.frac_bits
     # z = (x - mean) * invstd, exact product at 2^-(in_f + scale_f), then
     # rounded into the compute format
@@ -180,6 +202,83 @@ def q_forward(qm: QuantizedModel, frame: list[int]) -> tuple[list[int], int]:
     return acts, pred
 
 
+def _rows(rows, dtype, width: int) -> np.ndarray:
+    """rows as an (N, width) array; FrameError for anything else."""
+    try:
+        x = np.array(rows, dtype=dtype)
+    except OverflowError:
+        raise FrameError(f"frame word outside the {INPUT_FORMAT} range") from None
+    except ValueError as exc:  # ragged rows, or a non-numeric value
+        raise FrameError(f"frames are not equal-length rows of numbers: {exc}") \
+            from None
+    if len(x) and x.shape[1:] != (width,):
+        raise FrameError(f"frames of shape {x.shape}, model expects {width} "
+                         "words per frame")
+    return x.reshape(len(x), width)
+
+
+# the widest layer the batch engine keeps exact; see q_forward_batch
+_MAX_FAN_IN = 1 << 15
+_BLOCK = 1024
+
+
+def q_forward_batch(qm: QuantizedModel, frames) -> tuple[np.ndarray, np.ndarray]:
+    """`q_forward` over N frames at once: returns the (N, outputs) int64
+    output words and the (N,) argmax classes (lowest index on ties).
+
+    Every step is exact in int64 for formats of 2 to 32 bits. The model's
+    words lie in their formats' ranges (`quantize_model` saturates them,
+    `load_qmodel` checks them); frames and fan_in are checked here.
+    - frame words and means are Q18.14 and scales Q8.24, so
+      |x - mean| * |invstd| <= (2^32 - 1) * 2^31 < 2^63;
+    - each weight splits into 16-bit limbs, w = (w >> 16) * 2^16 +
+      (w & 0xFFFF), one matmul each. With activations |a| <= 2^31 and
+      fan_in <= 2^15, the low sum plus the bias at the accumulator scale
+      (|b * 2^f| <= 2^62) stays below 2^63, and the high sum below 2^61;
+    - H = high + (low >> 16) is clamped to +-2^46 before it is shifted back,
+      acc = H * 2^16 + (low & 0xFFFF): the clamp touches only |acc| > 2^62,
+      which saturates every format of up to 32 bits either way;
+    - rounding works on the magnitude and adds nothing before shifting.
+    """
+    x = _rows(frames, np.int64, qm.input_width)
+    if len(x):
+        _check_frame_words(x.min(), x.max())
+    fmt, f = qm.fmt, qm.fmt.frac_bits
+    std_shift = INPUT_FORMAT.frac_bits + SCALE_FORMAT.frac_bits - f
+    mean = np.array(qm.std_mean, np.int64)
+    invstd = np.array(qm.std_invstd, np.int64)
+    layers = []
+    for i, (w_layer, b_layer) in enumerate(zip(qm.weights, qm.biases)):
+        w = np.array(w_layer, np.int64).T
+        if len(w) > _MAX_FAN_IN:
+            raise DimensionError(f"layer {i} has fan_in {len(w)}; the batch "
+                                 f"engine is exact up to {_MAX_FAN_IN}")
+        layers.append((w >> 16, w & 0xFFFF, np.array(b_layer, np.int64) << f))
+    words = np.empty((len(x), len(qm.biases[-1])), np.int64)
+    # blocks keep each temporary small enough to stay in cache
+    for start in range(0, len(x), _BLOCK):
+        acts = _requantize_array((x[start:start + _BLOCK] - mean) * invstd,
+                                 std_shift, fmt)
+        for w_high, w_low, b_scaled in layers:
+            low = acts @ w_low + b_scaled
+            high = np.clip(acts @ w_high + (low >> 16), -(1 << 46), 1 << 46)
+            acts = np.maximum(
+                _requantize_array((high << 16) + (low & 0xFFFF), f, fmt), 0)
+        words[start:start + _BLOCK] = acts
+    return words, np.argmax(words, axis=1)
+
+
+def _frames_from_feature_rows(rows) -> np.ndarray:
+    """`frame_from_features` over an (N, width) array: clip, then
+    floor(|x| + 0.5), then the sign, giving the same words."""
+    scaled = np.clip(rows * float(1 << INPUT_FORMAT.frac_bits),
+                     INPUT_FORMAT.raw_min, INPUT_FORMAT.raw_max)
+    if np.isnan(scaled).any():
+        raise DomainError("cannot quantize NaN")
+    raw = np.floor(np.abs(scaled) + 0.5)
+    return np.where(scaled < 0, -raw, raw).astype(np.int64)
+
+
 @dataclass
 class QuantEvalResult:
     metrics: "MetricBlock"
@@ -193,9 +292,10 @@ def evaluate_quantized(qm: QuantizedModel, examples,
     accuracy delta against the float path when its accuracy is supplied."""
     from fcdsae.metrics import confusion, metric_block
 
-    preds = [q_forward(qm, frame_from_features(ex.features))[1]
-             for ex in examples]
-    cm = confusion([ex.class_label for ex in examples], preds)
+    features = _rows([ex.features for ex in examples], np.float64,
+                     qm.input_width)
+    _, preds = q_forward_batch(qm, _frames_from_feature_rows(features))
+    cm = confusion([ex.class_label for ex in examples], preds.tolist())
     block = metric_block(cm)
     delta = None if float_accuracy is None else float_accuracy - block.accuracy
     return QuantEvalResult(metrics=block, confusion=cm, accuracy_delta=delta)
@@ -204,11 +304,11 @@ def evaluate_quantized(qm: QuantizedModel, examples,
 def dump_frames(qm: QuantizedModel, frames: list[list[int]]) -> str:
     """One line per frame: 10 input words then 3 output words, decimal.
     Byte-comparable across implementations."""
-    lines = []
-    for frame in frames:
-        outs, _ = q_forward(qm, frame)
-        lines.append(" ".join(str(w) for w in list(frame) + outs))
-    return "\n".join(lines) + "\n"
+    x = _rows(frames, np.int64, qm.input_width)
+    words, _ = q_forward_batch(qm, x)
+    table = np.hstack([x, words])
+    line = " ".join(["%d"] * table.shape[1]) + "\n"
+    return (line * len(table)) % tuple(table.ravel().tolist())
 
 
 _QTAGS = ("Q", "QIN", "QSCALE", "STDMEAN", "STDINVSTD")

@@ -135,3 +135,13 @@ def scalar_q_forward(qm, frame):
         if acts[i] > acts[best]:
             best = i
     return acts, best
+
+
+def scalar_dump_frames(qm, frames):
+    """The frame dump text from the scalar interpreter: per frame its words,
+    then its output words, one line each."""
+    lines = []
+    for frame in frames:
+        words, _ = scalar_q_forward(qm, frame)
+        lines.append(" ".join(str(w) for w in list(frame) + words) + "\n")
+    return "".join(lines)

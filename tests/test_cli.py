@@ -238,6 +238,16 @@ def _qmodel(tmp, topology):
     return str(path)
 
 
+def _wide_qmodel(tmp, hidden):
+    """A 10-hidden-3 model.qtxt of zero words."""
+    path = tmp / "m.qtxt"
+    quantized.save_qmodel(quantized.QuantizedModel(
+        fmt=QFormat(), weights=[[[0] * 10] * hidden, [[0] * hidden] * 3],
+        biases=[[0] * hidden, [0] * 3], std_mean=[0] * 10,
+        std_invstd=[0] * 10), path)
+    return str(path)
+
+
 def _write(path, content):
     path.write_bytes(content)
     return str(path)
@@ -272,6 +282,8 @@ MALFORMED = {
         ["eval", "--qmodel", _qmodel(tmp, (10, 4, 2)), "--data", s.data], 2),
     "qmodel-10-4-2-infer": lambda s, tmp: (
         ["infer", "--qmodel", _qmodel(tmp, (10, 4, 2)), "--row", ROW], 2),
+    "qmodel-fan-in-32769-eval": lambda s, tmp: (
+        ["eval", "--qmodel", _wide_qmodel(tmp, 32769), "--data", s.data], 2),
     "qmodel-header-only": lambda s, tmp: (
         ["infer", "--qmodel", _edited(s.qmodel, tmp / "m.qtxt", 6, None),
          "--row", ROW], 2),

@@ -84,7 +84,8 @@ def test_one_mutated_token_loads_or_raises_parse_error(qmodel, data):
     ("STDSTD", "STDMEAN", "line 3: unknown or duplicate record 'STDMEAN'"),
     ("STDSTD", "STDDEV", "line 3: unknown or duplicate record 'STDDEV'"),
     ("\nBIAS\n", "\nBIAS\n1\n", "line 9: expected 3 values, got 1"),
-])
+], ids=["fan-in-mismatch", "fan-out-zero", "duplicate-record", "unknown-record",
+        "short-bias-row"])
 def test_grammar_fault_names_the_line(tmp_path, old, new, match):
     path = tmp_path / "m.txt"
     assert old in MODEL_TEXT

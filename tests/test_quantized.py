@@ -3,15 +3,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fcdsae import network, quantized
-from fcdsae.dataset import Standardizer
-from fcdsae.errors import DomainError, FrameError
+from fcdsae.dataset import LabeledExample, Standardizer
+from fcdsae.errors import DimensionError, DomainError, FrameError
+from fcdsae.metrics import confusion
 from fcdsae.network import LayerParams, NetworkParams
-from fcdsae.quantized import (INPUT_FORMAT, QFormat, QuantizedModel,
-                              dequantize, dump_frames, frame_from_features,
-                              load_qmodel, q_forward, quantize, quantize_model,
-                              requantize, save_qmodel)
+from fcdsae.quantized import (INPUT_FORMAT, SCALE_FORMAT, QFormat,
+                              QuantizedModel, dequantize, dump_frames,
+                              evaluate_quantized, frame_from_features,
+                              load_qmodel, q_forward, q_forward_batch,
+                              quantize, quantize_model, save_qmodel)
 
-from oracles import scalar_q_forward
+from oracles import scalar_dump_frames, scalar_q_forward
 
 Q88 = QFormat(16, 8)
 
@@ -61,6 +63,13 @@ class TestQuantizeScalar:
         # 0.5 LSB ties round away from zero in both signs
         assert quantize(3 * 2.0**-9, Q88) == 2
         assert quantize(-3 * 2.0**-9, Q88) == -2
+
+    def test_nan_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            quantize(float("nan"), Q88)
+        example = LabeledExample(np.array([0.0, float("nan"), 0.0]), 0)
+        with pytest.raises(DomainError):
+            evaluate_quantized(identity_model(), [example])
 
     @given(st.floats(-200.0, 200.0))
     def test_roundtrip_error_bound(self, x):
@@ -133,9 +142,16 @@ class TestQForward:
         assert pred == 0
 
     def test_bad_frame_length(self):
+        """Wrong word counts, ragged batches and words outside Q18.14 raise
+        FrameError in both engines."""
         qm = identity_model()
-        with pytest.raises(FrameError):
-            q_forward(qm, [0, 0])
+        lo, hi = INPUT_FORMAT.raw_min, INPUT_FORMAT.raw_max
+        for frame in ([0, 0], [0, 0, 0, 0], [0, hi + 1, 0], [0, 0, lo - 1],
+                      [2**70, 0, 0], [0, -2**70, 0]):
+            with pytest.raises(FrameError):
+                q_forward(qm, frame)
+            with pytest.raises(FrameError):
+                dump_frames(qm, [[0, 0, 0], frame])
 
     def test_saturation_is_total(self, reference_run):
         params, std, _ = reference_run
@@ -150,6 +166,14 @@ class TestQForward:
 
 def random_model_and_frame(rng):
     widths = [int(rng.integers(1, 6)) for _ in range(int(rng.integers(2, 5)))]
+    qm = random_model(rng, widths)
+    frame = frame_from_features(rng.normal(0, 20, widths[0]))
+    return qm, frame
+
+
+def random_model(rng, widths):
+    """Gaussian weights and standardizer quantized to a random 4..32-bit
+    format."""
     layers = []
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         layers.append(LayerParams(rng.normal(0, 2, (fan_out, fan_in)),
@@ -160,9 +184,7 @@ def random_model_and_frame(rng):
     total = int(rng.integers(4, 33))
     integer = int(rng.integers(1, total))
     fmt = QFormat(total, integer)
-    qm = quantize_model(params, std, fmt)
-    frame = frame_from_features(rng.normal(0, 20, widths[0]))
-    return qm, frame
+    return quantize_model(params, std, fmt)
 
 
 class TestScalarOracle:
@@ -210,7 +232,7 @@ class TestFilesAndDumps:
         qm, _ = random_model_and_frame(rng)
         frames = [frame_from_features(rng.normal(0, 5, qm.input_width))
                   for _ in range(5)]
-        assert dump_frames(qm, frames) == dump_frames(qm, frames)
+        assert dump_frames(qm, frames) == scalar_dump_frames(qm, frames)
 
     def test_frame_dump_shape(self):
         qm = identity_model()
@@ -218,3 +240,81 @@ class TestFilesAndDumps:
         words = text.strip().split()
         assert len(words) == 6
         assert all(w.lstrip("-").isdigit() for w in words)
+        assert text.count("\n") == 1
+        assert dump_frames(qm, []) == ""
+
+
+def range_end_model(rng, fmt, widths):
+    """Every word at or next to its format's bounds, or 0 or +-1."""
+    def words(f, shape):
+        return rng.choice([f.raw_min, f.raw_min + 1, -1, 0, 1, f.raw_max - 1,
+                           f.raw_max], size=shape).tolist()
+    return QuantizedModel(
+        fmt=fmt, weights=[words(fmt, (n_out, n_in))
+                          for n_in, n_out in zip(widths[:-1], widths[1:])],
+        biases=[words(fmt, n_out) for n_out in widths[1:]],
+        std_mean=words(INPUT_FORMAT, widths[0]),
+        std_invstd=words(SCALE_FORMAT, widths[0]))
+
+
+class TestBatchEngine:
+    """q_forward_batch, dump_frames and the evaluate_quantized confusion
+    against the scalar oracle, frame by frame."""
+
+    @staticmethod
+    def assert_matches_oracle(qm, frames, rng):
+        expected = [scalar_q_forward(qm, frame) for frame in frames]
+        words, preds = q_forward_batch(qm, frames)
+        assert words.tolist() == [w for w, _ in expected]
+        assert preds.tolist() == [p for _, p in expected]
+        assert dump_frames(qm, frames).splitlines() == [
+            " ".join(map(str, frame + w)) for frame, (w, _) in zip(frames, expected)]
+        if len(qm.biases[-1]) == 3:
+            labels = rng.integers(0, 3, len(frames)).tolist()
+            # Q18.14 words scaled back are exact features for the same words
+            scale = 2.0**-INPUT_FORMAT.frac_bits
+            examples = [LabeledExample(np.array(frame) * scale, y)
+                        for frame, y in zip(frames, labels)]
+            got = evaluate_quantized(qm, examples).confusion.counts
+            want = confusion(labels, [p for _, p in expected]).counts
+            assert (got == want).all()
+
+    def test_random_models_and_saturating_frames(self):
+        rng = np.random.default_rng(404)
+        inf = float("inf")
+        for _ in range(300):
+            widths = [int(rng.integers(1, 6)) for _ in range(int(rng.integers(1, 4)))]
+            qm = random_model(rng, widths + [3])
+            n_in = widths[0]
+            rows = [*rng.normal(0, 20, (6, n_in)), *rng.normal(0, 1e4, (2, n_in)),
+                    [inf] * n_in, [-inf] * n_in, [1e12, -1e12] * n_in]
+            frames = [frame_from_features(row[:n_in]) for row in rows]
+            self.assert_matches_oracle(qm, frames, rng)
+
+    def test_range_end_words_every_width(self):
+        rng = np.random.default_rng(2032)
+        lo, hi = INPUT_FORMAT.raw_min, INPUT_FORMAT.raw_max
+        for total in range(2, 33):
+            for integer in sorted({1, (total + 1) // 2, total - 1}):
+                qm = range_end_model(rng, QFormat(total, integer), (10, 16, 8, 3))
+                frames = rng.choice([lo, lo + 1, -1, 0, 1, hi - 1, hi],
+                                    size=(12, 10)).tolist()
+                self.assert_matches_oracle(qm, frames, rng)
+
+    def test_fan_in_bound(self):
+        """At fan_in 2^15, weights of -1 (low limb 0xFFFF), the lowest bias
+        and standardized inputs of -2^31 drive the low sum to -2^63 + 2^46;
+        one more input would wrap int64, so the engine refuses it."""
+        fmt = QFormat(32, 1)
+        for fan_in in (1 << 15, (1 << 15) + 1):
+            qm = QuantizedModel(fmt=fmt, weights=[[[-1] * fan_in]],
+                                biases=[[fmt.raw_min]],
+                                std_mean=[INPUT_FORMAT.raw_max] * fan_in,
+                                std_invstd=[SCALE_FORMAT.raw_max] * fan_in)
+            frames = [[INPUT_FORMAT.raw_min] * fan_in]
+            if fan_in > 1 << 15:
+                with pytest.raises(DimensionError):
+                    q_forward_batch(qm, frames)
+            else:
+                words, _ = q_forward_batch(qm, frames)
+                assert words.tolist() == [scalar_q_forward(qm, frames[0])[0]]
