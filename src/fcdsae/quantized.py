@@ -4,15 +4,16 @@ mirrors the deployed accelerator word-for-word.
 
 Per-layer products accumulate in a double-width value and are re-quantized
 (round half away from zero, then saturate) back to the compute format after
-each layer. Two engines compute the same words. `q_forward` is the spec: one
-frame on Python ints, exact at any width. `q_forward_batch` runs many frames
-on int64 arrays; its docstring gives the bound that keeps it exact.
+each layer. One engine computes these words: `q_forward_batch` runs N frames
+on int64 arrays, and `q_forward` is the same engine on one frame. Its
+docstring gives the bound that keeps it exact. The readable spec it is
+tested against is the scalar interpreter in tests/oracles.py.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,44 +83,36 @@ INPUT_FORMAT = QFormat(total_bits=32, integer_bits=18)
 SCALE_FORMAT = QFormat(total_bits=32, integer_bits=8)
 
 
-def quantize(x: float, fmt: QFormat) -> int:
+def quantize(x, fmt: QFormat) -> np.ndarray:
     """Round half away from zero to the nearest representable raw word,
-    saturating at the format's range bounds (infinities included)."""
-    scaled = min(max(float(x) * (1 << fmt.frac_bits), fmt.raw_min), fmt.raw_max)
-    if scaled != scaled:
+    saturating at the format's range bounds: clip, then floor(|s| + 0.5),
+    then the sign. x is a float or an array; the result is int64 words of
+    the same shape. Values too large to scale (1e305, infinities) saturate
+    without a warning."""
+    with np.errstate(over="ignore"):
+        scaled = np.asarray(x, np.float64) * float(1 << fmt.frac_bits)
+    scaled = np.clip(scaled, fmt.raw_min, fmt.raw_max)
+    if np.isnan(scaled).any():
         raise DomainError("cannot quantize NaN")
-    raw = int(math.floor(abs(scaled) + 0.5))
-    return -raw if scaled < 0 else raw
+    return np.copysign(np.floor(np.abs(scaled) + 0.5), scaled).astype(np.int64)
 
 
 def dequantize(raw: int, fmt: QFormat) -> float:
     return raw * 2.0 ** -fmt.frac_bits
 
 
-def _rounded(magnitude, shift: int):
-    """magnitude / 2^shift rounded half up, for magnitude >= 0 and shift >= 1
-    (every shift the engine uses: 38 - f or f). The one rounding expression
-    of both engines, on Python ints and int64 arrays alike; it adds nothing
-    before shifting, so it cannot overflow int64."""
-    return (magnitude >> shift) + ((magnitude >> (shift - 1)) & 1)
+# the widest layer the engine keeps exact; see q_forward_batch
+_MAX_FAN_IN = 1 << 15
 
 
-def requantize(acc: int, shift: int, fmt: QFormat) -> int:
-    """Scale an exact accumulator down by 2^shift (round half away from
-    zero) and saturate into fmt's raw range."""
-    q = _rounded(abs(acc), shift)
-    return min(max(q if acc >= 0 else -q, fmt.raw_min), fmt.raw_max)
-
-
-def _requantize_array(acc: np.ndarray, shift: int, fmt: QFormat) -> np.ndarray:
-    """`requantize` over an int64 array with |acc| < 2^63."""
-    q = _rounded(np.abs(acc), shift)
-    return np.clip(np.where(acc < 0, -q, q), fmt.raw_min, fmt.raw_max)
-
-
-@dataclass
+@dataclass(frozen=True)
 class QuantizedModel:
-    """Integer-word network plus quantized standardization constants."""
+    """Integer-word network plus quantized standardization constants.
+
+    The word fields are lists of Python ints and are never changed after
+    construction: the engine builds its int64 arrays from them once, on
+    first use.
+    """
 
     fmt: QFormat
     weights: list[list[list[int]]]   # per layer: fan_out rows of fan_in words
@@ -132,33 +125,48 @@ class QuantizedModel:
     def input_width(self) -> int:
         return len(self.weights[0][0])
 
+    @cached_property
+    def _arrays(self):
+        """The engine's int64 arrays: mean, invstd, and per layer the high
+        and low 16-bit weight limbs (fan_in x fan_out) and the bias at the
+        accumulator scale. DimensionError for a layer past the fan_in bound."""
+        layers = []
+        for i, (w_layer, b_layer) in enumerate(zip(self.weights, self.biases)):
+            w = np.array(w_layer, np.int64).T
+            if len(w) > _MAX_FAN_IN:
+                raise DimensionError(f"layer {i} has fan_in {len(w)}; the "
+                                     f"engine is exact up to {_MAX_FAN_IN}")
+            layers.append((w >> 16, w & 0xFFFF,
+                           np.array(b_layer, np.int64) << self.fmt.frac_bits))
+        return (np.array(self.std_mean, np.int64),
+                np.array(self.std_invstd, np.int64), layers)
+
 
 def quantize_model(params, std, fmt: QFormat = QFormat()) -> QuantizedModel:
     """Quantize every weight, bias, and standardizer constant; values beyond
     the representable range saturate and are tallied, never rejected."""
     saturated = 0
 
-    def q(x: float, f: QFormat) -> int:
+    def q(values, f: QFormat) -> list:
         nonlocal saturated
-        if x > f.max_value or x < f.min_value:
-            saturated += 1
-        return quantize(x, f)
+        values = np.asarray(values, np.float64)
+        saturated += int(np.count_nonzero((values < f.min_value)
+                                          | (values > f.max_value)))
+        return quantize(values, f).tolist()
 
-    weights, biases = [], []
-    for layer in params.layers:
-        weights.append([[q(w, fmt) for w in row] for row in layer.weights])
-        biases.append([q(b, fmt) for b in layer.biases])
-    std_mean = [q(m, INPUT_FORMAT) for m in std.mean]
-    std_invstd = [q(1.0 / float(s), SCALE_FORMAT) for s in std.std]
-    return QuantizedModel(fmt=fmt, weights=weights, biases=biases,
-                          std_mean=std_mean, std_invstd=std_invstd,
-                          saturation_count=saturated)
+    with np.errstate(over="ignore"):  # a subnormal std saturates its scale
+        invstd = 1.0 / np.asarray(std.std, np.float64)
+    return QuantizedModel(
+        fmt=fmt, weights=[q(layer.weights, fmt) for layer in params.layers],
+        biases=[q(layer.biases, fmt) for layer in params.layers],
+        std_mean=q(std.mean, INPUT_FORMAT), std_invstd=q(invstd, SCALE_FORMAT),
+        saturation_count=saturated)
 
 
 def frame_from_features(features) -> list[int]:
     """Quantize one row of raw sensor values into input-format words,
     canonical column order."""
-    return [quantize(float(x), INPUT_FORMAT) for x in features]
+    return quantize(features, INPUT_FORMAT).tolist()
 
 
 def _check_frame_words(lowest, highest) -> None:
@@ -168,46 +176,10 @@ def _check_frame_words(lowest, highest) -> None:
             f"[{INPUT_FORMAT.raw_min}, {INPUT_FORMAT.raw_max}]")
 
 
-def q_forward(qm: QuantizedModel, frame: list[int]) -> tuple[list[int], int]:
-    """Fixed-point forward pass over one frame.
-
-    Standardization, matrix-vector products, bias adds, and ReLU all run on
-    raw integer words; each layer's double-width accumulator is re-quantized
-    to the compute format before the next layer. Returns the three output
-    words and the argmax class (lowest index on ties).
-    """
-    if len(frame) != qm.input_width:
-        raise FrameError(
-            f"frame has {len(frame)} words, model expects {qm.input_width}"
-        )
-    _check_frame_words(min(frame), max(frame))
-    f = qm.fmt.frac_bits
-    # z = (x - mean) * invstd, exact product at 2^-(in_f + scale_f), then
-    # rounded into the compute format
-    std_shift = INPUT_FORMAT.frac_bits + SCALE_FORMAT.frac_bits - f
-    acts = [
-        requantize((x - m) * s, std_shift, qm.fmt)
-        for x, m, s in zip(frame, qm.std_mean, qm.std_invstd)
-    ]
-    for w_layer, b_layer in zip(qm.weights, qm.biases):
-        nxt = []
-        for row, b in zip(w_layer, b_layer):
-            acc = b << f  # bias at the accumulator's 2^-2f scale
-            for w, a in zip(row, acts):
-                acc += w * a
-            y = requantize(acc, f, qm.fmt)
-            nxt.append(y if y > 0 else 0)
-        acts = nxt
-    pred = max(range(len(acts)), key=lambda i: (acts[i], -i))
-    return acts, pred
-
-
-def _rows(rows, dtype, width: int) -> np.ndarray:
+def _rows(rows, width: int, dtype=None) -> np.ndarray:
     """rows as an (N, width) array; FrameError for anything else."""
     try:
         x = np.array(rows, dtype=dtype)
-    except OverflowError:
-        raise FrameError(f"frame word outside the {INPUT_FORMAT} range") from None
     except ValueError as exc:  # ragged rows, or a non-numeric value
         raise FrameError(f"frames are not equal-length rows of numbers: {exc}") \
             from None
@@ -217,18 +189,41 @@ def _rows(rows, dtype, width: int) -> np.ndarray:
     return x.reshape(len(x), width)
 
 
-# the widest layer the batch engine keeps exact; see q_forward_batch
-_MAX_FAN_IN = 1 << 15
+def _frames(frames, width: int) -> np.ndarray:
+    """frames as an (N, width) int64 array of Q18.14 words; FrameError for
+    anything else, floats (integral ones included) and strings too."""
+    x = _rows(frames, width)
+    if x.size:
+        if x.dtype.kind not in "iu":
+            raise FrameError(f"frame words must be {INPUT_FORMAT} integers, "
+                             f"got {x.dtype} values")
+        _check_frame_words(x.min(), x.max())
+    return x.astype(np.int64, copy=False)
+
+
+def _requantize(acc: np.ndarray, shift: int, fmt: QFormat) -> np.ndarray:
+    """Scale accumulators with |acc| < 2^63 down by 2^shift, rounding half
+    away from zero, and saturate into fmt's raw range. Rounding works on
+    the magnitude and adds nothing before shifting, so it cannot overflow;
+    shift >= 1 (38 - f or f)."""
+    m = np.abs(acc)
+    q = (m >> shift) + ((m >> (shift - 1)) & 1)
+    return np.clip(np.where(acc < 0, -q, q), fmt.raw_min, fmt.raw_max)
+
+
 _BLOCK = 1024
 
 
 def q_forward_batch(qm: QuantizedModel, frames) -> tuple[np.ndarray, np.ndarray]:
-    """`q_forward` over N frames at once: returns the (N, outputs) int64
-    output words and the (N,) argmax classes (lowest index on ties).
+    """Fixed-point forward pass over N frames: returns the (N, outputs)
+    int64 output words and the (N,) argmax classes (lowest index on ties).
 
-    Every step is exact in int64 for formats of 2 to 32 bits. The model's
-    words lie in their formats' ranges (`quantize_model` saturates them,
-    `load_qmodel` checks them); frames and fan_in are checked here.
+    Standardization, matrix products, bias adds, and ReLU all run on raw
+    integer words; each layer's double-width accumulator is re-quantized to
+    the compute format before the next layer. Every step is exact in int64
+    for formats of 2 to 32 bits. The model's words lie in their formats'
+    ranges (`quantize_model` saturates them, `load_qmodel` checks them);
+    frames and fan_in are checked here.
     - frame words and means are Q18.14 and scales Q8.24, so
       |x - mean| * |invstd| <= (2^32 - 1) * 2^31 < 2^63;
     - each weight splits into 16-bit limbs, w = (w >> 16) * 2^16 +
@@ -240,43 +235,30 @@ def q_forward_batch(qm: QuantizedModel, frames) -> tuple[np.ndarray, np.ndarray]
       which saturates every format of up to 32 bits either way;
     - rounding works on the magnitude and adds nothing before shifting.
     """
-    x = _rows(frames, np.int64, qm.input_width)
-    if len(x):
-        _check_frame_words(x.min(), x.max())
+    x = _frames(frames, qm.input_width)
+    mean, invstd, layers = qm._arrays
     fmt, f = qm.fmt, qm.fmt.frac_bits
+    # z = (x - mean) * invstd, exact product at 2^-(in_f + scale_f), then
+    # rounded into the compute format
     std_shift = INPUT_FORMAT.frac_bits + SCALE_FORMAT.frac_bits - f
-    mean = np.array(qm.std_mean, np.int64)
-    invstd = np.array(qm.std_invstd, np.int64)
-    layers = []
-    for i, (w_layer, b_layer) in enumerate(zip(qm.weights, qm.biases)):
-        w = np.array(w_layer, np.int64).T
-        if len(w) > _MAX_FAN_IN:
-            raise DimensionError(f"layer {i} has fan_in {len(w)}; the batch "
-                                 f"engine is exact up to {_MAX_FAN_IN}")
-        layers.append((w >> 16, w & 0xFFFF, np.array(b_layer, np.int64) << f))
     words = np.empty((len(x), len(qm.biases[-1])), np.int64)
     # blocks keep each temporary small enough to stay in cache
     for start in range(0, len(x), _BLOCK):
-        acts = _requantize_array((x[start:start + _BLOCK] - mean) * invstd,
-                                 std_shift, fmt)
+        acts = _requantize((x[start:start + _BLOCK] - mean) * invstd,
+                           std_shift, fmt)
         for w_high, w_low, b_scaled in layers:
             low = acts @ w_low + b_scaled
             high = np.clip(acts @ w_high + (low >> 16), -(1 << 46), 1 << 46)
             acts = np.maximum(
-                _requantize_array((high << 16) + (low & 0xFFFF), f, fmt), 0)
+                _requantize((high << 16) + (low & 0xFFFF), f, fmt), 0)
         words[start:start + _BLOCK] = acts
     return words, np.argmax(words, axis=1)
 
 
-def _frames_from_feature_rows(rows) -> np.ndarray:
-    """`frame_from_features` over an (N, width) array: clip, then
-    floor(|x| + 0.5), then the sign, giving the same words."""
-    scaled = np.clip(rows * float(1 << INPUT_FORMAT.frac_bits),
-                     INPUT_FORMAT.raw_min, INPUT_FORMAT.raw_max)
-    if np.isnan(scaled).any():
-        raise DomainError("cannot quantize NaN")
-    raw = np.floor(np.abs(scaled) + 0.5)
-    return np.where(scaled < 0, -raw, raw).astype(np.int64)
+def q_forward(qm: QuantizedModel, frame) -> tuple[list[int], int]:
+    """`q_forward_batch` on one frame: its output words and class."""
+    words, preds = q_forward_batch(qm, [frame])
+    return words[0].tolist(), int(preds[0])
 
 
 @dataclass
@@ -292,9 +274,9 @@ def evaluate_quantized(qm: QuantizedModel, examples,
     accuracy delta against the float path when its accuracy is supplied."""
     from fcdsae.metrics import confusion, metric_block
 
-    features = _rows([ex.features for ex in examples], np.float64,
-                     qm.input_width)
-    _, preds = q_forward_batch(qm, _frames_from_feature_rows(features))
+    features = _rows([ex.features for ex in examples], qm.input_width,
+                     np.float64)
+    _, preds = q_forward_batch(qm, quantize(features, INPUT_FORMAT))
     cm = confusion([ex.class_label for ex in examples], preds.tolist())
     block = metric_block(cm)
     delta = None if float_accuracy is None else float_accuracy - block.accuracy
@@ -304,7 +286,7 @@ def evaluate_quantized(qm: QuantizedModel, examples,
 def dump_frames(qm: QuantizedModel, frames: list[list[int]]) -> str:
     """One line per frame: 10 input words then 3 output words, decimal.
     Byte-comparable across implementations."""
-    x = _rows(frames, np.int64, qm.input_width)
+    x = _frames(frames, qm.input_width)
     words, _ = q_forward_batch(qm, x)
     table = np.hstack([x, words])
     line = " ".join(["%d"] * table.shape[1]) + "\n"

@@ -6,6 +6,8 @@ raw label lists, and the fixed-point interpreter is a straight-line scalar
 re-implementation with its own rounding code.
 """
 
+import math
+
 import numpy as np
 
 from fcdsae import network, sparsity
@@ -105,6 +107,20 @@ def _sat(value, total_bits):
     lo = -(1 << (total_bits - 1))
     hi = (1 << (total_bits - 1)) - 1
     return lo if value < lo else hi if value > hi else value
+
+
+def scalar_quantize(x, fmt):
+    """One value to its raw word on Python floats: scale, saturate at the
+    format's bounds (infinities included), round half away from zero."""
+    lo = -(1 << (fmt.total_bits - 1))
+    hi = (1 << (fmt.total_bits - 1)) - 1
+    scaled = float(x) * 2.0 ** fmt.frac_bits
+    if scaled <= lo:
+        return lo
+    if scaled >= hi:
+        return hi
+    raw = math.floor(abs(scaled) + 0.5)
+    return -raw if scaled < 0 else raw
 
 
 def scalar_q_forward(qm, frame):

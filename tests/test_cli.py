@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -284,6 +285,8 @@ MALFORMED = {
         ["infer", "--qmodel", _qmodel(tmp, (10, 4, 2)), "--row", ROW], 2),
     "qmodel-fan-in-32769-eval": lambda s, tmp: (
         ["eval", "--qmodel", _wide_qmodel(tmp, 32769), "--data", s.data], 2),
+    "qmodel-fan-in-32769-infer": lambda s, tmp: (
+        ["infer", "--qmodel", _wide_qmodel(tmp, 32769), "--row", ROW], 2),
     "qmodel-header-only": lambda s, tmp: (
         ["infer", "--qmodel", _edited(s.qmodel, tmp / "m.qtxt", 6, None),
          "--row", ROW], 2),
@@ -330,3 +333,17 @@ def test_malformed_input_is_a_one_line_error(case, saved, tmp_path, capsys):
     assert code == expected
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_huge_finite_values_saturate_silently(saved, tmp_path, capsys):
+    """A finite 1e305 in a CSV cell or in --row saturates its frame word:
+    exit 0, nothing on stderr, and no numpy warning."""
+    data = _write(tmp_path / "d.csv",
+                  Path(saved.data).read_bytes().replace(b"\n1,", b"\n1e305,"))
+    row = ROW.replace("24.2", "-1e305")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (["eval", "--qmodel", saved.qmodel, "--data", data],
+                     ["infer", "--qmodel", saved.qmodel, "--row", row]):
+            code, _, err = run(capsys, *argv)
+            assert (code, err) == (0, "")

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,9 +16,15 @@ from fcdsae.quantized import (INPUT_FORMAT, SCALE_FORMAT, QFormat,
                               load_qmodel, q_forward, q_forward_batch,
                               quantize, quantize_model, save_qmodel)
 
-from oracles import scalar_dump_frames, scalar_q_forward
+from oracles import (random_network, scalar_dump_frames, scalar_q_forward,
+                     scalar_quantize)
 
 Q88 = QFormat(16, 8)
+# every total_bits from 2 to 32 with integer bits 1, middle and total - 1,
+# plus the fixed input and scale formats
+FORMATS = [INPUT_FORMAT, SCALE_FORMAT] + [
+    QFormat(total, integer) for total in range(2, 33)
+    for integer in sorted({1, (total + 1) // 2, total - 1})]
 
 
 class TestQFormat:
@@ -71,6 +80,14 @@ class TestQuantizeScalar:
         with pytest.raises(DomainError):
             evaluate_quantized(identity_model(), [example])
 
+    def test_huge_values_saturate_silently(self):
+        inf = float("inf")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fmt in (INPUT_FORMAT, QFormat(32, 2)):
+                words = quantize([1e305, -1e305, inf, -inf], fmt).tolist()
+                assert words == [fmt.raw_max, fmt.raw_min] * 2
+
     @given(st.floats(-200.0, 200.0))
     def test_roundtrip_error_bound(self, x):
         fmt = Q88
@@ -91,6 +108,79 @@ class TestQuantizeScalar:
     def test_idempotent(self, x):
         once = dequantize(quantize(x, Q88), Q88)
         assert quantize(once, Q88) == quantize(x, Q88)
+
+
+@st.composite
+def format_and_values(draw):
+    """A format and values at its edges: exact ties +-(k + 1/2) 2^-f, +-0.0,
+    subnormals, infinities, the range ends and one ulp past them, and any
+    other float but NaN."""
+    fmt = draw(st.sampled_from(FORMATS))
+    inf = float("inf")
+    lsb = 2.0 ** -fmt.frac_bits
+    span = 1 << fmt.total_bits
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, inf, -inf,
+             fmt.max_value, fmt.min_value, math.nextafter(fmt.max_value, inf),
+             math.nextafter(fmt.min_value, -inf)]
+    value = st.one_of(
+        st.sampled_from(edges),
+        st.integers(-span, span).map(lambda k: (k + 0.5) * lsb),
+        st.floats(2 * fmt.min_value, 2 * fmt.max_value),
+        st.floats(allow_nan=False))
+    return fmt, draw(st.lists(value, min_size=1, max_size=16))
+
+
+def oracle_words(values, fmt):
+    """scalar_quantize over a nested sequence of values, same nesting."""
+    if np.ndim(values):
+        return [oracle_words(v, fmt) for v in values]
+    return scalar_quantize(values, fmt)
+
+
+class TestQuantizeOracle:
+    """The array quantizer against oracles.scalar_quantize, element by
+    element."""
+
+    @given(format_and_values())
+    def test_matches_scalar_quantize(self, case):
+        fmt, values = case
+        expected = [scalar_quantize(v, fmt) for v in values]
+        assert quantize(np.array(values), fmt).tolist() == expected
+        assert [int(quantize(v, fmt)) for v in values] == expected
+
+    def test_quantize_model_matches_oracle(self):
+        """Words and saturation_count of quantize_model against a
+        per-element pass of the oracle, on scaled random networks with a
+        random standardizer: some values lie beyond every format's range,
+        and each range end is met exactly and missed by one ulp."""
+        rng = np.random.default_rng(31)
+        for seed in range(30):
+            fmt = FORMATS[int(rng.integers(len(FORMATS)))]
+            params = random_network((10, 8, 4, 3), seed)
+            for layer in params.layers:
+                layer.weights *= 10.0 ** rng.uniform(-1, 3)
+                layer.biases *= 10.0 ** rng.uniform(-1, 3)
+            std = Standardizer(mean=rng.normal(0, 10.0 ** rng.uniform(0, 6), 10),
+                               std=10.0 ** rng.uniform(-9, 3, 10))
+            for values, f in ((params.layers[0].weights[0], fmt),
+                              (params.layers[1].biases, fmt),
+                              (std.mean, INPUT_FORMAT)):
+                values[:4] = [f.min_value, f.max_value,
+                              np.nextafter(f.min_value, -np.inf),
+                              np.nextafter(f.max_value, np.inf)]
+            qm = quantize_model(params, std, fmt)
+            words = [w for layer in qm.weights for row in layer for w in row] \
+                + [w for b in qm.biases for w in b] + qm.std_mean + qm.std_invstd
+            assert all(type(w) is int for w in words)
+            tensors = [(layer.weights, fmt) for layer in params.layers] + [
+                (layer.biases, fmt) for layer in params.layers] + [
+                (std.mean, INPUT_FORMAT),
+                ([1.0 / s for s in std.std.tolist()], SCALE_FORMAT)]
+            assert qm.weights + qm.biases + [qm.std_mean, qm.std_invstd] \
+                == [oracle_words(t, f) for t, f in tensors]
+            assert qm.saturation_count == sum(
+                not f.min_value <= v <= f.max_value
+                for t, f in tensors for v in np.ravel(t).tolist())
 
 
 def identity_model(width=3, fmt=Q88):
@@ -119,6 +209,15 @@ class TestQuantizeModel:
         assert qm.saturation_count >= 1
         assert qm.weights[0][0][0] == 32767
 
+    def test_subnormal_std_saturates_silently(self):
+        params = NetworkParams([LayerParams(np.zeros((1, 2)), np.zeros(1))])
+        std = Standardizer(mean=np.zeros(2), std=np.array([1e-320, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            qm = quantize_model(params, std, Q88)
+        assert qm.std_invstd == [SCALE_FORMAT.raw_max, 1 << SCALE_FORMAT.frac_bits]
+        assert qm.saturation_count == 1
+
 
 class TestQForward:
     def test_all_zero(self):
@@ -142,12 +241,14 @@ class TestQForward:
         assert pred == 0
 
     def test_bad_frame_length(self):
-        """Wrong word counts, ragged batches and words outside Q18.14 raise
-        FrameError in both engines."""
+        """Wrong word counts, ragged batches, words outside Q18.14 and words
+        that are not integers (integral floats included) raise FrameError
+        through both the one-frame and the batch entry points."""
         qm = identity_model()
         lo, hi = INPUT_FORMAT.raw_min, INPUT_FORMAT.raw_max
         for frame in ([0, 0], [0, 0, 0, 0], [0, hi + 1, 0], [0, 0, lo - 1],
-                      [2**70, 0, 0], [0, -2**70, 0]):
+                      [2**70, 0, 0], [0, -2**70, 0], [8192.7, 0, 0],
+                      [8192.0, 0, 0], ["8192", "0", "0"]):
             with pytest.raises(FrameError):
                 q_forward(qm, frame)
             with pytest.raises(FrameError):
@@ -315,6 +416,10 @@ class TestBatchEngine:
             if fan_in > 1 << 15:
                 with pytest.raises(DimensionError):
                     q_forward_batch(qm, frames)
+                with pytest.raises(DimensionError):
+                    q_forward(qm, frames[0])
             else:
+                expected = scalar_q_forward(qm, frames[0])
                 words, _ = q_forward_batch(qm, frames)
-                assert words.tolist() == [scalar_q_forward(qm, frames[0])[0]]
+                assert words.tolist() == [expected[0]]
+                assert q_forward(qm, frames[0]) == expected
