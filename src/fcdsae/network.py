@@ -3,6 +3,7 @@ backpropagation and Adam updates, plus the plain-text model file format."""
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -46,7 +47,11 @@ class LayerParams:
 
 @dataclass
 class NetworkParams:
-    """Ordered dense layers; every layer uses ReLU (hidden and output)."""
+    """Ordered dense layers; every layer uses ReLU (hidden and output).
+
+    The layers are views into `buffer`, one flat float64 vector of each
+    layer's weights (row-major) then biases, in layer order. The constructor
+    copies the given layers into a new buffer."""
 
     layers: list[LayerParams]
 
@@ -57,15 +62,28 @@ class NetworkParams:
                     f"layer {i} fan_out {self.layers[i].fan_out} != "
                     f"layer {i + 1} fan_in {self.layers[i + 1].fan_in}"
                 )
+        self.buffer = np.concatenate(
+            [t.ravel() for l in self.layers for t in (l.weights, l.biases)])
+        self.layers = self.like(self.buffer).layers
 
     @property
     def topology(self) -> tuple[int, ...]:
         return (self.layers[0].fan_in,) + tuple(l.fan_out for l in self.layers)
 
+    def like(self, buffer: np.ndarray) -> "NetworkParams":
+        """This layout over another flat buffer, which is not copied."""
+        twin, offset = copy.copy(self), 0
+        twin.buffer, twin.layers = buffer, []
+        for l in self.layers:
+            end = offset + l.weights.size
+            twin.layers.append(LayerParams(
+                buffer[offset:end].reshape(l.weights.shape),
+                buffer[end:end + l.fan_out]))
+            offset = end + l.fan_out
+        return twin
+
     def copy(self) -> "NetworkParams":
-        return NetworkParams(
-            [LayerParams(l.weights.copy(), l.biases.copy()) for l in self.layers]
-        )
+        return self.like(self.buffer.copy())
 
 
 @dataclass
@@ -106,7 +124,10 @@ def forward(params: NetworkParams, batch: np.ndarray) -> ForwardTrace:
                 f"activation width {x.shape[1]} does not match layer {i} "
                 f"fan_in {layer.fan_in}"
             )
-        x = np.maximum(x @ layer.weights.T + layer.biases, 0.0)
+        # max(x @ W.T + b, 0) with one temporary per layer, not three
+        x = x @ layer.weights.T
+        x += layer.biases
+        np.maximum(x, 0.0, out=x)
         post.append(x)
     return ForwardTrace(inputs=batch, post=post)
 
@@ -124,47 +145,32 @@ def mse_loss(output: np.ndarray, targets: np.ndarray) -> float:
 
 
 def backward(trace: ForwardTrace, params: NetworkParams, targets: np.ndarray,
-             sparsity_grads: list[np.ndarray] | None = None
-             ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Gradients of the total loss w.r.t. every weight matrix and bias vector.
+             sparsity_rows: list[np.ndarray] | None = None,
+             out: NetworkParams | None = None) -> NetworkParams:
+    """Gradients of the total loss w.r.t. every weight and bias, in the
+    layout of `params`: written into `out` when given, else a new buffer.
 
-    `sparsity_grads`, when given, holds one (batch x width) matrix per hidden
-    layer; each is added to that layer's post-activation delta before the
-    delta is pushed through the ReLU. The ReLU subgradient at exactly 0 is 0,
-    so the mask `post > 0` equals `pre > 0` (NaN fails both).
-    """
+    `sparsity_rows`, when given, holds one `sparsity.penalty_gradient` row
+    per hidden layer, added to every sample's post-activation delta before
+    the delta is pushed through the ReLU. The ReLU subgradient at exactly 0
+    is 0, so the mask `post > 0` equals `pre > 0` (NaN fails both)."""
     targets = np.asarray(targets, dtype=np.float64)
-    out = trace.output
-    if out.shape != targets.shape:
+    output = trace.output
+    if output.shape != targets.shape:
         raise DimensionError(
-            f"output shape {out.shape} != target shape {targets.shape}"
+            f"output shape {output.shape} != target shape {targets.shape}"
         )
+    grads = params.like(np.empty_like(params.buffer)) if out is None else out
     n_layers = len(params.layers)
-    if len(trace.post) != n_layers:
-        raise DimensionError("trace depth does not match network depth")
-    if sparsity_grads is not None and len(sparsity_grads) != n_layers - 1:
-        raise DimensionError(
-            f"expected {n_layers - 1} sparsity gradient matrices, "
-            f"got {len(sparsity_grads)}"
-        )
-
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * n_layers
     # dJ/d(post) at the output layer for mean-over-all-entries MSE
-    delta_post = 2.0 * (out - targets) / out.size
+    delta_post = 2.0 * (output - targets) / output.size
     for i in range(n_layers - 1, -1, -1):
-        if i < n_layers - 1 and sparsity_grads is not None:
-            sg = sparsity_grads[i]
-            if sg.shape != trace.post[i].shape:
-                raise DimensionError(
-                    f"sparsity gradient shape {sg.shape} does not match hidden "
-                    f"layer {i} activations {trace.post[i].shape}"
-                )
-            delta_post = delta_post + sg
+        if i < n_layers - 1 and sparsity_rows is not None:
+            delta_post += sparsity_rows[i]
         delta_pre = delta_post * (trace.post[i] > 0.0)
         prev_act = trace.inputs if i == 0 else trace.post[i - 1]
-        grad_w = delta_pre.T @ prev_act
-        grad_b = delta_pre.sum(axis=0)
-        grads[i] = (grad_w, grad_b)
+        np.matmul(delta_pre.T, prev_act, out=grads.layers[i].weights)
+        np.add.reduce(delta_pre, axis=0, out=grads.layers[i].biases)
         if i > 0:
             delta_post = delta_pre @ params.layers[i].weights
     return grads
@@ -178,8 +184,7 @@ EPS = 1e-8
 
 @dataclass
 class AdamState:
-    """Adam moment buffers for one network, each one flat vector over every
-    layer's weights then biases, in layer order."""
+    """Adam moment buffers for one network, aligned with NetworkParams.buffer."""
 
     first_moment: np.ndarray
     second_moment: np.ndarray
@@ -189,25 +194,21 @@ class AdamState:
     @classmethod
     def for_network(cls, params: NetworkParams,
                     lr: float = 0.001) -> "AdamState":
-        size = sum(l.weights.size + l.biases.size for l in params.layers)
-        return cls(first_moment=np.zeros(size), second_moment=np.zeros(size),
-                   lr=lr)
+        return cls(first_moment=np.zeros_like(params.buffer),
+                   second_moment=np.zeros_like(params.buffer), lr=lr)
 
 
-def adam_step(params: NetworkParams,
-              grads: list[tuple[np.ndarray, np.ndarray]],
+def adam_step(params: NetworkParams, grads: NetworkParams,
               state: AdamState) -> tuple[NetworkParams, AdamState]:
-    """One bias-corrected Adam update; parameters are updated in place.
-
-    Rejects the whole step if any gradient entry is non-finite.
-    """
-    if len(grads) != len(params.layers):
-        raise DimensionError("gradient list length does not match network")
-    for i, (gw, gb) in enumerate(grads):
-        if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
-            raise ValueError(f"non-finite gradient in layer {i}; update rejected")
-    # Adam is elementwise: one pass over all tensors gives per-tensor bits
-    g = np.concatenate([t.ravel() for pair in grads for t in pair])
+    """One bias-corrected Adam update of the whole parameter buffer, in
+    place; elementwise, so every tensor gets its per-tensor bits. A gradient
+    with a non-finite entry is rejected, naming its first such layer, and
+    the step changes nothing."""
+    g = grads.buffer
+    if not np.isfinite(g).all():
+        bad = next(i for i, l in enumerate(grads.layers)
+                   if not np.isfinite(np.append(l.weights, l.biases)).all())
+        raise ValueError(f"non-finite gradient in layer {bad}; update rejected")
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - BETA1 ** t
@@ -217,12 +218,7 @@ def adam_step(params: NetworkParams,
     m += (1.0 - BETA1) * g
     v *= BETA2
     v += (1.0 - BETA2) * (g * g)
-    update = state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
-    offset = 0
-    for layer in params.layers:
-        for tensor in (layer.weights, layer.biases):
-            tensor -= update[offset:offset + tensor.size].reshape(tensor.shape)
-            offset += tensor.size
+    params.buffer -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
     return params, state
 
 

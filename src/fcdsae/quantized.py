@@ -85,13 +85,13 @@ SCALE_FORMAT = QFormat(total_bits=32, integer_bits=8)
 
 def quantize(x, fmt: QFormat) -> np.ndarray:
     """Round half away from zero to the nearest representable raw word,
-    saturating at the format's range bounds: clip, then floor(|s| + 0.5),
+    saturating at the format's range bounds: clamp, then floor(|s| + 0.5),
     then the sign. x is a float or an array; the result is int64 words of
     the same shape. Values too large to scale (1e305, infinities) saturate
     without a warning."""
     with np.errstate(over="ignore"):
         scaled = np.asarray(x, np.float64) * float(1 << fmt.frac_bits)
-    scaled = np.clip(scaled, fmt.raw_min, fmt.raw_max)
+    scaled = np.minimum(np.maximum(scaled, fmt.raw_min), fmt.raw_max)
     if np.isnan(scaled).any():
         raise DomainError("cannot quantize NaN")
     return np.copysign(np.floor(np.abs(scaled) + 0.5), scaled).astype(np.int64)
@@ -208,7 +208,8 @@ def _requantize(acc: np.ndarray, shift: int, fmt: QFormat) -> np.ndarray:
     shift >= 1 (38 - f or f)."""
     m = np.abs(acc)
     q = (m >> shift) + ((m >> (shift - 1)) & 1)
-    return np.clip(np.where(acc < 0, -q, q), fmt.raw_min, fmt.raw_max)
+    return np.minimum(np.maximum(np.where(acc < 0, -q, q), fmt.raw_min),
+                      fmt.raw_max)
 
 
 _BLOCK = 1024
@@ -248,7 +249,8 @@ def q_forward_batch(qm: QuantizedModel, frames) -> tuple[np.ndarray, np.ndarray]
                            std_shift, fmt)
         for w_high, w_low, b_scaled in layers:
             low = acts @ w_low + b_scaled
-            high = np.clip(acts @ w_high + (low >> 16), -(1 << 46), 1 << 46)
+            high = np.minimum(np.maximum(acts @ w_high + (low >> 16), -(1 << 46)),
+                              1 << 46)
             acts = np.maximum(
                 _requantize((high << 16) + (low & 0xFFFF), f, fmt), 0)
         words[start:start + _BLOCK] = acts

@@ -55,7 +55,7 @@ def average_activation(trace: ForwardTrace, layer_index: int,
     if acts.shape[0] < 1:
         raise DomainError("empty batch")
     raw = acts.mean(axis=0)
-    clamped = np.clip(raw, clamp_eps, 1.0 - clamp_eps)
+    clamped = np.minimum(np.maximum(raw, clamp_eps), 1.0 - clamp_eps)
     return ActivationSummary(raw=raw, clamped=clamped)
 
 
@@ -83,19 +83,18 @@ def penalty_total(summaries: list[ActivationSummary], cfg: SparsityConfig) -> fl
 
 def penalty_gradient(summary: ActivationSummary, cfg: SparsityConfig,
                      batch_size: int) -> np.ndarray:
-    """Per-sample gradient of the penalty w.r.t. each unit's activation.
+    """Gradient of the penalty w.r.t. each unit's activation, per sample.
 
     d/dh of psi*KL(xi || mean(h)) through the batch mean is
-    (psi/p) * (-xi/xi_k + (1-xi)/(1-xi_k)); a clamped mean is a constant,
-    so its gradient is zero. Returns a read-only (batch_size x width) view
-    that repeats the per-unit row.
+    (psi/p) * (-xi/xi_k + (1-xi)/(1-xi_k)), the same for every sample of the
+    batch; a clamped mean is a constant, so its gradient is zero. Returns
+    the per-unit row, shaped (width,).
     """
     xi_k = summary.clamped
     per_unit = (cfg.psi / batch_size) * (
         -cfg.xi / xi_k + (1.0 - cfg.xi) / (1.0 - xi_k)
     )
-    per_unit = np.where(summary.was_clamped, 0.0, per_unit)
-    return np.broadcast_to(per_unit, (batch_size, per_unit.size))
+    return np.where(summary.was_clamped, 0.0, per_unit)
 
 
 def total_loss(mse: float, summaries: list[ActivationSummary],

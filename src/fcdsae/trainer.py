@@ -3,6 +3,7 @@ backprop with Adam, snapshot the best-validation epoch, report metrics."""
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -148,6 +149,7 @@ def train(cfg: TrainConfig, data: SplitDataset
 
     params = network.init_network(cfg.topology, seed=cfg.seed)
     state = AdamState.for_network(params, lr=cfg.lr)
+    grads = params.like(np.empty_like(params.buffer))
     shuffle_rng = np.random.default_rng(cfg.seed + 1)
     scfg = cfg.sparsity
 
@@ -164,16 +166,16 @@ def train(cfg: TrainConfig, data: SplitDataset
             mse = network.mse_loss(trace.output, tb)
             summaries = _hidden_summaries(trace, scfg)
             j = sparsity.total_loss(mse, summaries, scfg)
-            if not np.isfinite(j):
+            if not math.isfinite(j):
                 raise FloatingPointError(
                     f"training diverged: non-finite loss at epoch {epoch + 1}, "
                     f"batch {start // cfg.batch_size}"
                 )
-            sgrads = None
+            rows = None
             if scfg.psi > 0.0:
-                sgrads = [sparsity.penalty_gradient(s, scfg, len(idx))
-                          for s in summaries]
-            grads = network.backward(trace, params, tb, sgrads)
+                rows = [sparsity.penalty_gradient(s, scfg, len(idx))
+                        for s in summaries]
+            network.backward(trace, params, tb, rows, out=grads)
             params, state = network.adam_step(params, grads, state)
 
         train_preds, mse_full, j_full, _ = evaluate_total_loss(

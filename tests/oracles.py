@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's computation paths: losses are
 re-evaluated for finite differences, metrics are recounted brute-force from
-raw label lists, and the fixed-point interpreter is a straight-line scalar
-re-implementation with its own rounding code.
+raw label lists, training is a straight per-tensor loop, and the fixed-point
+interpreter is a straight-line scalar re-implementation with its own
+rounding code.
 """
 
 import math
@@ -63,12 +64,126 @@ def fd_gradients(params, batch, targets, cfg, h=1e-6):
 
 
 def assert_grads_close(analytic, numeric, rel_tol=1e-4, abs_floor=1e-7):
-    """Relative comparison with an absolute floor near zero."""
-    for (aw, ab), (nw, nb) in zip(analytic, numeric):
-        for a, n in [(aw, nw), (ab, nb)]:
+    """Relative comparison with an absolute floor near zero; `analytic` is
+    what network.backward returns, `numeric` what fd_gradients returns."""
+    for layer, (nw, nb) in zip(analytic.layers, numeric):
+        for a, n in [(layer.weights, nw), (layer.biases, nb)]:
             denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), abs_floor)
             err = np.abs(a - n) / denom
             assert err.max() <= rel_tol, f"gradient mismatch: max rel err {err.max()}"
+
+
+def reference_train(cfg, data):
+    """trainer.train as a straight per-tensor loop: the readable spec of the
+    training step, which the trainer must match bit for bit.
+
+    The same arithmetic in the same operand order: ReLU layers as
+    np.maximum(x @ W.T + b, 0), fresh gradient arrays, the sparsity gradient
+    as a (batch x width) matrix, and Adam one tensor at a time. Returns the
+    best epoch's [weights, biases] per layer and its TrainReport.
+    """
+    from fcdsae import metrics, trainer
+    from fcdsae.dataset import Standardizer
+
+    sc = cfg.sparsity
+    std = Standardizer.fit(data.train)
+    x_train = std.transform_matrix(data.train)
+    y_train = np.array([e.class_label for e in data.train])
+    x_test = std.transform_matrix(data.test)
+    y_test = np.array([e.class_label for e in data.test])
+    t_train = np.eye(3)[y_train]
+
+    rng = np.random.default_rng(cfg.seed)
+    layers = []
+    for fan_in, fan_out in zip(cfg.topology[:-1], cfg.topology[1:]):
+        limit = np.sqrt(6.0 / fan_in)
+        layers.append([rng.uniform(-limit, limit, size=(fan_out, fan_in)),
+                       np.zeros(fan_out)])
+    tensors = [t for layer in layers for t in layer]
+    first = [np.zeros_like(t) for t in tensors]
+    second = [np.zeros_like(t) for t in tensors]
+
+    def forward(net, x):
+        post = []
+        for w, b in net:
+            x = np.maximum(x @ w.T + b, 0.0)
+            post.append(x)
+        return post
+
+    def hidden_means(post):
+        raw = [h.mean(axis=0) for h in post[:-1]]
+        return raw, [np.clip(r, sc.clamp_eps, 1.0 - sc.clamp_eps) for r in raw]
+
+    def mse(out, targets):
+        diff = out - targets
+        return float(np.sum(diff * diff) / diff.size)
+
+    def penalty(clamped):
+        xi = sc.xi
+        return sc.psi * float(sum(
+            np.maximum(xi * np.log(xi / c)
+                       + (1.0 - xi) * np.log((1.0 - xi) / (1.0 - c)), 0.0).sum()
+            for c in clamped))
+
+    shuffle_rng = np.random.default_rng(cfg.seed + 1)
+    history = {"train": [], "val": [], "j": [], "mse": []}
+    best_epoch, best_val, best = 0, -1.0, None
+    step, n = 0, len(x_train)
+    for epoch in range(cfg.max_epochs):
+        order = shuffle_rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            xb, tb = x_train[idx], t_train[idx]
+            post = forward(layers, xb)
+            raw, clamped = hidden_means(post)
+            grads = [None] * len(layers)
+            delta = 2.0 * (post[-1] - tb) / post[-1].size
+            for i in range(len(layers) - 1, -1, -1):
+                if i < len(layers) - 1 and sc.psi > 0.0:
+                    row = (sc.psi / len(idx)) * (
+                        -sc.xi / clamped[i] + (1.0 - sc.xi) / (1.0 - clamped[i]))
+                    row = np.where(raw[i] != clamped[i], 0.0, row)
+                    delta = delta + np.broadcast_to(row, delta.shape)
+                delta = delta * (post[i] > 0.0)
+                prev = xb if i == 0 else post[i - 1]
+                grads[i] = (delta.T @ prev, delta.sum(axis=0))
+                if i > 0:
+                    delta = delta @ layers[i][0]
+            step += 1
+            bc1, bc2 = 1.0 - 0.9 ** step, 1.0 - 0.999 ** step
+            flat = [g for pair in grads for g in pair]
+            for tensor, g, m, v in zip(tensors, flat, first, second):
+                m *= 0.9
+                m += (1.0 - 0.9) * g
+                v *= 0.999
+                v += (1.0 - 0.999) * (g * g)
+                tensor -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
+
+        post = forward(layers, x_train)
+        epoch_mse = mse(post[-1], t_train)
+        history["mse"].append(epoch_mse)
+        history["j"].append(epoch_mse + penalty(hidden_means(post)[1]))
+        history["train"].append(
+            float(np.mean(np.argmax(post[-1], axis=1) == y_train)))
+        val = float(np.mean(np.argmax(forward(layers, x_test)[-1], axis=1)
+                            == y_test))
+        history["val"].append(val)
+        if val > best_val:
+            best_val, best_epoch = val, epoch
+            best = [[w.copy(), b.copy()] for w, b in layers]
+
+    post = forward(best, x_test)
+    cm = metrics.confusion(y_test.tolist(),
+                           np.argmax(post[-1], axis=1).tolist())
+    report = trainer.TrainReport(
+        train_accuracy=history["train"], val_accuracy=history["val"],
+        j_total=history["j"], mse=history["mse"], best_epoch=best_epoch,
+        final_metrics=metrics.metric_block(cm), final_confusion=cm,
+        final_mse=mse(post[-1], np.eye(3)[y_test]),
+        mean_hidden_activation=float(
+            np.concatenate(hidden_means(post)[0]).mean()),
+        config=cfg)
+    return best, report
 
 
 def recount_metrics(true_labels, pred_labels):

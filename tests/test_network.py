@@ -14,6 +14,14 @@ def single_layer(w, b):
     return NetworkParams([LayerParams(np.array(w, float), np.array(b, float))])
 
 
+def random_grads(params, rng):
+    """Normal gradients in the layout of params, drawn layer by layer,
+    weights before biases."""
+    return NetworkParams([LayerParams(rng.normal(size=l.weights.shape),
+                                      rng.normal(size=l.biases.shape))
+                          for l in params.layers])
+
+
 class TestForward:
     def test_relu_clamps_negative(self):
         params = single_layer([[1.0, -1.0]], [0.0])
@@ -76,16 +84,16 @@ class TestBackward:
         x = np.array([[1.0, 2.0, 3.0]])
         trace = network.forward(params, x)
         grads = network.backward(trace, params, trace.output.copy())
-        for gw, gb in grads:
-            npt.assert_array_equal(gw, 0.0)
-            npt.assert_array_equal(gb, 0.0)
+        for layer in grads.layers:
+            npt.assert_array_equal(layer.weights, 0.0)
+            npt.assert_array_equal(layer.biases, 0.0)
 
     def test_scalar_linear_gradient(self):
         # (W*1 - 2)^2 at W=1: d/dW = 2*(1-2) = -2
         params = single_layer([[1.0]], [0.0])
         trace = network.forward(params, [[1.0]])
         grads = network.backward(trace, params, [[2.0]])
-        npt.assert_allclose(grads[0][0], [[-2.0]])
+        npt.assert_allclose(grads.layers[0].weights, [[-2.0]])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_finite_difference_oracle(self, seed):
@@ -111,8 +119,7 @@ class TestAdam:
         params = network.init_network((4, 5, 3), seed=0)
         before = params.copy()
         state = AdamState.for_network(params)
-        zeros = [(np.zeros_like(l.weights), np.zeros_like(l.biases))
-                 for l in params.layers]
+        zeros = params.like(np.zeros_like(params.buffer))
         params, state = network.adam_step(params, zeros, state)
         assert state.step_count == 1
         for la, lb in zip(params.layers, before.layers):
@@ -122,25 +129,36 @@ class TestAdam:
         # fresh state, any gradient magnitude: bias-corrected m/sqrt(v) = 1
         params = single_layer([[0.0]], [0.0])
         state = AdamState.for_network(params, lr=0.001)
-        grads = [(np.array([[2.0]]), np.array([0.0]))]
+        grads = single_layer([[2.0]], [0.0])
         params, state = network.adam_step(params, grads, state)
         npt.assert_allclose(params.layers[0].weights, [[-0.001]], atol=1e-9)
 
     def test_two_identical_steps(self):
         params = single_layer([[0.0]], [0.0])
         state = AdamState.for_network(params, lr=0.001)
-        grads = [(np.array([[2.0]]), np.array([0.0]))]
+        grads = single_layer([[2.0]], [0.0])
         for _ in range(2):
             params, state = network.adam_step(params, grads, state)
         npt.assert_allclose(params.layers[0].weights, [[-0.002]], atol=1e-6)
         assert state.step_count == 2
 
     def test_non_finite_gradient_rejected(self):
-        params = single_layer([[0.0]], [0.0])
+        # the step is rejected whole: parameters and moments stay as they were
+        params = network.init_network((4, 5, 6, 3), seed=6)
         state = AdamState.for_network(params)
-        grads = [(np.array([[np.nan]]), np.array([0.0]))]
-        with pytest.raises(ValueError, match="layer 0"):
+        rng = np.random.default_rng(6)
+        params, state = network.adam_step(params, random_grads(params, rng),
+                                          state)
+        before = (params.buffer.copy(), state.first_moment.copy(),
+                  state.second_moment.copy())
+        grads = random_grads(params, rng)
+        grads.layers[2].biases[1] = np.nan
+        with pytest.raises(ValueError, match="layer 2"):
             network.adam_step(params, grads, state)
+        for got, want in zip((params.buffer, state.first_moment,
+                              state.second_moment), before):
+            assert got.tobytes() == want.tobytes()
+        assert state.step_count == 1
 
     def test_multi_layer_matches_per_tensor_reference(self):
         # the textbook update, one tensor at a time, with its own moments
@@ -152,10 +170,9 @@ class TestAdam:
         ref_v = [np.zeros_like(t) for t in ref_tensors]
         rng = np.random.default_rng(5)
         for t in range(1, 6):
-            grads = [(rng.normal(size=l.weights.shape),
-                      rng.normal(size=l.biases.shape)) for l in params.layers]
+            grads = random_grads(params, rng)
             params, state = network.adam_step(params, grads, state)
-            flat_grads = [g for pair in grads for g in pair]
+            flat_grads = [g for l in grads.layers for g in (l.weights, l.biases)]
             for tensor, g, m, v in zip(ref_tensors, flat_grads, ref_m, ref_v):
                 m *= 0.9
                 m += (1.0 - 0.9) * g
@@ -172,10 +189,34 @@ class TestAdam:
         state = AdamState.for_network(params)
         rng = np.random.default_rng(2)
         for _ in range(5):
-            grads = [(rng.normal(size=l.weights.shape),
-                      rng.normal(size=l.biases.shape)) for l in params.layers]
-            params, state = network.adam_step(params, grads, state)
+            params, state = network.adam_step(
+                params, random_grads(params, rng), state)
         assert (state.second_moment >= 0).all()
+
+
+class TestNetworkParams:
+    def test_layers_are_views_into_the_buffer(self):
+        params = network.init_network((4, 5, 3), seed=2)
+        params.buffer[:] = np.arange(params.buffer.size)
+        npt.assert_array_equal(params.layers[0].weights,
+                               np.arange(20).reshape(5, 4))
+        npt.assert_array_equal(params.layers[0].biases, np.arange(20, 25))
+        npt.assert_array_equal(params.layers[1].weights,
+                               np.arange(25, 40).reshape(3, 5))
+        npt.assert_array_equal(params.layers[1].biases, np.arange(40, 43))
+
+    def test_copy_is_independent(self):
+        params = network.init_network((4, 5, 6, 3), seed=8)
+        grads = random_grads(params, np.random.default_rng(8))
+        for stepped, other in [(params.copy(), params),
+                               (params, params.copy())]:
+            before = [t.copy() for l in other.layers
+                      for t in (l.weights, l.biases)]
+            network.adam_step(stepped, grads, AdamState.for_network(stepped))
+            after = [t for l in other.layers for t in (l.weights, l.biases)]
+            assert [t.tobytes() for t in after] == [t.tobytes() for t in before]
+            assert (stepped.layers[0].weights.tobytes()
+                    != other.layers[0].weights.tobytes())
 
 
 class TestTopology:

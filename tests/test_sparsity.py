@@ -135,7 +135,8 @@ class TestPenaltyGradient:
         vals = np.array([0.2])
         summary = ActivationSummary(raw=vals, clamped=vals)
         grad = sparsity.penalty_gradient(summary, cfg, batch_size=1)
-        npt.assert_allclose(grad, [[-0.25 + 1.1875]])
+        assert grad.shape == (1,)
+        npt.assert_allclose(grad, [-0.25 + 1.1875])
 
     def test_clamped_unit_has_zero_gradient(self):
         cfg = SparsityConfig(xi=0.05, psi=1.0)
@@ -145,7 +146,8 @@ class TestPenaltyGradient:
         npt.assert_array_equal(grad, 0.0)
 
     def test_finite_difference_of_penalty(self):
-        # perturbing one activation changes penalty_total by delta*h
+        # perturbing one activation of any sample changes penalty_total by
+        # the unit's delta*h
         cfg = SparsityConfig(xi=0.05, psi=1.0)
         acts = np.array([[0.3, 0.1], [0.5, 0.2]])
         h = 1e-6
@@ -161,7 +163,7 @@ class TestPenaltyGradient:
             plus[i, k] += h
             minus[i, k] -= h
             fd = (penalty(plus) - penalty(minus)) / (2 * h)
-            assert fd == pytest.approx(delta[i, k], rel=1e-4)
+            assert fd == pytest.approx(delta[k], rel=1e-4)
 
 
 class TestGradientInjection:

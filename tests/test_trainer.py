@@ -9,6 +9,8 @@ from fcdsae.network import LayerParams, NetworkParams
 from fcdsae.sparsity import SparsityConfig
 from fcdsae.trainer import TrainConfig, predict, predict_batch, train
 
+from oracles import reference_train
+
 
 def tiny_data(n=12, seed=0):
     records = dataset.generate_synthetic(n, seed)
@@ -72,6 +74,22 @@ class TestTrain:
         with pytest.raises(DomainError):
             train(TrainConfig(max_epochs=1),
                   dataset.SplitDataset(train=[], test=data.test, seed=0))
+
+
+class TestReferenceTrain:
+    @pytest.mark.parametrize("psi", [0.0, 1e-3])
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_bit_equal_to_per_tensor_loop(self, small_data, psi, seed):
+        cfg = TrainConfig(batch_size=7, max_epochs=3, seed=seed,
+                          sparsity=SparsityConfig(psi=psi))
+        assert len(small_data.train) % cfg.batch_size  # a short last batch
+        params, _, report = train(cfg, small_data)
+        ref_layers, ref_report = reference_train(cfg, small_data)
+        assert len(params.layers) == len(ref_layers)
+        for layer, (w, b) in zip(params.layers, ref_layers):
+            assert layer.weights.tobytes() == w.tobytes()
+            assert layer.biases.tobytes() == b.tobytes()
+        assert report.format_text() == ref_report.format_text()
 
 
 class TestPredict:
