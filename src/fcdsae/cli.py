@@ -44,11 +44,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train the classifier on a CSV")
     p.add_argument("--data", required=True)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--epochs", type=int, default=15)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--xi", type=float, default=0.05)
-    p.add_argument("--psi", type=float, default=1e-3)
+    p.add_argument("--epochs", type=int, default=trainer.TrainConfig.max_epochs)
+    p.add_argument("--lr", type=float, default=trainer.TrainConfig.lr)
+    p.add_argument("--batch", type=int, default=trainer.TrainConfig.batch_size)
+    p.add_argument("--xi", type=float, default=SparsityConfig.xi)
+    p.add_argument("--psi", type=float, default=SparsityConfig.psi)
     p.add_argument("--out-model", required=True)
     p.add_argument("--out-report")
 
@@ -155,7 +155,7 @@ def _cmd_eval(args) -> int:
     if args.model:
         params, std = _load_model(args.model)
         preds = trainer.predict_batch(params, std.transform_matrix(examples))
-        cm = metrics.confusion([e.class_label for e in examples], list(preds))
+        cm = metrics.confusion([e.class_label for e in examples], preds)
         print(metrics.metric_block(cm).format_table())
     else:
         qm = _load_qmodel(args.qmodel)
@@ -199,7 +199,9 @@ _COMMANDS = {
 
 
 def _apply_config_defaults(argv: list[str]) -> list[str]:
-    """--config FILE supplies values for flags not given explicitly."""
+    """--config FILE supplies values for flags not given explicitly: they go
+    right after the subcommand, and argparse keeps a flag's last value, so
+    an explicit flag wins in any spelling."""
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
@@ -217,10 +219,9 @@ def _apply_config_defaults(argv: list[str]) -> list[str]:
     if not isinstance(conf, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
     out = [a for j, a in enumerate(argv) if j not in (i, i + 1)]
-    for key, value in conf.items():
-        flag = "--" + str(key).replace("_", "-")
-        if flag not in out:
-            out += [flag, str(value)]
+    k = next((j for j, a in enumerate(out) if a in _COMMANDS), len(out)) + 1
+    out[k:k] = [a for key, value in conf.items()
+                for a in ("--" + str(key).replace("_", "-"), str(value))]
     return out
 
 

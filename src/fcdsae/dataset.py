@@ -117,12 +117,11 @@ def parse_csv(path) -> list[SensorRecord]:
 
 
 def write_csv(records: list[SensorRecord], path) -> None:
-    """Write records in the canonical CSV layout, 12 significant digits."""
+    """Write records in the canonical CSV layout: %.12g values, CRLF ends."""
+    row = ",".join(["%.12g"] * len(COLUMNS)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COLUMNS)
-        for r in records:
-            writer.writerow([format(v, ".12g") for v in r])
+        fh.write(",".join(COLUMNS) + "\r\n")
+        fh.writelines(row % tuple(r) for r in records)
 
 
 @dataclass
@@ -156,7 +155,6 @@ class SplitDataset:
 
     train: list[LabeledExample]
     test: list[LabeledExample]
-    seed: int
 
 
 def split(examples: list[LabeledExample], seed: int) -> SplitDataset:
@@ -169,7 +167,7 @@ def split(examples: list[LabeledExample], seed: int) -> SplitDataset:
     n_train = (3 * n) // 4
     train = [examples[i] for i in order[:n_train]]
     test = [examples[i] for i in order[n_train:]]
-    return SplitDataset(train=train, test=test, seed=seed)
+    return SplitDataset(train=train, test=test)
 
 
 # coefficients of the frozen synthetic HFR formula

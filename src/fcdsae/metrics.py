@@ -48,17 +48,17 @@ class MetricBlock:
 
 
 def confusion(true_labels, predicted_labels) -> ConfusionMatrix:
-    """Count (true, predicted) pairs into a 3x3 matrix."""
-    true_labels = list(true_labels)
-    predicted_labels = list(predicted_labels)
-    if len(true_labels) != len(predicted_labels):
+    """Count (true, predicted) pairs, lists or arrays, into a 3x3 matrix."""
+    t, p = np.asarray(true_labels), np.asarray(predicted_labels)
+    if len(t) != len(p):
         raise DomainError("label lists must have equal length")
-    counts = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
-    for t, p in zip(true_labels, predicted_labels):
-        if t not in (0, 1, 2) or p not in (0, 1, 2):
-            raise DomainError(f"label out of range: true={t}, pred={p}")
-        counts[t, p] += 1
-    return ConfusionMatrix(counts=counts)
+    valid = np.isin(t, (0, 1, 2)) & np.isin(p, (0, 1, 2))
+    if not valid.all():
+        i = np.argmin(valid)
+        raise DomainError(f"label out of range: true={t[i]}, pred={p[i]}")
+    # the cast is exact for labels in range, and lets `[]` (float64) through
+    counts = np.bincount((3 * t + p).astype(np.int64), minlength=9)
+    return ConfusionMatrix(counts=counts.reshape(N_CLASSES, N_CLASSES))
 
 
 def metric_block(cm: ConfusionMatrix) -> MetricBlock:

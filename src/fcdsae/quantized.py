@@ -97,10 +97,6 @@ def quantize(x, fmt: QFormat) -> np.ndarray:
     return np.copysign(np.floor(np.abs(scaled) + 0.5), scaled).astype(np.int64)
 
 
-def dequantize(raw: int, fmt: QFormat) -> float:
-    return raw * 2.0 ** -fmt.frac_bits
-
-
 # the widest layer the engine keeps exact; see q_forward_batch
 _MAX_FAN_IN = 1 << 15
 
@@ -169,13 +165,6 @@ def frame_from_features(features) -> list[int]:
     return quantize(features, INPUT_FORMAT).tolist()
 
 
-def _check_frame_words(lowest, highest) -> None:
-    if lowest < INPUT_FORMAT.raw_min or highest > INPUT_FORMAT.raw_max:
-        raise FrameError(
-            f"frame word outside the {INPUT_FORMAT} range "
-            f"[{INPUT_FORMAT.raw_min}, {INPUT_FORMAT.raw_max}]")
-
-
 def _rows(rows, width: int, dtype=None) -> np.ndarray:
     """rows as an (N, width) array; FrameError for anything else."""
     try:
@@ -197,7 +186,9 @@ def _frames(frames, width: int) -> np.ndarray:
         if x.dtype.kind not in "iu":
             raise FrameError(f"frame words must be {INPUT_FORMAT} integers, "
                              f"got {x.dtype} values")
-        _check_frame_words(x.min(), x.max())
+        if x.min() < INPUT_FORMAT.raw_min or x.max() > INPUT_FORMAT.raw_max:
+            raise FrameError(f"frame word outside the {INPUT_FORMAT} range "
+                             f"[{INPUT_FORMAT.raw_min}, {INPUT_FORMAT.raw_max}]")
     return x.astype(np.int64, copy=False)
 
 
@@ -267,22 +258,17 @@ def q_forward(qm: QuantizedModel, frame) -> tuple[list[int], int]:
 class QuantEvalResult:
     metrics: "MetricBlock"
     confusion: "ConfusionMatrix"
-    accuracy_delta: float | None = None
 
 
-def evaluate_quantized(qm: QuantizedModel, examples,
-                       float_accuracy: float | None = None) -> QuantEvalResult:
-    """Metric block of the fixed-point path over labeled examples, plus the
-    accuracy delta against the float path when its accuracy is supplied."""
+def evaluate_quantized(qm: QuantizedModel, examples) -> QuantEvalResult:
+    """Metric block and confusion matrix of the fixed-point path."""
     from fcdsae.metrics import confusion, metric_block
 
     features = _rows([ex.features for ex in examples], qm.input_width,
                      np.float64)
     _, preds = q_forward_batch(qm, quantize(features, INPUT_FORMAT))
-    cm = confusion([ex.class_label for ex in examples], preds.tolist())
-    block = metric_block(cm)
-    delta = None if float_accuracy is None else float_accuracy - block.accuracy
-    return QuantEvalResult(metrics=block, confusion=cm, accuracy_delta=delta)
+    cm = confusion([ex.class_label for ex in examples], preds)
+    return QuantEvalResult(metrics=metric_block(cm), confusion=cm)
 
 
 def dump_frames(qm: QuantizedModel, frames: list[list[int]]) -> str:

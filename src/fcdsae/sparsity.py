@@ -10,23 +10,23 @@ import numpy as np
 from fcdsae.errors import DomainError
 from fcdsae.network import ForwardTrace
 
+# batch-mean activations are clamped into [CLAMP_EPS, 1 - CLAMP_EPS], which
+# keeps the KL terms defined for unbounded ReLU activations
+CLAMP_EPS = 1e-6
+
 
 @dataclass(frozen=True)
 class SparsityConfig:
-    """Target activation level, penalty weight, and the clamp bound that keeps
-    the KL terms defined for unbounded ReLU activations."""
+    """Target activation level and penalty weight."""
 
     xi: float = 0.05
     psi: float = 1e-3
-    clamp_eps: float = 1e-6
 
     def __post_init__(self):
         if not 0.0 < self.xi < 1.0:
             raise DomainError(f"xi must lie in (0,1), got {self.xi}")
         if self.psi < 0.0:
             raise DomainError(f"psi must be >= 0, got {self.psi}")
-        if not 0.0 < self.clamp_eps < 0.5:
-            raise DomainError(f"clamp_eps must lie in (0, 0.5), got {self.clamp_eps}")
 
 
 @dataclass
@@ -45,17 +45,16 @@ class ActivationSummary:
         return self.raw != self.clamped
 
 
-def average_activation(trace: ForwardTrace, layer_index: int,
-                       clamp_eps: float = 1e-6) -> ActivationSummary:
+def average_activation(trace: ForwardTrace, layer_index: int) -> ActivationSummary:
     """Batch-mean activation of each unit in one hidden layer, clamped into
-    [clamp_eps, 1 - clamp_eps]."""
+    [CLAMP_EPS, 1 - CLAMP_EPS]."""
     if not 0 <= layer_index < len(trace.post) - 1:
         raise DomainError(f"layer {layer_index} is not a hidden layer")
     acts = trace.post[layer_index]
     if acts.shape[0] < 1:
         raise DomainError("empty batch")
     raw = acts.mean(axis=0)
-    clamped = np.minimum(np.maximum(raw, clamp_eps), 1.0 - clamp_eps)
+    clamped = np.minimum(np.maximum(raw, CLAMP_EPS), 1.0 - CLAMP_EPS)
     return ActivationSummary(raw=raw, clamped=clamped)
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from fcdsae import network, sparsity
-from fcdsae.dataset import SplitDataset, Standardizer, record_features
+from fcdsae.dataset import SplitDataset, Standardizer
 from fcdsae.errors import DomainError
 from fcdsae.metrics import ConfusionMatrix, MetricBlock, confusion, metric_block
 from fcdsae.network import AdamState, NetworkParams
@@ -78,7 +78,7 @@ class TrainReport:
             f"lr: {cfg.lr}  batch_size: {cfg.batch_size}  "
             f"max_epochs: {cfg.max_epochs}  seed: {cfg.seed}",
             f"sparsity: xi={cfg.sparsity.xi} psi={cfg.sparsity.psi} "
-            f"clamp_eps={cfg.sparsity.clamp_eps}",
+            f"clamp_eps={sparsity.CLAMP_EPS}",
             f"best_epoch: {self.best_epoch + 1}",
             f"mean_hidden_activation: {self.mean_hidden_activation:.10g}",
             f"final_one_hot_mse: {self.final_mse:.10g}",
@@ -107,14 +107,8 @@ def predict_batch(params: NetworkParams, std_features: np.ndarray) -> np.ndarray
     return np.argmax(out, axis=1)
 
 
-def predict(params: NetworkParams, std: Standardizer, record) -> int:
-    """Class of one record (SensorRecord or raw 10-feature vector)."""
-    z = std.transform(record_features(record))
-    return int(predict_batch(params, z.reshape(1, -1))[0])
-
-
-def _hidden_summaries(trace, cfg: sparsity.SparsityConfig):
-    return [sparsity.average_activation(trace, i, cfg.clamp_eps)
+def _hidden_summaries(trace):
+    return [sparsity.average_activation(trace, i)
             for i in range(len(trace.post) - 1)]
 
 
@@ -125,7 +119,7 @@ def evaluate_total_loss(params: NetworkParams, x: np.ndarray, targets: np.ndarra
     activation over every hidden unit, all from one forward pass."""
     trace = network.forward(params, x)
     mse = network.mse_loss(trace.output, targets)
-    summaries = _hidden_summaries(trace, cfg)
+    summaries = _hidden_summaries(trace)
     mean_activation = float(np.concatenate([s.raw for s in summaries]).mean())
     return (np.argmax(trace.output, axis=1), mse,
             sparsity.total_loss(mse, summaries, cfg), mean_activation)
@@ -164,7 +158,7 @@ def train(cfg: TrainConfig, data: SplitDataset
             xb, tb = x_train[idx], t_train[idx]
             trace = network.forward(params, xb)
             mse = network.mse_loss(trace.output, tb)
-            summaries = _hidden_summaries(trace, scfg)
+            summaries = _hidden_summaries(trace)
             j = sparsity.total_loss(mse, summaries, scfg)
             if not math.isfinite(j):
                 raise FloatingPointError(
@@ -193,7 +187,7 @@ def train(cfg: TrainConfig, data: SplitDataset
     params = best_params
     test_preds, final_mse, _, mean_activation = evaluate_total_loss(
         params, x_test, one_hot(y_test), scfg)
-    cm = confusion(y_test.tolist(), test_preds.tolist())
+    cm = confusion(y_test, test_preds)
     block = metric_block(cm)
     report = TrainReport(
         train_accuracy=hist_train_acc, val_accuracy=hist_val_acc,

@@ -32,7 +32,7 @@ def total_loss_value(params, batch, targets, cfg):
     """J_total evaluated from scratch (forward + penalty), no gradient code."""
     trace = network.forward(params, batch)
     mse = network.mse_loss(trace.output, targets)
-    summaries = [sparsity.average_activation(trace, i, cfg.clamp_eps)
+    summaries = [sparsity.average_activation(trace, i)
                  for i in range(len(trace.post) - 1)]
     return sparsity.total_loss(mse, summaries, cfg)
 
@@ -112,7 +112,8 @@ def reference_train(cfg, data):
 
     def hidden_means(post):
         raw = [h.mean(axis=0) for h in post[:-1]]
-        return raw, [np.clip(r, sc.clamp_eps, 1.0 - sc.clamp_eps) for r in raw]
+        eps = sparsity.CLAMP_EPS
+        return raw, [np.clip(r, eps, 1.0 - eps) for r in raw]
 
     def mse(out, targets):
         diff = out - targets
@@ -186,6 +187,44 @@ def reference_train(cfg, data):
     return best, report
 
 
+def synthetic_draws(seed, n, noise_sigma):
+    """generate_synthetic's random draws, redone here: one uniform column
+    per feature in FEATURE_COLUMNS order, then the normal noise. Returns the
+    (n, 9) feature matrix, the noiseless HFR signal and the unclipped HFR."""
+    from fcdsae.dataset import BASE_VALUES, FEATURE_COLUMNS
+
+    rng = np.random.default_rng(seed)
+    feats = np.stack([rng.uniform(0.9 * BASE_VALUES[c], 1.1 * BASE_VALUES[c],
+                                  size=n) for c in FEATURE_COLUMNS], axis=1)
+    noise = rng.normal(0.0, noise_sigma, size=n)
+    base = np.array([BASE_VALUES[c] for c in FEATURE_COLUMNS])
+    # uniform on [0.9b, 1.1b]: mean b, population std 0.1*b/sqrt(3)
+    z = dict(zip(FEATURE_COLUMNS,
+                 ((feats - base) / (0.1 * base / math.sqrt(3.0))).T))
+    signal = (90.0 + 1.3 * np.tanh(1.2 * z["Power"] - 0.8 * z["AirFlow"])
+              + 0.7 * np.tanh(z["WaterTempOut"] + 0.5 * z["H2PressIn"]))
+    return feats, signal, signal + noise
+
+
+def bayes_accuracy(seed, n, noise_sigma, indices):
+    """Accuracy of the Bayes rule on the rows `indices` (0-based, so row
+    t - 1) of generate_synthetic(n, seed, noise_sigma), noise_sigma > 0.
+
+    The rule picks the class most likely given the noiseless signal; no
+    classifier of the features beats it in expectation. HFR = signal +
+    N(0, sigma^2) noise, so the class probabilities are normal CDFs at the
+    89 and 91 thresholds; the generator's clip to [85, 95] moves no row
+    across them."""
+    _, signal, hfr = synthetic_draws(seed, n, noise_sigma)
+    labels = (hfr >= 89.0).astype(int) + (hfr >= 91.0)
+    cdf = np.vectorize(
+        lambda x: 0.5 * (1.0 + math.erf(x / (noise_sigma * math.sqrt(2.0)))))
+    below_89, below_91 = cdf(89.0 - signal), cdf(91.0 - signal)
+    probs = np.stack([below_89, below_91 - below_89, 1.0 - below_91], axis=1)
+    idx = np.asarray(indices)
+    return float(np.mean(np.argmax(probs, axis=1)[idx] == labels[idx]))
+
+
 def recount_metrics(true_labels, pred_labels):
     """Brute-force accuracy / weighted precision / recall / F1 from lists."""
     n = len(true_labels)
@@ -205,6 +244,11 @@ def recount_metrics(true_labels, pred_labels):
         recall += (support / n) * rec
         f1 += (support / n) * fc
     return accuracy, precision, recall, f1
+
+
+def dequantize(raw, fmt):
+    """A raw word's real value: raw * 2^-frac_bits."""
+    return raw * 2.0 ** -fmt.frac_bits
 
 
 def _round_half_away(value, shift):

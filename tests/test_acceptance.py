@@ -13,8 +13,9 @@ from fcdsae.metrics import confusion, metric_block
 from fcdsae.quantized import QFormat, dump_frames, frame_from_features
 from fcdsae.sparsity import SparsityConfig
 
-from oracles import (assert_grads_close, fd_gradients, random_network,
-                     recount_metrics, scalar_dump_frames, scalar_q_forward)
+from oracles import (assert_grads_close, bayes_accuracy, fd_gradients,
+                     random_network, recount_metrics, scalar_dump_frames,
+                     scalar_q_forward)
 from test_quantized import random_model_and_frame
 
 
@@ -39,10 +40,8 @@ def test_criterion_1_gradient_fidelity():
             for psi in (0.0, 1e-3, 1e-1):
                 cfg = SparsityConfig(psi=psi)
                 trace = network.forward(params, batch)
-                summaries = [
-                    sparsity.average_activation(trace, i, cfg.clamp_eps)
-                    for i in range(len(trace.post) - 1)
-                ]
+                summaries = [sparsity.average_activation(trace, i)
+                             for i in range(len(trace.post) - 1)]
                 sgrads = None
                 if psi > 0:
                     sgrads = [sparsity.penalty_gradient(s, cfg, batch.shape[0])
@@ -67,7 +66,8 @@ def test_criterion_2_kl_correctness():
 
 
 def test_criterion_3_reference_run(reference_data, reference_run):
-    with criterion(3, "reference run: accuracy >= 0.90, recall == accuracy"):
+    with criterion(3, "reference run: accuracy >= 0.90 and within 0.005 of "
+                      "the Bayes rule, recall == accuracy"):
         assert len(reference_data.train) == 27272
         assert len(reference_data.test) == 9091
         _, _, report = reference_run
@@ -75,6 +75,11 @@ def test_criterion_3_reference_run(reference_data, reference_run):
         assert report.config.lr == 0.001
         assert report.epochs_run <= 15
         assert report.final_metrics.accuracy >= 0.90
+        # the generator's noise caps any classifier near 0.918; the paper's
+        # 92% comes from bench data this generator only stands in for
+        test_rows = [int(e.features[0]) - 1 for e in reference_data.test]
+        bayes = bayes_accuracy(42, 36363, 0.2, test_rows)
+        assert abs(report.final_metrics.accuracy - bayes) <= 0.005, bayes
         assert report.final_metrics.recall == pytest.approx(
             report.final_metrics.accuracy, abs=1e-12)
         assert report.wall_time_s < 120.0
@@ -88,10 +93,9 @@ def test_criterion_4_quantization_degradation(reference_data, reference_run):
         float_acc = report.final_metrics.accuracy
         for fmt_str, bound in [("Q8.8", 0.03), ("Q2.30", 0.001)]:
             qm = quantized.quantize_model(params, std, QFormat.parse(fmt_str))
-            result = quantized.evaluate_quantized(
-                qm, reference_data.test, float_accuracy=float_acc)
-            assert abs(result.accuracy_delta) <= bound, \
-                f"{fmt_str}: delta {result.accuracy_delta}"
+            result = quantized.evaluate_quantized(qm, reference_data.test)
+            delta = float_acc - result.metrics.accuracy
+            assert abs(delta) <= bound, f"{fmt_str}: delta {delta}"
 
 
 def test_criterion_5_golden_model_bit_exactness():

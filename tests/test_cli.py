@@ -74,6 +74,18 @@ class TestTrain:
         assert model.exists()
         assert "# reproducibility:" in report.read_text()
 
+    def test_defaults_are_the_trainer_defaults(self, tmp_path, small_csv,
+                                               capsys):
+        report = tmp_path / "r.txt"
+        code, _, _ = run(capsys, "train", "--data", str(small_csv),
+                         "--out-model", str(tmp_path / "m.txt"),
+                         "--out-report", str(report))
+        assert code == 0
+        lines = report.read_text().splitlines()
+        assert lines[2:4] == [
+            "lr: 0.001  batch_size: 64  max_epochs: 15  seed: 42",
+            "sparsity: xi=0.05 psi=0.001 clamp_eps=1e-06"]
+
     def test_missing_data_file(self, tmp_path, capsys):
         code, _, _ = run(capsys, "train", "--data", str(tmp_path / "no.csv"),
                          "--out-model", str(tmp_path / "m.txt"))
@@ -171,21 +183,31 @@ class TestInfer:
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path, capsys):
         conf = tmp_path / "conf.json"
-        conf.write_text(json.dumps({"n": 30, "seed": 3}))
         out = tmp_path / "d.csv"
-        code, _, _ = run(capsys, "--config", str(conf), "gen-data",
-                         "--out", str(out))
-        assert code == 0
-        assert len(out.read_text().splitlines()) == 31
+        # the config may also supply every required flag
+        for values, explicit in (({"n": 30, "seed": 3}, ["--out", str(out)]),
+                                 ({"n": 30, "out": str(out)}, [])):
+            conf.write_text(json.dumps(values))
+            code, _, _ = run(capsys, "--config", str(conf), "gen-data",
+                             *explicit)
+            assert code == 0
+            assert len(out.read_text().splitlines()) == 31
+            out.unlink()
 
     def test_explicit_flag_wins(self, tmp_path, capsys):
         conf = tmp_path / "conf.json"
-        conf.write_text(json.dumps({"n": 30}))
-        out = tmp_path / "d.csv"
-        code, _, _ = run(capsys, "--config", str(conf), "gen-data",
-                         "--n", "10", "--out", str(out))
-        assert code == 0
-        assert len(out.read_text().splitlines()) == 11
+        conf.write_text(json.dumps({"n": 30, "seed": 7}))
+        want = tmp_path / "want.csv"
+        assert run(capsys, "gen-data", "--n", "10", "--seed", "5",
+                   "--out", str(want))[0] == 0
+        # every spelling argparse accepts: separate value, `=`, abbreviated
+        for explicit in (["--n", "10", "--seed", "5"], ["--n=10", "--seed=5"],
+                         ["--n", "10", "--se", "5"]):
+            out = tmp_path / "d.csv"
+            code, _, _ = run(capsys, "--config", str(conf), "gen-data",
+                             *explicit, "--out", str(out))
+            assert code == 0
+            assert out.read_bytes() == want.read_bytes(), explicit
 
     def test_missing_config(self, tmp_path, capsys):
         code, _, _ = run(capsys, "--config", str(tmp_path / "no.json"),

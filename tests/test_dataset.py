@@ -11,6 +11,8 @@ from fcdsae.dataset import (LabeledExample, SensorRecord, Standardizer,
                             split, synthetic_hfr, write_csv)
 from fcdsae.errors import DomainError, ParseError
 
+from oracles import synthetic_draws
+
 TABLE_ROW_1 = "1,24.2,222.4,363.8,83,68.5,165.5,0.44,145.6,28.6,88.5"
 HEADER = ",".join(dataset.COLUMNS)
 
@@ -57,6 +59,29 @@ class TestParseCsv:
         assert len(back) == 50
         npt.assert_allclose([r.hfr for r in back], [r.hfr for r in records],
                             rtol=1e-11)
+
+
+class TestWriteCsv:
+    def test_bytes_and_round_trip(self, tmp_path):
+        records = [
+            SensorRecord(1.0, 1e-05, 123456789012.0, -0.0, 1e16, 1 / 3,
+                         24.2, 0.44, 145.6, 100.0, 88.5),
+            # the generator's records hold numpy floats
+            SensorRecord(*np.array([2.0, 1e-300, 1.5e-7, 0.1, 2 ** 53, -5.25,
+                                    1234567890123.0, 7.0, 0.0, 28.6, 91.0])),
+        ]
+        path = tmp_path / "d.csv"
+        write_csv(records, path)
+        assert path.read_bytes() == (
+            HEADER + "\r\n"
+            "1,1e-05,123456789012,-0,1e+16,0.333333333333,24.2,0.44,145.6,"
+            "100,88.5\r\n"
+            "2,1e-300,1.5e-07,0.1,9.00719925474e+15,-5.25,1.23456789012e+12,"
+            "7,0,28.6,91\r\n").encode()
+        back = parse_csv(path)
+        # 12 significant digits: a relative error of at most 5e-12
+        npt.assert_allclose(back, records, rtol=5e-12)
+        assert math.copysign(1.0, back[0].stack_voltage) == -1.0
 
 
 class TestLabel:
@@ -170,6 +195,15 @@ class TestGenerateSynthetic:
                                ("HCPPower", r.hcp_power)]:
                 base = dataset.BASE_VALUES[col]
                 assert 0.9 * base <= value <= 1.1 * base
+
+    def test_bayes_oracle_redraws_the_generator(self):
+        # bayes_accuracy scores its own redraws, so they must be the
+        # generator's: same features and, once clipped, the same HFR
+        records = generate_synthetic(300, 13)
+        feats, _, hfr = synthetic_draws(13, 300, 0.2)
+        npt.assert_array_equal(feats, [r[1:-1] for r in records])
+        npt.assert_allclose(np.clip(hfr, 85.0, 95.0),
+                            [r.hfr for r in records], rtol=0, atol=1e-12)
 
     def test_zero_noise_reproducible_from_features(self):
         # with sigma forced to 0, HFR must equal an independent re-evaluation

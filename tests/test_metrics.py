@@ -11,29 +11,44 @@ from oracles import recount_metrics
 labels = st.lists(st.integers(0, 2), min_size=1, max_size=200)
 
 
+# each label sequence as a list and as numpy int arrays of two widths
+SEQUENCE_TYPES = [list, np.array, lambda x: np.array(x, np.int32)]
+
+
 class TestConfusion:
     def test_perfect(self):
-        cm = confusion([0, 1, 2], [0, 1, 2])
-        npt.assert_array_equal(cm.counts, np.eye(3, dtype=int))
+        for as_seq in SEQUENCE_TYPES:
+            cm = confusion(as_seq([0, 1, 2]), as_seq([0, 1, 2]))
+            npt.assert_array_equal(cm.counts, np.eye(3, dtype=int))
 
     def test_hand_count(self):
-        cm = confusion([0, 0, 1], [1, 0, 1])
-        assert cm.counts[0][1] == 1
-        assert cm.counts[0][0] == 1
-        assert cm.counts[1][1] == 1
-        assert cm.total == 3
+        for as_seq in SEQUENCE_TYPES:
+            cm = confusion(as_seq([0, 0, 1]), as_seq([1, 0, 1]))
+            npt.assert_array_equal(cm.counts,
+                                   [[1, 1, 0], [0, 1, 0], [0, 0, 0]])
+            assert cm.total == 3
 
     def test_empty(self):
-        cm = confusion([], [])
-        npt.assert_array_equal(cm.counts, 0)
+        for cm in (confusion([], []),
+                   confusion(np.array([], int), np.array([], int))):
+            npt.assert_array_equal(cm.counts, np.zeros((3, 3)))
 
     def test_out_of_range(self):
-        with pytest.raises(DomainError):
-            confusion([0, 3], [0, 0])
+        # the error names the first bad pair
+        for trues, preds, first_bad in [
+                ([0, 3], [0, 0], "true=3, pred=0"),
+                ([0, 1, 2], [0, 3, 1], "true=1, pred=3"),
+                ([1, 2, 0], [2, -1, 3], "true=2, pred=-1"),
+                ([0, 1], [0.5, 1], "true=0, pred=0.5")]:
+            for as_seq in (list, np.array):
+                with pytest.raises(DomainError,
+                                   match=f"out of range: {first_bad}$"):
+                    confusion(as_seq(trues), as_seq(preds))
 
     def test_length_mismatch(self):
-        with pytest.raises(DomainError):
-            confusion([0, 1], [0])
+        for as_seq in SEQUENCE_TYPES:
+            with pytest.raises(DomainError):
+                confusion(as_seq([0, 1]), as_seq([0]))
 
 
 class TestMetricBlock:

@@ -11,13 +11,13 @@ from fcdsae.errors import DimensionError, DomainError, FrameError
 from fcdsae.metrics import confusion
 from fcdsae.network import LayerParams, NetworkParams
 from fcdsae.quantized import (INPUT_FORMAT, SCALE_FORMAT, QFormat,
-                              QuantizedModel, dequantize, dump_frames,
+                              QuantizedModel, dump_frames,
                               evaluate_quantized, frame_from_features,
                               load_qmodel, q_forward, q_forward_batch,
                               quantize, quantize_model, save_qmodel)
 
-from oracles import (random_network, scalar_dump_frames, scalar_q_forward,
-                     scalar_quantize)
+from oracles import (dequantize, random_network, scalar_dump_frames,
+                     scalar_q_forward, scalar_quantize)
 
 Q88 = QFormat(16, 8)
 # every total_bits from 2 to 32 with integer bits 1, middle and total - 1,

@@ -25,8 +25,7 @@ def trace_for(activations):
 
 
 class TestConfig:
-    @pytest.mark.parametrize("kw", [dict(xi=0.0), dict(xi=1.0), dict(psi=-1.0),
-                                    dict(clamp_eps=0.0), dict(clamp_eps=0.5)])
+    @pytest.mark.parametrize("kw", [dict(xi=0.0), dict(xi=1.0), dict(psi=-1.0)])
     def test_invalid_rejected(self, kw):
         with pytest.raises(DomainError):
             SparsityConfig(**kw)
@@ -38,14 +37,12 @@ class TestAverageActivation:
         npt.assert_allclose(summary.clamped, [0.4])
 
     def test_clamp_floor(self):
-        summary = sparsity.average_activation(trace_for([[0.0], [0.0]]), 0,
-                                              clamp_eps=1e-6)
+        summary = sparsity.average_activation(trace_for([[0.0], [0.0]]), 0)
         npt.assert_allclose(summary.clamped, [1e-6])
         assert summary.was_clamped[0]
 
     def test_clamp_ceiling(self):
-        summary = sparsity.average_activation(trace_for([[2.0], [4.0]]), 0,
-                                              clamp_eps=1e-6)
+        summary = sparsity.average_activation(trace_for([[2.0], [4.0]]), 0)
         npt.assert_allclose(summary.clamped, [1.0 - 1e-6])
 
     def test_output_layer_rejected(self):
@@ -153,10 +150,10 @@ class TestPenaltyGradient:
         h = 1e-6
 
         def penalty(a):
-            s = sparsity.average_activation(trace_for(a), 0, cfg.clamp_eps)
+            s = sparsity.average_activation(trace_for(a), 0)
             return sparsity.penalty_total([s], cfg)
 
-        summary = sparsity.average_activation(trace_for(acts), 0, cfg.clamp_eps)
+        summary = sparsity.average_activation(trace_for(acts), 0)
         delta = sparsity.penalty_gradient(summary, cfg, batch_size=2)
         for i, k in np.ndindex(acts.shape):
             plus, minus = acts.copy(), acts.copy()
@@ -175,7 +172,7 @@ class TestGradientInjection:
         targets = np.eye(3)[rng.integers(0, 3, size=8)]
         cfg = SparsityConfig(psi=psi)
         trace = network.forward(params, x)
-        summaries = [sparsity.average_activation(trace, i, cfg.clamp_eps)
+        summaries = [sparsity.average_activation(trace, i)
                      for i in range(len(trace.post) - 1)]
         sgrads = [sparsity.penalty_gradient(s, cfg, 8) for s in summaries]
         analytic = network.backward(trace, params, targets, sgrads)

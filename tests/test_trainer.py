@@ -3,11 +3,10 @@ import numpy.testing as npt
 import pytest
 
 from fcdsae import dataset, network, trainer
-from fcdsae.dataset import LabeledExample, Standardizer
 from fcdsae.errors import DomainError
 from fcdsae.network import LayerParams, NetworkParams
 from fcdsae.sparsity import SparsityConfig
-from fcdsae.trainer import TrainConfig, predict, predict_batch, train
+from fcdsae.trainer import TrainConfig, predict_batch, train
 
 from oracles import reference_train
 
@@ -73,7 +72,7 @@ class TestTrain:
         data = tiny_data()
         with pytest.raises(DomainError):
             train(TrainConfig(max_epochs=1),
-                  dataset.SplitDataset(train=[], test=data.test, seed=0))
+                  dataset.SplitDataset(train=[], test=data.test))
 
 
 class TestReferenceTrain:
@@ -98,25 +97,17 @@ class TestPredict:
         return NetworkParams(
             [LayerParams(np.zeros((3, 10)), np.array(outputs, float))])
 
-    def std(self):
-        return Standardizer(mean=np.zeros(10), std=np.ones(10))
+    def predict(self, outputs):
+        return predict_batch(self.out_params(outputs), np.zeros((2, 10)))
 
     def test_clear_argmax(self):
-        p = predict(self.out_params([0.9, 0.1, 0.0]), self.std(), np.zeros(10))
-        assert p == 0
+        npt.assert_array_equal(self.predict([0.9, 0.1, 0.0]), [0, 0])
 
     def test_all_zero_tie(self):
-        p = predict(self.out_params([0.0, 0.0, 0.0]), self.std(), np.zeros(10))
-        assert p == 0
+        npt.assert_array_equal(self.predict([0.0, 0.0, 0.0]), [0, 0])
 
     def test_tie_break_lowest(self):
-        p = predict(self.out_params([0.1, 0.5, 0.5]), self.std(), np.zeros(10))
-        assert p == 1
-
-    def test_accepts_sensor_record(self):
-        record = dataset.generate_synthetic(1, 0)[0]
-        p = predict(self.out_params([0.0, 1.0, 0.0]), self.std(), record)
-        assert p == 1
+        npt.assert_array_equal(self.predict([0.1, 0.5, 0.5]), [1, 1])
 
 
 class TestReportFormat:
