@@ -80,23 +80,19 @@ def _repro_line(args) -> str:
 def _cmd_gen_data(args) -> int:
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
-    records = dataset.generate_synthetic(args.n, args.seed)
-    dataset.write_csv(records, args.out)
-    labels = [dataset.label_for_hfr(r.hfr) for r in records]
-    counts = np.bincount(labels, minlength=3)
-    print(f"wrote {len(records)} records to {args.out}")
+    m = dataset.synthetic_matrix(args.n, args.seed)
+    dataset.write_csv(m, args.out)
+    counts = np.bincount(dataset.labels_for_hfr(m[:, -1]), minlength=3)
+    print(f"wrote {len(m)} records to {args.out}")
     print("class distribution: " +
-          " ".join(f"{c}:{counts[c]} ({counts[c] / len(records):.1%})"
+          " ".join(f"{c}:{counts[c]} ({counts[c] / len(m):.1%})"
                    for c in range(3)))
     print(_repro_line(args))
     return EXIT_OK
 
 
-def _load_examples(path):
-    records = dataset.parse_csv(path)
-    if not records:
-        raise ParseError(f"{path}: no data rows")
-    return [dataset.label(r) for r in records]
+def _load_examples(path) -> dataset.Examples:
+    return dataset.Examples.from_matrix(dataset.parse_csv(path))
 
 
 def _cmd_train(args) -> int:
@@ -154,8 +150,9 @@ def _cmd_eval(args) -> int:
     examples = _load_examples(args.data)
     if args.model:
         params, std = _load_model(args.model)
-        preds = trainer.predict_batch(params, std.transform_matrix(examples))
-        cm = metrics.confusion([e.class_label for e in examples], preds)
+        preds = trainer.predict_batch(params,
+                                      std.transform_matrix(examples.features))
+        cm = metrics.confusion(examples.labels, preds)
         print(metrics.metric_block(cm).format_table())
     else:
         qm = _load_qmodel(args.qmodel)
@@ -201,14 +198,15 @@ _COMMANDS = {
 def _apply_config_defaults(argv: list[str]) -> list[str]:
     """--config FILE supplies values for flags not given explicitly: they go
     right after the subcommand, and argparse keeps a flag's last value, so
-    an explicit flag wins in any spelling."""
-    if "--config" not in argv:
+    an explicit flag wins in any spelling. argparse finds --config itself,
+    so `--config=FILE` and abbreviations such as `--conf FILE` apply too."""
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    pre.add_argument("rest", nargs=argparse.REMAINDER)
+    known, unknown = pre.parse_known_args(argv)
+    if known.config is None:
         return argv
-    i = argv.index("--config")
-    try:
-        path = argv[i + 1]
-    except IndexError:
-        raise UsageError("--config requires a file path")
+    path = known.config
     try:
         with open(path) as fh:
             conf = json.load(fh)
@@ -218,7 +216,7 @@ def _apply_config_defaults(argv: list[str]) -> list[str]:
         raise UsageError(f"bad config file {path}: {exc}")
     if not isinstance(conf, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
-    out = [a for j, a in enumerate(argv) if j not in (i, i + 1)]
+    out = unknown + known.rest
     k = next((j for j, a in enumerate(out) if a in _COMMANDS), len(out)) + 1
     out[k:k] = [a for key, value in conf.items()
                 for a in ("--" + str(key).replace("_", "-"), str(value))]

@@ -1,12 +1,19 @@
 """Sensor-record ingestion, HFR class labeling, standardization, 3:1 split,
-and the deterministic synthetic generator standing in for the bench dataset."""
+and the deterministic synthetic generator standing in for the bench dataset.
+
+Data moves as arrays: an (N, 11) CSV-order matrix, then `Examples`. The
+per-row `SensorRecord`, `LabeledExample`, `record_features`, `label` and
+`generate_synthetic` are adapters kept for the benchmark's workloads."""
 
 from __future__ import annotations
 
 import csv
+import io
 import math
+import re
+import warnings
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,21 +37,11 @@ BASE_VALUES = {
 }
 
 
-class SensorRecord(NamedTuple):
-    """One timestamped bench row: 10 features plus the HFR target, in CSV
-    column order."""
-
-    t: float
-    power: float
-    current_density: float
-    stack_voltage: float
-    cell_voltage_variance: float
-    water_temp_out: float
-    h2_pressure_in: float
-    hcp_power: float
-    air_pressure_in: float
-    air_flow: float
-    hfr: float
+# one timestamped bench row: 10 features plus the HFR target, in CSV order
+SensorRecord = namedtuple("SensorRecord", [
+    "t", "power", "current_density", "stack_voltage", "cell_voltage_variance",
+    "water_temp_out", "h2_pressure_in", "hcp_power", "air_pressure_in",
+    "air_flow", "hfr"])
 
 
 def record_features(record: SensorRecord) -> np.ndarray:
@@ -54,12 +51,8 @@ def record_features(record: SensorRecord) -> np.ndarray:
     return np.array(record[:N_FEATURES])
 
 
-@dataclass(frozen=True)
-class LabeledExample:
-    """Feature vector (unstandardized, canonical order) and its class."""
-
-    features: np.ndarray
-    class_label: int
+# feature vector (unstandardized, canonical order) and its class
+LabeledExample = namedtuple("LabeledExample", ["features", "class_label"])
 
 
 def label_for_hfr(hfr: float) -> int:
@@ -73,55 +66,116 @@ def label_for_hfr(hfr: float) -> int:
     return 2
 
 
+def labels_for_hfr(hfr) -> np.ndarray:
+    """`label_for_hfr` over an array: the same classes and the same error."""
+    hfr = np.asarray(hfr, dtype=np.float64)
+    bad = ~(np.isfinite(hfr) & (hfr > 0))
+    if bad.any():
+        raise DomainError(f"HFR must be finite and positive, got {hfr[bad][0]}")
+    return np.searchsorted([CLASS1_LOW, CLASS2_LOW], hfr, side="right")
+
+
 def label(record: SensorRecord) -> LabeledExample:
     return LabeledExample(features=record_features(record),
                           class_label=label_for_hfr(record.hfr))
 
 
-def parse_csv(path) -> list[SensorRecord]:
-    """Read a canonical-header CSV into SensorRecords, order preserved."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+@dataclass(frozen=True, eq=False)
+class Examples:
+    """N examples as columns: (N, 10) unstandardized features in canonical
+    order and their (N,) int classes. Iterating yields LabeledExamples."""
+
+    features: np.ndarray
+    labels: np.ndarray
+
+    @classmethod
+    def from_matrix(cls, m: np.ndarray) -> "Examples":
+        """The features and HFR classes of an (N, 11) CSV-order matrix."""
+        return cls(np.ascontiguousarray(m[:, :N_FEATURES]),
+                   labels_for_hfr(m[:, -1]))
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __iter__(self):
+        return map(LabeledExample, self.features, self.labels.tolist())
+
+
+def parse_csv(path) -> np.ndarray:
+    """Read a canonical-header CSV into an (N, 11) float64 matrix, order
+    preserved. np.loadtxt reads the body; unless that gives 11 finite
+    columns, the row-by-row reader reads it again, so the values are
+    float()'s and a ParseError names the row and column either way."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+
+    def text():  # decoded as open(path, newline="") does, a block at a time
+        return io.TextIOWrapper(io.BytesIO(raw), newline="")
+
+    body = text()
+    try:
+        header = next(csv.reader(body))
+    except StopIteration:
+        raise ParseError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    if header != COLUMNS:
+        missing = [c for c in COLUMNS if c not in header]
+        raise ParseError(
+            f"{path}: header mismatch; missing columns {missing}"
+            if missing else f"{path}: header order must be {COLUMNS}"
+        )
+    if not re.search(rb"[\x1c-\x1f]", raw):  # loadtxt strips, float() rejects
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if header != COLUMNS:
-            missing = [c for c in COLUMNS if c not in header]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # "input contained no data"
+                m = np.loadtxt(body, delimiter=",", ndmin=2, comments=None,
+                               quotechar='"')
+            if m.shape[1] == len(COLUMNS) and np.isfinite(m).all():
+                return m
+        except (ValueError, UserWarning):
+            pass
+    rows = csv.reader(text())
+    next(rows)
+    return _parse_rows(path, rows)
+
+
+def _parse_rows(path, reader) -> np.ndarray:
+    """The row-by-row reader: csv cells through float(), checked per cell."""
+    rows = []
+    for row_num, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(COLUMNS):
             raise ParseError(
-                f"{path}: header mismatch; missing columns {missing}"
-                if missing else f"{path}: header order must be {COLUMNS}"
+                f"{path} row {row_num}: expected {len(COLUMNS)} cells, "
+                f"got {len(row)}"
             )
-        records = []
-        for row_num, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(COLUMNS):
-                raise ParseError(
-                    f"{path} row {row_num}: expected {len(COLUMNS)} cells, "
-                    f"got {len(row)}"
-                )
-            vals = []
-            for col_name, cell in zip(COLUMNS, row):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    value = math.nan
-                if not math.isfinite(value):
-                    raise ParseError(f"{path} row {row_num}, column "
-                                     f"{col_name!r}: not a finite number {cell!r}")
-                vals.append(value)
-            records.append(SensorRecord(*vals))
-        return records
+        vals = []
+        for col_name, cell in zip(COLUMNS, row):
+            try:
+                value = float(cell)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ParseError(f"{path} row {row_num}, column "
+                                 f"{col_name!r}: not a finite number {cell!r}")
+            vals.append(value)
+        rows.append(vals)
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    return np.array(rows)
 
 
-def write_csv(records: list[SensorRecord], path) -> None:
-    """Write records in the canonical CSV layout: %.12g values, CRLF ends."""
+def write_csv(rows, path) -> None:
+    """Write an (N, 11) matrix, or SensorRecords, in the canonical CSV
+    layout: %.12g values, CRLF ends."""
+    m = np.asarray(rows, dtype=np.float64)
     row = ",".join(["%.12g"] * len(COLUMNS)) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(COLUMNS) + "\r\n")
-        fh.writelines(row % tuple(r) for r in records)
+        for start in range(0, len(m), 4096):  # bounds the temporary strings
+            block = m[start:start + 4096]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 @dataclass
@@ -133,41 +187,40 @@ class Standardizer:
     std: np.ndarray
 
     @classmethod
-    def fit(cls, examples: list[LabeledExample]) -> "Standardizer":
-        if not examples:
+    def fit(cls, features) -> "Standardizer":
+        x = np.asarray(features, dtype=np.float64)
+        if not len(x):
             raise DomainError("cannot fit a standardizer on an empty set")
-        x = np.stack([e.features for e in examples])
         mean = x.mean(axis=0)
         std = x.std(axis=0)  # population std (ddof=0)
         std = np.where(std == 0.0, 1.0, std)
         return cls(mean=mean, std=std)
 
-    def transform(self, features: np.ndarray) -> np.ndarray:
+    def transform_matrix(self, features) -> np.ndarray:
         return (np.asarray(features, dtype=np.float64) - self.mean) / self.std
-
-    def transform_matrix(self, examples: list[LabeledExample]) -> np.ndarray:
-        return self.transform(np.stack([e.features for e in examples]))
 
 
 @dataclass
 class SplitDataset:
     """Disjoint, exhaustive 3:1 train/test partition, seeded permutation."""
 
-    train: list[LabeledExample]
-    test: list[LabeledExample]
+    train: Examples
+    test: Examples
 
 
-def split(examples: list[LabeledExample], seed: int) -> SplitDataset:
-    """Seeded uniform permutation; first floor(0.75*N) examples train."""
+def split(examples, seed: int) -> SplitDataset:
+    """Seeded uniform permutation; first floor(0.75*N) examples train.
+    `examples` is an Examples, or a list of LabeledExamples (adapter)."""
     n = len(examples)
     if n < 4:
         raise DomainError(f"need at least 4 examples to split 3:1, got {n}")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    n_train = (3 * n) // 4
-    train = [examples[i] for i in order[:n_train]]
-    test = [examples[i] for i in order[n_train:]]
-    return SplitDataset(train=train, test=test)
+    if not isinstance(examples, Examples):
+        examples = Examples(np.stack([e.features for e in examples]),
+                            np.array([e.class_label for e in examples]))
+    order = np.random.default_rng(seed).permutation(n)
+    x, y = examples.features, examples.labels
+    train, test = order[:(3 * n) // 4], order[(3 * n) // 4:]
+    return SplitDataset(Examples(x[train], y[train]), Examples(x[test], y[test]))
 
 
 # coefficients of the frozen synthetic HFR formula
@@ -186,30 +239,35 @@ def synthetic_hfr(z_power: float, z_airflow: float, z_watertemp: float,
     return float(min(max(sig + noise, _HFR_LOW), _HFR_HIGH))
 
 
-def generate_synthetic(n: int, seed: int,
-                       noise_sigma: float = _NOISE_SIGMA) -> list[SensorRecord]:
-    """Deterministic synthetic bench data: features uniform within +-10% of
-    the reference operating point, HFR from the frozen smooth formula."""
+def synthetic_matrix(n: int, seed: int,
+                     noise_sigma: float = _NOISE_SIGMA) -> np.ndarray:
+    """Deterministic synthetic bench data as an (N, 11) CSV-order matrix:
+    t = 1..n, features uniform within +-10% of the reference operating
+    point, HFR from the frozen smooth formula."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
-    feats = {}
-    for col in FEATURE_COLUMNS:
+    m = np.empty((n, len(COLUMNS)))
+    m[:, 0] = np.arange(1, n + 1)
+    for j, col in enumerate(FEATURE_COLUMNS, start=1):
         base = BASE_VALUES[col]
-        feats[col] = rng.uniform(0.9 * base, 1.1 * base, size=n)
+        m[:, j] = rng.uniform(0.9 * base, 1.1 * base, size=n)
     noise = rng.normal(0.0, noise_sigma, size=n) if noise_sigma > 0 else np.zeros(n)
 
     def z(col):
         base = BASE_VALUES[col]
         # uniform on [0.9b, 1.1b]: mean b, population std 0.1*b/sqrt(3)
-        return (feats[col] - base) / (0.1 * base / math.sqrt(3.0))
+        return ((m[:, COLUMNS.index(col)] - base)
+                / (0.1 * base / math.sqrt(3.0))).tolist()
 
-    z_power, z_airflow = z("Power"), z("AirFlow")
-    z_watertemp, z_h2press = z("WaterTempOut"), z("H2PressIn")
-    records = []
-    for i in range(n):
-        hfr = synthetic_hfr(z_power[i], z_airflow[i], z_watertemp[i],
-                            z_h2press[i], noise[i])
-        records.append(SensorRecord(
-            float(i + 1), *(feats[col][i] for col in FEATURE_COLUMNS), hfr))
-    return records
+    # a math.tanh loop: np.tanh differs from it in the last ulp
+    m[:, -1] = list(map(synthetic_hfr, z("Power"), z("AirFlow"),
+                        z("WaterTempOut"), z("H2PressIn"), noise.tolist()))
+    return m
+
+
+def generate_synthetic(n: int, seed: int,
+                       noise_sigma: float = _NOISE_SIGMA) -> list[SensorRecord]:
+    """`synthetic_matrix` as SensorRecords (adapter)."""
+    return [SensorRecord(*row)
+            for row in synthetic_matrix(n, seed, noise_sigma).tolist()]

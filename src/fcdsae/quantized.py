@@ -261,13 +261,13 @@ class QuantEvalResult:
 
 
 def evaluate_quantized(qm: QuantizedModel, examples) -> QuantEvalResult:
-    """Metric block and confusion matrix of the fixed-point path."""
+    """Metric block and confusion matrix of the fixed-point path over a
+    `dataset.Examples`."""
     from fcdsae.metrics import confusion, metric_block
 
-    features = _rows([ex.features for ex in examples], qm.input_width,
-                     np.float64)
+    features = _rows(examples.features, qm.input_width, np.float64)
     _, preds = q_forward_batch(qm, quantize(features, INPUT_FORMAT))
-    cm = confusion([ex.class_label for ex in examples], preds)
+    cm = confusion(examples.labels, preds)
     return QuantEvalResult(metrics=metric_block(cm), confusion=cm)
 
 

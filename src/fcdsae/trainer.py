@@ -134,11 +134,11 @@ def train(cfg: TrainConfig, data: SplitDataset
         raise DomainError("both partitions must be non-empty")
     t0 = time.perf_counter()
 
-    std = Standardizer.fit(data.train)
-    x_train = std.transform_matrix(data.train)
-    y_train = np.array([e.class_label for e in data.train])
-    x_test = std.transform_matrix(data.test)
-    y_test = np.array([e.class_label for e in data.test])
+    std = Standardizer.fit(data.train.features)
+    x_train = std.transform_matrix(data.train.features)
+    y_train = data.train.labels
+    x_test = std.transform_matrix(data.test.features)
+    y_test = data.test.labels
     t_train = one_hot(y_train)
 
     params = network.init_network(cfg.topology, seed=cfg.seed)

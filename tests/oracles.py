@@ -86,11 +86,11 @@ def reference_train(cfg, data):
     from fcdsae.dataset import Standardizer
 
     sc = cfg.sparsity
-    std = Standardizer.fit(data.train)
-    x_train = std.transform_matrix(data.train)
-    y_train = np.array([e.class_label for e in data.train])
-    x_test = std.transform_matrix(data.test)
-    y_test = np.array([e.class_label for e in data.test])
+    std = Standardizer.fit(data.train.features)
+    x_train = std.transform_matrix(data.train.features)
+    y_train = data.train.labels
+    x_test = std.transform_matrix(data.test.features)
+    y_test = data.test.labels
     t_train = np.eye(3)[y_train]
 
     rng = np.random.default_rng(cfg.seed)
@@ -185,6 +185,49 @@ def reference_train(cfg, data):
             np.concatenate(hidden_means(post)[0]).mean()),
         config=cfg)
     return best, report
+
+
+def reader_parse_csv(path):
+    """dataset.parse_csv as the plain row-by-row reader: csv.reader cells
+    through float(), every cell checked, no fast path. Returns the rows as
+    lists of floats, or raises the ParseError parse_csv must raise."""
+    import csv
+
+    from fcdsae.dataset import COLUMNS
+    from fcdsae.errors import ParseError
+
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise ParseError(f"{path}: empty file") from None
+        if header != COLUMNS:
+            missing = [c for c in COLUMNS if c not in header]
+            raise ParseError(
+                f"{path}: header mismatch; missing columns {missing}"
+                if missing else f"{path}: header order must be {COLUMNS}")
+        rows = []
+        for row_num, row in enumerate(reader, start=2):
+            if all(not c.strip() for c in row):
+                continue
+            if len(row) != len(COLUMNS):
+                raise ParseError(f"{path} row {row_num}: expected "
+                                 f"{len(COLUMNS)} cells, got {len(row)}")
+            values = []
+            for name, cell in zip(COLUMNS, row):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise ParseError(f"{path} row {row_num}, column {name!r}: "
+                                     f"not a finite number {cell!r}")
+                values.append(value)
+            rows.append(values)
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    return rows
 
 
 def synthetic_draws(seed, n, noise_sigma):

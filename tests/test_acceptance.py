@@ -155,9 +155,9 @@ def test_criterion_8_pipeline_determinism(tmp_path, monkeypatch):
                              "--data", "data.csv",
                              "--out-confusion", "cm.csv"]) == 0
             qm = quantized.load_qmodel(d / "model.qtxt")
-            examples = [dataset.label(r)
-                        for r in dataset.parse_csv(d / "data.csv")][:20]
-            frames = [frame_from_features(e.features) for e in examples]
+            examples = dataset.Examples.from_matrix(
+                dataset.parse_csv(d / "data.csv"))
+            frames = [frame_from_features(f) for f in examples.features[:20]]
             (d / "frames.txt").write_text(dump_frames(qm, frames))
             outputs.append({p.name: p.read_bytes() for p in sorted(d.iterdir())})
         assert outputs[0] == outputs[1]

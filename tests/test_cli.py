@@ -184,15 +184,18 @@ class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path, capsys):
         conf = tmp_path / "conf.json"
         out = tmp_path / "d.csv"
-        # the config may also supply every required flag
-        for values, explicit in (({"n": 30, "seed": 3}, ["--out", str(out)]),
-                                 ({"n": 30, "out": str(out)}, [])):
-            conf.write_text(json.dumps(values))
-            code, _, _ = run(capsys, "--config", str(conf), "gen-data",
-                             *explicit)
-            assert code == 0
-            assert len(out.read_text().splitlines()) == 31
-            out.unlink()
+        # the config may also supply every required flag; argparse accepts
+        # `--config=FILE` and abbreviations too, and each must apply the file
+        for spelling in (["--config", str(conf)], [f"--config={conf}"],
+                         ["--conf", str(conf)]):
+            for values, explicit in (({"n": 30, "seed": 3}, ["--out", str(out)]),
+                                     ({"n": 30, "out": str(out)}, [])):
+                conf.write_text(json.dumps(values))
+                code, stdout, _ = run(capsys, *spelling, "gen-data", *explicit)
+                assert code == 0, spelling
+                assert f"seed={values.get('seed', 42)}" in stdout
+                assert len(out.read_text().splitlines()) == 31
+                out.unlink()
 
     def test_explicit_flag_wins(self, tmp_path, capsys):
         conf = tmp_path / "conf.json"

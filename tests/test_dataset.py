@@ -1,31 +1,67 @@
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fcdsae import dataset
-from fcdsae.dataset import (LabeledExample, SensorRecord, Standardizer,
-                            generate_synthetic, label_for_hfr, parse_csv,
-                            split, synthetic_hfr, write_csv)
+from fcdsae.dataset import (Examples, LabeledExample, SensorRecord,
+                            Standardizer, generate_synthetic, label_for_hfr,
+                            labels_for_hfr, parse_csv, split, synthetic_hfr,
+                            write_csv)
 from fcdsae.errors import DomainError, ParseError
 
-from oracles import synthetic_draws
+from oracles import reader_parse_csv, synthetic_draws
 
 TABLE_ROW_1 = "1,24.2,222.4,363.8,83,68.5,165.5,0.44,145.6,28.6,88.5"
 HEADER = ",".join(dataset.COLUMNS)
+
+
+def _row(cells=tuple(TABLE_ROW_1.split(",")), **edits):
+    """TABLE_ROW_1 with the cells at the given column indexes replaced."""
+    return ",".join(edits.get(f"c{i}", c) for i, c in enumerate(cells))
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV files that the fast path and the row reader may disagree on:
+    odd cells, padding (control characters and newlines too) and quotes,
+    blank, whitespace-only and commas-only lines, mixed line ends, and
+    files 10, 11 or 12 cells wide."""
+    number = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.floats(allow_nan=False, allow_infinity=False).map("%.12g".__mod__),
+        st.integers(-10**6, 10**6).map(str),
+        st.sampled_from(["1_5", "#1.5", "nan", "infinity", "-inf", "0x1", "",
+                         "1e400", "1e-320", "-0", ".5", "5.", "+1", "1d5"]))
+    pad = st.sampled_from(["", "", " ", "  ", "\t", "\x0b", "\x1c", "\x1f",
+                           "\u2003", "\n", '"'])
+    cell = st.tuples(pad, number, pad, st.booleans()).map(
+        lambda t: f'"{t[0]}{t[1]}"{t[2]}' if t[3] else "".join(t[:3]))
+    width = draw(st.sampled_from([11, 11, 11, 10, 12]))
+    row = st.one_of(
+        st.lists(cell, min_size=width, max_size=width).map(",".join),
+        st.lists(cell, min_size=1, max_size=13).map(",".join),
+        st.sampled_from(["", "   ", "\t", ",,,,,,,,,,", " , "]))
+    rows = draw(st.lists(st.tuples(row, st.sampled_from(["\n", "\r\n"])),
+                         max_size=6))
+    header = draw(st.sampled_from([HEADER, ", ".join(dataset.COLUMNS)]))
+    return header + "\r\n" + "".join(r + end for r, end in rows)
 
 
 class TestParseCsv:
     def test_table_row(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text(HEADER + "\n" + TABLE_ROW_1 + "\n")
-        records = parse_csv(path)
-        assert len(records) == 1
-        assert records[0].hfr == 88.5
-        assert records[0].power == 24.2
-        assert records[0].air_flow == 28.6
+        m = parse_csv(path)
+        assert m.shape == (1, 11)
+        assert m[0, -1] == 88.5
+        assert m[0, 1] == 24.2
+        assert m[0, 9] == 28.6
 
     def test_non_numeric_cell_located(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -37,7 +73,12 @@ class TestParseCsv:
     def test_header_only(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text(HEADER + "\n")
-        assert parse_csv(path) == []
+        # loadtxt warns on an empty body; parse_csv must not pass that on
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ParseError, match="no data rows"):
+                parse_csv(path)
+        assert caught == []
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -51,14 +92,55 @@ class TestParseCsv:
         with pytest.raises(ParseError, match="empty"):
             parse_csv(path)
 
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=300, deadline=None)
+    @given(csv_texts())
+    @example(HEADER + "\r\n" + _row(c0='"1"', c1=' "24.2"', c4="  83 ") + "\r\n")
+    @example(HEADER + "\r\n" + _row(c2='"222.4" ', c5="\t68.5") + "\n")
+    @example(f"{HEADER}\n\n{TABLE_ROW_1}\n   \n,,,,,,,,,,\r\n{TABLE_ROW_1}\n")
+    @example(HEADER + "\n" + _row(c1="1_5") + "\n")
+    @example(HEADER + "\n" + _row(c1="#1.5") + "\n")
+    @example(HEADER + "\n" + _row(c10="nan") + "\n")
+    @example(HEADER + "\n" + _row(c3="infinity") + "\n")
+    @example(HEADER + "\n" + _row(c0="0x1") + "\n")
+    @example(HEADER + "\n" + _row(c0="\x1c1") + "\n")
+    @example(f"{HEADER}\n" + "1,2,3,4,5,6,7,8,9,10\n" * 3)
+    @example(f"{HEADER}\n" + f"{TABLE_ROW_1},1\n" * 3)
+    @example(f"{HEADER}\n")
+    @example(f"{HEADER}\r\n\r\n")
+    def test_fast_path_matches_row_reader(self, text):
+        """The same matrix, bit for bit, or the same ParseError message as
+        the row-by-row reader, with no numpy warning."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.csv"
+            path.write_bytes(text.encode())
+            try:
+                want = np.array(reader_parse_csv(path))
+            except ParseError as exc:
+                with pytest.raises(ParseError) as got:
+                    parse_csv(path)
+                assert str(got.value) == str(exc)
+                return
+            got = parse_csv(path)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_well_formed_file_takes_the_fast_path(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.csv"
+        write_csv(dataset.synthetic_matrix(200, 1), path)
+
+        def row_reader(*args):
+            raise AssertionError("fell back to the row-by-row reader")
+        monkeypatch.setattr(dataset, "_parse_rows", row_reader)
+        assert parse_csv(path).shape == (200, 11)
+
     def test_round_trip(self, tmp_path):
         records = generate_synthetic(50, 3)
         path = tmp_path / "d.csv"
         write_csv(records, path)
         back = parse_csv(path)
-        assert len(back) == 50
-        npt.assert_allclose([r.hfr for r in back], [r.hfr for r in records],
-                            rtol=1e-11)
+        assert back.shape == (50, 11)
+        npt.assert_allclose(back[:, -1], [r.hfr for r in records], rtol=1e-11)
 
 
 class TestWriteCsv:
@@ -81,15 +163,18 @@ class TestWriteCsv:
         back = parse_csv(path)
         # 12 significant digits: a relative error of at most 5e-12
         npt.assert_allclose(back, records, rtol=5e-12)
-        assert math.copysign(1.0, back[0].stack_voltage) == -1.0
+        assert math.copysign(1.0, back[0, 3]) == -1.0
 
 
 class TestLabel:
     @pytest.mark.parametrize("hfr,expected", [
         (88.5, 0), (89.0, 1), (90.99, 1), (91.0, 2), (85.0, 0), (95.0, 2),
+        (float(np.nextafter(89.0, 0.0)), 0), (float(np.nextafter(89.0, 99.0)), 1),
+        (float(np.nextafter(91.0, 0.0)), 1), (float(np.nextafter(91.0, 99.0)), 2),
     ])
     def test_thresholds(self, hfr, expected):
         assert label_for_hfr(hfr) == expected
+        assert labels_for_hfr([hfr]).tolist() == [expected]
 
     @given(st.floats(0.001, 1000.0))
     def test_total_function(self, hfr):
@@ -99,36 +184,41 @@ class TestLabel:
         with pytest.raises(DomainError):
             label_for_hfr(float("nan"))
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_array_rule_rejects_like_scalar(self, bad):
+        with pytest.raises(DomainError) as want:
+            label_for_hfr(bad)
+        with pytest.raises(DomainError) as got:
+            labels_for_hfr([90.0, bad, 88.0])
+        assert str(got.value) == str(want.value)
 
-def examples_from_columns(columns):
-    """Build LabeledExamples whose feature matrix is the given columns."""
-    x = np.array(columns, float).T
-    return [LabeledExample(features=row, class_label=0) for row in x]
+
+def matrix_from_columns(columns):
+    return np.array(columns, float).T
 
 
 class TestStandardizer:
     def test_population_std(self):
         cols = [[1.0, 2.0, 3.0]] * 10
-        std = Standardizer.fit(examples_from_columns(cols))
+        std = Standardizer.fit(matrix_from_columns(cols))
         npt.assert_allclose(std.mean, 2.0)
         npt.assert_allclose(std.std, math.sqrt(2.0 / 3.0))
-        z = std.transform(np.full(10, 1.0))
+        z = std.transform_matrix(np.full(10, 1.0))
         npt.assert_allclose(z, -1.2247, rtol=1e-4)
 
     def test_zero_variance_passthrough(self):
         cols = [[5.0, 5.0, 5.0]] * 10
-        std = Standardizer.fit(examples_from_columns(cols))
+        std = Standardizer.fit(matrix_from_columns(cols))
         npt.assert_allclose(std.std, 1.0)
-        npt.assert_array_equal(std.transform(np.full(10, 5.0)), 0.0)
+        npt.assert_array_equal(std.transform_matrix(np.full(10, 5.0)), 0.0)
 
     def test_refit_of_standardized_is_identity(self):
         rng = np.random.default_rng(0)
         cols = [list(rng.normal(size=30)) for _ in range(10)]
-        examples = examples_from_columns(cols)
-        std = Standardizer.fit(examples)
-        z = std.transform_matrix(examples)
-        restd = Standardizer.fit(
-            [LabeledExample(features=row, class_label=0) for row in z])
+        x = matrix_from_columns(cols)
+        std = Standardizer.fit(x)
+        z = std.transform_matrix(x)
+        restd = Standardizer.fit(z)
         npt.assert_allclose(restd.mean, 0.0, atol=1e-12)
         npt.assert_allclose(restd.std, 1.0, atol=1e-12)
 
@@ -167,8 +257,27 @@ class TestSplit:
         data = split(self.make(n), seed=seed)
         assert len(data.train) == (3 * n) // 4
         assert len(data.train) + len(data.test) == n
-        ids = sorted(int(e.features[0]) for e in data.train + data.test)
+        ids = sorted(int(e.features[0]) for e in [*data.train, *data.test])
         assert ids == list(range(n))  # disjoint and exhaustive
+
+
+class TestExamples:
+    def test_iteration_matches_per_row_split(self):
+        """Examples from the matrix path iterate as the per-row split of
+        labeled records did: same order, features and classes."""
+        n, seed = 36363, 42
+        rows = [dataset.label(r) for r in generate_synthetic(n, seed)]
+        order = np.random.default_rng(seed).permutation(n)
+        n_train = (3 * n) // 4
+        data = split(Examples.from_matrix(dataset.synthetic_matrix(n, seed)),
+                     seed=seed)
+        for part, idx in ((data.train, order[:n_train]),
+                          (data.test, order[n_train:])):
+            got = list(part)
+            assert [e.class_label for e in got] == [
+                rows[i].class_label for i in idx]
+            assert np.stack([e.features for e in got]).tobytes() == \
+                np.stack([rows[i].features for i in idx]).tobytes()
 
 
 class TestGenerateSynthetic:
@@ -182,8 +291,8 @@ class TestGenerateSynthetic:
         assert [r.hfr for r in a] == [r.hfr for r in b]
 
     def test_reference_class_shares(self, reference_data):
-        counts = np.bincount(
-            [e.class_label for e in reference_data.train + reference_data.test],
+        counts = np.bincount(np.concatenate(
+            [reference_data.train.labels, reference_data.test.labels]),
             minlength=3)
         assert counts.sum() == 36363
         assert (counts >= 0.15 * 36363).all()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fcdsae import network, quantized
-from fcdsae.dataset import LabeledExample, Standardizer
+from fcdsae.dataset import Examples, Standardizer
 from fcdsae.errors import DimensionError, DomainError, FrameError
 from fcdsae.metrics import confusion
 from fcdsae.network import LayerParams, NetworkParams
@@ -76,9 +76,9 @@ class TestQuantizeScalar:
     def test_nan_is_a_domain_error(self):
         with pytest.raises(DomainError):
             quantize(float("nan"), Q88)
-        example = LabeledExample(np.array([0.0, float("nan"), 0.0]), 0)
+        examples = Examples(np.array([[0.0, float("nan"), 0.0]]), np.array([0]))
         with pytest.raises(DomainError):
-            evaluate_quantized(identity_model(), [example])
+            evaluate_quantized(identity_model(), examples)
 
     def test_huge_values_saturate_silently(self):
         inf = float("inf")
@@ -300,7 +300,7 @@ class TestWideningError:
     def test_more_frac_bits_never_worse(self, reference_run):
         params, std, _ = reference_run
         x = np.array([e for e in range(10)], float)
-        trace = network.forward(params, std.transform(x).reshape(1, -1))
+        trace = network.forward(params, std.transform_matrix(x).reshape(1, -1))
         float_out = trace.output[0]
         frame = frame_from_features(x)
         prev_err = None
@@ -374,8 +374,8 @@ class TestBatchEngine:
             labels = rng.integers(0, 3, len(frames)).tolist()
             # Q18.14 words scaled back are exact features for the same words
             scale = 2.0**-INPUT_FORMAT.frac_bits
-            examples = [LabeledExample(np.array(frame) * scale, y)
-                        for frame, y in zip(frames, labels)]
+            examples = Examples(np.array(frames).reshape(len(frames), -1) * scale,
+                                np.array(labels))
             got = evaluate_quantized(qm, examples).confusion.counts
             want = confusion(labels, [p for _, p in expected]).counts
             assert (got == want).all()

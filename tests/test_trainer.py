@@ -63,7 +63,7 @@ class TestTrain:
         path = tmp_path / "model.txt"
         network.save_model(params, path, standardizer=std)
         loaded, std2 = network.load_model(path)
-        x = std2.transform_matrix(small_data.test)
+        x = std2.transform_matrix(small_data.test.features)
         y = np.array([e.class_label for e in small_data.test])
         acc = float(np.mean(predict_batch(loaded, x) == y))
         assert acc == report.final_metrics.accuracy
