@@ -101,7 +101,8 @@ def _cmd_train(args) -> int:
         seed=args.seed, sparsity=SparsityConfig(xi=args.xi, psi=args.psi))
     examples = _load_examples(args.data)
     data = dataset.split(examples, seed=args.seed)
-    params, std, report = trainer.train(cfg, data)
+    with np.errstate(all="ignore"):  # train reports divergence itself
+        params, std, report = trainer.train(cfg, data)
     network.save_model(params, args.out_model, standardizer=std)
     if args.out_report:
         with open(args.out_report, "w") as fh:
@@ -230,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = _apply_config_defaults(argv)
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (UsageError, DomainError) as exc:
+    except (UsageError, DomainError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ParseError, FrameError, DimensionError, OSError,

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import re
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
@@ -113,10 +112,9 @@ def parse_csv(path) -> np.ndarray:
         return io.TextIOWrapper(io.BytesIO(raw), newline="")
 
     body = text()
-    try:
-        header = next(csv.reader(body))
-    except StopIteration:
-        raise ParseError(f"{path}: empty file") from None
+    header = next(_csv_rows(path, body), None)
+    if header is None:
+        raise ParseError(f"{path}: empty file")
     header = [h.strip() for h in header]
     if header != COLUMNS:
         missing = [c for c in COLUMNS if c not in header]
@@ -124,7 +122,8 @@ def parse_csv(path) -> np.ndarray:
             f"{path}: header mismatch; missing columns {missing}"
             if missing else f"{path}: header order must be {COLUMNS}"
         )
-    if not re.search(rb"[\x1c-\x1f]", raw):  # loadtxt strips, float() rejects
+    # loadtxt strips U+001C-U+001F around a number, float() rejects them
+    if not any(c in raw for c in b"\x1c\x1d\x1e\x1f"):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # "input contained no data"
@@ -134,9 +133,19 @@ def parse_csv(path) -> np.ndarray:
                 return m
         except (ValueError, UserWarning):
             pass
-    rows = csv.reader(text())
+    rows = _csv_rows(path, text())
     next(rows)
     return _parse_rows(path, rows)
+
+
+def _csv_rows(path, text):
+    """csv.reader's rows. Its csv.Error, such as a cell over the field size
+    limit, becomes a ParseError naming the line."""
+    reader = csv.reader(text)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"{path} line {reader.line_num}: {exc}") from None
 
 
 def _parse_rows(path, reader) -> np.ndarray:

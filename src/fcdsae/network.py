@@ -115,7 +115,8 @@ def forward(params: NetworkParams, batch: np.ndarray) -> ForwardTrace:
 
     ReLU is applied after every layer, including the output layer.
     """
-    batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
+    if getattr(batch, "dtype", None) != np.float64 or batch.ndim != 2:
+        batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     post = []
     x = batch
     for i, layer in enumerate(params.layers):
@@ -141,7 +142,7 @@ def mse_loss(output: np.ndarray, targets: np.ndarray) -> float:
             f"output shape {output.shape} != target shape {targets.shape}"
         )
     diff = output - targets
-    return float(np.sum(diff * diff) / diff.size)
+    return float(np.add.reduce(diff * diff, axis=None) / diff.size)
 
 
 def backward(trace: ForwardTrace, params: NetworkParams, targets: np.ndarray,
@@ -167,7 +168,7 @@ def backward(trace: ForwardTrace, params: NetworkParams, targets: np.ndarray,
     for i in range(n_layers - 1, -1, -1):
         if i < n_layers - 1 and sparsity_rows is not None:
             delta_post += sparsity_rows[i]
-        delta_pre = delta_post * (trace.post[i] > 0.0)
+        delta_pre = np.multiply(delta_post, trace.post[i] > 0.0, out=delta_post)
         prev_act = trace.inputs if i == 0 else trace.post[i - 1]
         np.matmul(delta_pre.T, prev_act, out=grads.layers[i].weights)
         np.add.reduce(delta_pre, axis=0, out=grads.layers[i].biases)

@@ -25,8 +25,8 @@ class SparsityConfig:
     def __post_init__(self):
         if not 0.0 < self.xi < 1.0:
             raise DomainError(f"xi must lie in (0,1), got {self.xi}")
-        if self.psi < 0.0:
-            raise DomainError(f"psi must be >= 0, got {self.psi}")
+        if not 0.0 <= self.psi < np.inf:  # NaN fails too
+            raise DomainError(f"psi must be finite and >= 0, got {self.psi}")
 
 
 @dataclass
@@ -53,7 +53,7 @@ def average_activation(trace: ForwardTrace, layer_index: int) -> ActivationSumma
     acts = trace.post[layer_index]
     if acts.shape[0] < 1:
         raise DomainError("empty batch")
-    raw = acts.mean(axis=0)
+    raw = np.add.reduce(acts, axis=0) / acts.shape[0]  # what acts.mean runs
     clamped = np.minimum(np.maximum(raw, CLAMP_EPS), 1.0 - CLAMP_EPS)
     return ActivationSummary(raw=raw, clamped=clamped)
 

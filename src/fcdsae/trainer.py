@@ -31,14 +31,18 @@ class TrainConfig:
             raise DomainError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.batch_size < 1:
             raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr <= 0:
-            raise DomainError(f"lr must be > 0, got {self.lr}")
+        if not 0.0 < self.lr < math.inf:  # NaN fails too
+            raise DomainError(f"lr must be finite and > 0, got {self.lr}")
         if (len(self.topology) < 3 or self.topology[0] != 10
                 or self.topology[-1] != 3):
             raise DomainError(
                 f"topology must map 10 inputs through at least one hidden "
                 f"layer to 3 outputs, got {self.topology}"
             )
+        # J = MSE + psi*sum(KL) < max: MSE <= max/3, each KL <= -log(CLAMP_EPS)
+        if not math.isfinite(2.0 * self.sparsity.psi * sum(self.topology[1:-1])
+                             * -math.log(sparsity.CLAMP_EPS)):
+            raise DomainError(f"psi too large, J may overflow: {self.sparsity.psi}")
 
 
 @dataclass
@@ -125,6 +129,32 @@ def evaluate_total_loss(params: NetworkParams, x: np.ndarray, targets: np.ndarra
             sparsity.total_loss(mse, summaries, cfg), mean_activation)
 
 
+def _epoch(cfg, epoch, order, x_train, t_train, params, state, grads):
+    """One epoch of Adam steps, which update params and state in place, over
+    the training rows in `order`, gathered once: the copies die on return.
+
+    A step checks the batch MSE and never computes J = MSE + psi * sum(KL):
+    the two are finite together. psi is finite and bounded (TrainConfig), so
+    the penalty is finite unless a clamped mean is NaN, and a NaN mean needs
+    a NaN hidden activation, which makes every output of its row NaN."""
+    scfg, size = cfg.sparsity, cfg.batch_size
+    xs, ts = x_train[order], t_train[order]
+    for start in range(0, len(xs), size):
+        xb, tb = xs[start:start + size], ts[start:start + size]
+        trace = network.forward(params, xb)
+        if not math.isfinite(network.mse_loss(trace.output, tb)):
+            raise FloatingPointError(f"training diverged: non-finite loss at "
+                                     f"epoch {epoch + 1}, batch {start // size}")
+        rows = [sparsity.penalty_gradient(s, scfg, len(xb))
+                for s in _hidden_summaries(trace)] if scfg.psi > 0.0 else None
+        network.backward(trace, params, tb, rows, out=grads)
+        try:
+            network.adam_step(params, grads, state)
+        except ValueError as exc:  # a non-finite gradient
+            raise FloatingPointError(f"training diverged at epoch {epoch + 1}, "
+                                     f"batch {start // size}: {exc}") from None
+
+
 def train(cfg: TrainConfig, data: SplitDataset
           ) -> tuple[NetworkParams, Standardizer, TrainReport]:
     """Run the full loop: exactly max_epochs epochs, snapshot parameters at
@@ -145,35 +175,15 @@ def train(cfg: TrainConfig, data: SplitDataset
     state = AdamState.for_network(params, lr=cfg.lr)
     grads = params.like(np.empty_like(params.buffer))
     shuffle_rng = np.random.default_rng(cfg.seed + 1)
-    scfg = cfg.sparsity
 
     hist_train_acc, hist_val_acc, hist_j, hist_mse = [], [], [], []
     best_epoch, best_val, best_params = 0, -1.0, None
 
-    n = len(data.train)
     for epoch in range(cfg.max_epochs):
-        order = shuffle_rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            xb, tb = x_train[idx], t_train[idx]
-            trace = network.forward(params, xb)
-            mse = network.mse_loss(trace.output, tb)
-            summaries = _hidden_summaries(trace)
-            j = sparsity.total_loss(mse, summaries, scfg)
-            if not math.isfinite(j):
-                raise FloatingPointError(
-                    f"training diverged: non-finite loss at epoch {epoch + 1}, "
-                    f"batch {start // cfg.batch_size}"
-                )
-            rows = None
-            if scfg.psi > 0.0:
-                rows = [sparsity.penalty_gradient(s, scfg, len(idx))
-                        for s in summaries]
-            network.backward(trace, params, tb, rows, out=grads)
-            params, state = network.adam_step(params, grads, state)
-
+        _epoch(cfg, epoch, shuffle_rng.permutation(len(y_train)), x_train,
+               t_train, params, state, grads)
         train_preds, mse_full, j_full, _ = evaluate_total_loss(
-            params, x_train, t_train, scfg)
+            params, x_train, t_train, cfg.sparsity)
         train_acc = float(np.mean(train_preds == y_train))
         val_acc = float(np.mean(predict_batch(params, x_test) == y_test))
         hist_train_acc.append(train_acc)
@@ -186,7 +196,7 @@ def train(cfg: TrainConfig, data: SplitDataset
 
     params = best_params
     test_preds, final_mse, _, mean_activation = evaluate_total_loss(
-        params, x_test, one_hot(y_test), scfg)
+        params, x_test, one_hot(y_test), cfg.sparsity)
     cm = confusion(y_test, test_preds)
     block = metric_block(cm)
     report = TrainReport(

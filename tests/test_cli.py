@@ -340,6 +340,22 @@ MALFORMED = {
     "csv-not-utf8": lambda s, tmp: (
         ["eval", "--model", s.model, "--data", _write(tmp / "d.csv", b"\xff\n")],
         2),
+    "csv-long-header-cell": lambda s, tmp: (
+        ["eval", "--model", s.model, "--data", _write(
+            tmp / "d.csv", b"x" * 200_000 + Path(s.data).read_bytes()[1:])], 2),
+    "csv-long-data-cell": lambda s, tmp: (
+        ["eval", "--model", s.model, "--data", _write(
+            tmp / "d.csv", Path(s.data).read_bytes().replace(
+                b"\n1,", b"\n" + b"x" * 200_000 + b","))], 2),
+    "train-lr-nan": lambda s, tmp: (
+        ["train", "--data", s.data, "--lr", "nan",
+         "--out-model", str(tmp / "m.txt")], 1),
+    "train-psi-inf": lambda s, tmp: (
+        ["train", "--data", s.data, "--psi", "inf",
+         "--out-model", str(tmp / "m.txt")], 1),
+    "train-lr-1e300": lambda s, tmp: (
+        ["train", "--data", s.data, "--lr", "1e300",
+         "--out-model", str(tmp / "m.txt")], 1),
     "config-list": lambda s, tmp: (
         ["--config", _write(tmp / "c.json", b"[1, 2]"), "gen-data",
          "--n", "5", "--out", str(tmp / "d.csv")], 1),
@@ -352,9 +368,12 @@ MALFORMED = {
 @pytest.mark.parametrize("case", MALFORMED)
 def test_malformed_input_is_a_one_line_error(case, saved, tmp_path, capsys):
     """Every malformed input exits 1 (usage) or 2 (data) with a one-line
-    `error:` message; an exception escaping main fails the test."""
+    `error:` message; an exception or a warning escaping main fails the
+    test."""
     argv, expected = MALFORMED[case](saved, tmp_path)
-    code, _, err = run(capsys, *argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, *argv)
     assert code == expected
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err

@@ -25,7 +25,9 @@ def trace_for(activations):
 
 
 class TestConfig:
-    @pytest.mark.parametrize("kw", [dict(xi=0.0), dict(xi=1.0), dict(psi=-1.0)])
+    @pytest.mark.parametrize("kw", [dict(xi=0.0), dict(xi=1.0), dict(psi=-1.0),
+                                    dict(psi=float("nan")),
+                                    dict(psi=float("inf"))])
     def test_invalid_rejected(self, kw):
         with pytest.raises(DomainError):
             SparsityConfig(**kw)

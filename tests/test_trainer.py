@@ -21,10 +21,20 @@ class TestConfig:
                                     dict(lr=0.0),
                                     dict(topology=(5, 32, 3)),
                                     dict(topology=(10, 32, 2)),
-                                    dict(topology=(10, 3))])
+                                    dict(topology=(10, 3)),
+                                    dict(lr=float("nan")), dict(lr=float("inf")),
+                                    dict(sparsity=SparsityConfig(psi=1e306))])
     def test_invalid(self, kw):
         with pytest.raises(DomainError):
             TrainConfig(**kw)
+
+    def test_psi_bound_counts_hidden_units(self):
+        """2 * psi * 48 units * -log(CLAMP_EPS) is finite at 1e305, not at
+        1e306 (the sparsity penalty and the MSE could then overflow J)."""
+        TrainConfig(sparsity=SparsityConfig(psi=1e305))
+        with pytest.raises(DomainError, match="psi too large"):
+            TrainConfig(topology=(10, 3000, 3),
+                        sparsity=SparsityConfig(psi=1e305))
 
 
 class TestTrain:
@@ -67,6 +77,35 @@ class TestTrain:
         y = np.array([e.class_label for e in small_data.test])
         acc = float(np.mean(predict_batch(loaded, x) == y))
         assert acc == report.final_metrics.accuracy
+
+    @pytest.mark.parametrize("psi", [0.0, 1e-3])
+    def test_divergence_names_epoch_and_batch(self, small_data, psi):
+        cfg = TrainConfig(lr=1e300, max_epochs=2,
+                          sparsity=SparsityConfig(psi=psi))
+        with pytest.raises(FloatingPointError) as exc:
+            with np.errstate(all="ignore"):
+                train(cfg, small_data)
+        assert str(exc.value) == ("training diverged: non-finite loss at "
+                                  "epoch 1, batch 1")
+
+    def test_rejected_adam_step_names_epoch_and_batch(self, small_data,
+                                                      monkeypatch):
+        """A non-finite gradient under a finite loss: Adam rejects the step
+        and train names where."""
+        backward, calls = network.backward, []
+
+        def nan_on_third_step(*args, **kwargs):
+            grads = backward(*args, **kwargs)
+            calls.append(None)
+            if len(calls) == 3:
+                grads.layers[1].biases[0] = np.nan
+            return grads
+        monkeypatch.setattr(network, "backward", nan_on_third_step)
+        with pytest.raises(FloatingPointError) as exc:
+            train(TrainConfig(max_epochs=1), small_data)
+        assert str(exc.value) == (
+            "training diverged at epoch 1, batch 2: non-finite gradient in "
+            "layer 1; update rejected")
 
     def test_empty_partition_rejected(self):
         data = tiny_data()
