@@ -101,8 +101,7 @@ def _cmd_train(args) -> int:
         seed=args.seed, sparsity=SparsityConfig(xi=args.xi, psi=args.psi))
     examples = _load_examples(args.data)
     data = dataset.split(examples, seed=args.seed)
-    with np.errstate(all="ignore"):  # train reports divergence itself
-        params, std, report = trainer.train(cfg, data)
+    params, std, report = trainer.train(cfg, data)
     network.save_model(params, args.out_model, standardizer=std)
     if args.out_report:
         with open(args.out_report, "w") as fh:

@@ -5,8 +5,9 @@ mirrors the deployed accelerator word-for-word.
 Per-layer products accumulate in a double-width value and are re-quantized
 (round half away from zero, then saturate) back to the compute format after
 each layer. One engine computes these words: `q_forward_batch` runs N frames
-on int64 arrays, and `q_forward` is the same engine on one frame. Its
-docstring gives the bound that keeps it exact. The readable spec it is
+at once, its matrix products as float64 matmuls on weight limbs whose sums
+are exact integers, and `q_forward` is the same engine on one frame. Its
+docstring gives the bounds that keep it exact. The readable spec it is
 tested against is the scalar interpreter in tests/oracles.py.
 """
 
@@ -106,8 +107,8 @@ class QuantizedModel:
     """Integer-word network plus quantized standardization constants.
 
     The word fields are lists of Python ints and are never changed after
-    construction: the engine builds its int64 arrays from them once, on
-    first use.
+    construction: the engine builds its arrays from them once, on first
+    use.
     """
 
     fmt: QFormat
@@ -123,17 +124,21 @@ class QuantizedModel:
 
     @cached_property
     def _arrays(self):
-        """The engine's int64 arrays: mean, invstd, and per layer the high
-        and low 16-bit weight limbs (fan_in x fan_out) and the bias at the
-        accumulator scale. DimensionError for a layer past the fan_in bound."""
+        """int64 mean and invstd, and per layer the float64 weight limbs
+        (fan_in x fan_out, lowest first), their width and the int64 bias at
+        the accumulator scale. DimensionError past the fan_in bound."""
+        bits = self.fmt.total_bits
         layers = []
         for i, (w_layer, b_layer) in enumerate(zip(self.weights, self.biases)):
             w = np.array(w_layer, np.int64).T
             if len(w) > _MAX_FAN_IN:
                 raise DimensionError(f"layer {i} has fan_in {len(w)}; the "
                                      f"engine is exact up to {_MAX_FAN_IN}")
-            layers.append((w >> 16, w & 0xFFFF,
-                           np.array(b_layer, np.int64) << self.fmt.frac_bits))
+            k = 53 - (bits - 1) - (len(w) - 1).bit_length()  # ceil(log2 fan_in)
+            top = 0 if k >= bits else k * (-(-bits // k) - 1)
+            limbs = [(w >> s) & ((1 << k) - 1) for s in range(0, top, k)]
+            layers.append(([limb.astype(np.float64) for limb in limbs + [w >> top]],
+                           k, np.array(b_layer, np.int64) << self.fmt.frac_bits))
         return (np.array(self.std_mean, np.int64),
                 np.array(self.std_invstd, np.int64), layers)
 
@@ -212,19 +217,24 @@ def q_forward_batch(qm: QuantizedModel, frames) -> tuple[np.ndarray, np.ndarray]
 
     Standardization, matrix products, bias adds, and ReLU all run on raw
     integer words; each layer's double-width accumulator is re-quantized to
-    the compute format before the next layer. Every step is exact in int64
-    for formats of 2 to 32 bits. The model's words lie in their formats'
+    the compute format before the next layer. Every step is exact for
+    formats of 2 to 32 bits. The model's words lie in their formats'
     ranges (`quantize_model` saturates them, `load_qmodel` checks them);
     frames and fan_in are checked here.
     - frame words and means are Q18.14 and scales Q8.24, so
-      |x - mean| * |invstd| <= (2^32 - 1) * 2^31 < 2^63;
-    - each weight splits into 16-bit limbs, w = (w >> 16) * 2^16 +
-      (w & 0xFFFF), one matmul each. With activations |a| <= 2^31 and
-      fan_in <= 2^15, the low sum plus the bias at the accumulator scale
-      (|b * 2^f| <= 2^62) stays below 2^63, and the high sum below 2^61;
-    - H = high + (low >> 16) is clamped to +-2^46 before it is shifted back,
-      acc = H * 2^16 + (low & 0xFFFF): the clamp touches only |acc| > 2^62,
-      which saturates every format of up to 32 bits either way;
+      |x - mean| * |invstd| <= (2^32 - 1) * 2^31 < 2^63 in int64;
+    - a layer of fan_in n <= 2^15 in a B-bit format splits each weight into
+      limbs of k = 53 - (B - 1) - ceil(log2 n) >= 7 bits: one limb if k >= B,
+      else L = ceil(B / k), the low ones (w >> kj) & (2^k - 1), the top one
+      the signed w >> K, K = k(L - 1). With |a| <= 2^(B-1) and |limb| < 2^k,
+      every partial sum of a float64 a @ limb is an integer below
+      n * 2^(B-1) * (2^k - 1) < 2^53, exact in any order, FMA or not;
+    - in int64, the lowest sum takes the bias at the accumulator scale
+      (|b * 2^f| <= 2^62) and each higher one the carry from below,
+      c_j = s_j + (c_{j-1} >> k), whose low k bits join the remainder R < 2^K;
+    - the top carry is clamped to +-2^(62-K) before acc = top * 2^K + R
+      (< 2^63). A clamped top means |acc| > 2^62 before and > 2^62 - 2^K
+      after; as K <= 30, both saturate every format of up to 32 bits;
     - rounding works on the magnitude and adds nothing before shifting.
     """
     x = _frames(frames, qm.input_width)
@@ -238,12 +248,16 @@ def q_forward_batch(qm: QuantizedModel, frames) -> tuple[np.ndarray, np.ndarray]
     for start in range(0, len(x), _BLOCK):
         acts = _requantize((x[start:start + _BLOCK] - mean) * invstd,
                            std_shift, fmt)
-        for w_high, w_low, b_scaled in layers:
-            low = acts @ w_low + b_scaled
-            high = np.minimum(np.maximum(acts @ w_high + (low >> 16), -(1 << 46)),
-                              1 << 46)
-            acts = np.maximum(
-                _requantize((high << 16) + (low & 0xFFFF), f, fmt), 0)
+        for limbs, k, b_scaled in layers:
+            a = acts.astype(np.float64)
+            acc, rem, low_bits = (a @ limbs[0]).astype(np.int64) + b_scaled, 0, 0
+            for limb in limbs[1:]:
+                rem += (acc & ((1 << k) - 1)) << low_bits
+                acc = (a @ limb).astype(np.int64) + (acc >> k)
+                low_bits += k
+            bound = 1 << (62 - low_bits)
+            acc = np.minimum(np.maximum(acc, -bound), bound)
+            acts = np.maximum(_requantize((acc << low_bits) + rem, f, fmt), 0)
         words[start:start + _BLOCK] = acts
     return words, np.argmax(words, axis=1)
 

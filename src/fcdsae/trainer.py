@@ -155,6 +155,7 @@ def _epoch(cfg, epoch, order, x_train, t_train, params, state, grads):
                                      f"batch {start // size}: {exc}") from None
 
 
+@np.errstate(all="ignore")  # divergence is reported as a FloatingPointError
 def train(cfg: TrainConfig, data: SplitDataset
           ) -> tuple[NetworkParams, Standardizer, TrainReport]:
     """Run the full loop: exactly max_epochs epochs, snapshot parameters at

@@ -358,6 +358,56 @@ def range_end_model(rng, fmt, widths):
         std_invstd=words(SCALE_FORMAT, widths[0]))
 
 
+def limb_layout(total_bits, fan_in):
+    """The engine's documented limb width and count for one layer."""
+    k = 53 - (total_bits - 1) - math.ceil(math.log2(fan_in))
+    return k, 1 if k >= total_bits else math.ceil(total_bits / k)
+
+
+def limb_fan_ins(total_bits):
+    """fan_in 1, and both sides of each point up to 2^15 where the limb
+    count changes or a layer of more than one limb changes limb width."""
+    def layout(fan_in):
+        k, count = limb_layout(total_bits, fan_in)
+        return count, count > 1 and k
+    fan_ins = {1}
+    for c in range(15):
+        if layout(1 << c) != layout((1 << c) + 1):
+            fan_ins |= {1 << c, (1 << c) + 1}
+    return sorted(fan_ins)
+
+
+def limb_stress_model(rng, fmt, fan_in, sign):
+    """A one-layer model and one frame: fan_in odd activations of one sign
+    at the end of the range the input path reaches, and weights whose low
+    limbs are all full (w = -1 mod 2^K, K the bits below the top limb).
+    Columns: the widest such weight of the activations' sign, whose
+    accumulator can pass the top clamp; and two of -1 with the first weight
+    tuned so the accumulator sits just below and on a rounding edge, where
+    a limb sum that is off by one changes the word. Each bias brings its
+    word to 1 or 2 where the range allows it."""
+    bits, f = fmt.total_bits, fmt.frac_bits
+    k, count = limb_layout(bits, fan_in)
+    low_bits = k * (count - 1)
+    # the frame word x standardizes to the activation x >> shift exactly
+    shift = max(0, 8 - f)
+    end = min(fmt.raw_max, INPUT_FORMAT.raw_max >> shift)
+    acts = [sign * (end - 2 * int(u))
+            for u in rng.integers(0, min(8, end // 2 + 1), fan_in)]
+    rest = sum(acts[1:])
+    widest = fmt.raw_max if sign > 0 else fmt.raw_min + (1 << low_bits) - 1
+    columns = [([widest] * fan_in, widest * sum(acts))]
+    for edge in (-1, 0):  # the accumulator mod 2^f: 2^(f-1) - 1 and 2^(f-1)
+        w0 = ((1 << f >> 1) + edge + rest) * pow(acts[0], -1, 1 << f) % (1 << f)
+        columns.append(([w0] + [-1] * (fan_in - 1), w0 * acts[0] - rest))
+    qm = QuantizedModel(
+        fmt=fmt, weights=[[w for w, _ in columns]],
+        biases=[[min(max(1 - (acc >> f), fmt.raw_min), fmt.raw_max)
+                 for _, acc in columns]],
+        std_mean=[0] * fan_in, std_invstd=[1 << (38 - f - shift)] * fan_in)
+    return qm, [a << shift for a in acts]
+
+
 class TestBatchEngine:
     """q_forward_batch, dump_frames and the evaluate_quantized confusion
     against the scalar oracle, frame by frame."""
@@ -402,10 +452,42 @@ class TestBatchEngine:
                                     size=(12, 10)).tolist()
                 self.assert_matches_oracle(qm, frames, rng)
 
+    def test_limb_sums_near_the_float64_bound(self):
+        """Every total_bits with integer bits 1 and total - 1, at each
+        fan_in where the limb layout changes, activations of alternating
+        sign: the low limb sums of a multi-limb layer come within about a
+        factor 2 of 2^53 wherever the input path reaches the range end."""
+        rng = np.random.default_rng(53)
+        for total in range(2, 33):
+            for fmt in {QFormat(total, 1), QFormat(total, total - 1)}:
+                for i, fan_in in enumerate(limb_fan_ins(total)):
+                    qm, frame = limb_stress_model(rng, fmt, fan_in, (-1) ** i)
+                    words, _ = q_forward_batch(qm, [frame])
+                    assert words[0].tolist() == scalar_q_forward(qm, frame)[0], \
+                        (fmt, fan_in)
+
+    @pytest.mark.parametrize("fmt, fan_in, width, count", [
+        (Q88, 32, 33, 1), (QFormat(32, 2), 32, 17, 2),
+        (QFormat(32, 1), 1 << 15, 7, 5)])
+    def test_documented_limb_layout(self, fmt, fan_in, width, count):
+        """One limb for Q8.8 at the reference widths, two of 17 bits for
+        Q2.30, five of 7 bits for 32-bit words at the fan_in bound; the
+        limbs add back up to the weights."""
+        row = ([fmt.raw_min, -1, 0, 1, fmt.raw_max] * fan_in)[:fan_in]
+        qm = QuantizedModel(fmt=fmt, weights=[[row]], biases=[[0]],
+                            std_mean=[0] * fan_in, std_invstd=[0] * fan_in)
+        limbs, k, _ = qm._arrays[2][0]
+        assert (k, len(limbs)) == (width, count) == limb_layout(fmt.total_bits,
+                                                                fan_in)
+        assert all(limb.dtype == np.float64 for limb in limbs)
+        rebuilt = sum(limb.astype(np.int64) << (k * j)
+                      for j, limb in enumerate(limbs))
+        assert rebuilt[:, 0].tolist() == row
+
     def test_fan_in_bound(self):
-        """At fan_in 2^15, weights of -1 (low limb 0xFFFF), the lowest bias
-        and standardized inputs of -2^31 drive the low sum to -2^63 + 2^46;
-        one more input would wrap int64, so the engine refuses it."""
+        """At fan_in 2^15, 32-bit weights of -1 (every low 7-bit limb full),
+        the lowest bias and standardized inputs of -2^31 put each low limb
+        sum at -(2^53 - 2^46); the engine refuses a wider layer."""
         fmt = QFormat(32, 1)
         for fan_in in (1 << 15, (1 << 15) + 1):
             qm = QuantizedModel(fmt=fmt, weights=[[[-1] * fan_in]],

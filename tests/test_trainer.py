@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -87,6 +89,14 @@ class TestTrain:
                 train(cfg, small_data)
         assert str(exc.value) == ("training diverged: non-finite loss at "
                                   "epoch 1, batch 1")
+
+    def test_divergence_raises_without_warnings(self, small_data):
+        """Called directly, train silences numpy's overflow warnings itself:
+        with warnings as errors, only its FloatingPointError comes out."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="training diverged"):
+                train(TrainConfig(lr=1e300, max_epochs=2), small_data)
 
     def test_rejected_adam_step_names_epoch_and_batch(self, small_data,
                                                       monkeypatch):
