@@ -123,8 +123,6 @@ def _check_topology(path, n_inputs: int, n_outputs: int) -> None:
 
 def _load_model(path):
     params, std = network.load_model(path)
-    if std is None:
-        raise ParseError(f"{path}: model file has no standardizer records")
     _check_topology(path, params.topology[0], params.topology[-1])
     return params, std
 
@@ -216,6 +214,9 @@ def _apply_config_defaults(argv: list[str]) -> list[str]:
         raise UsageError(f"bad config file {path}: {exc}")
     if not isinstance(conf, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
+    for key, value in conf.items():
+        if value is None or isinstance(value, (bool, list, dict)):
+            raise UsageError(f"config {path}: {key!r} is not a number or string")
     out = unknown + known.rest
     k = next((j for j, a in enumerate(out) if a in _COMMANDS), len(out)) + 1
     out[k:k] = [a for key, value in conf.items()

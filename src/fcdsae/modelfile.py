@@ -28,8 +28,9 @@ def write(path, magic: str, records, layers, fmt) -> None:
 
 def read(path, magic: str, tags, parse):
     """Returns ({tag: values}, [(weight rows, biases)]). `tags` are the
-    header records allowed, each at most once; `parse` turns a word into a
-    value or raises ValueError. Grammar faults raise ParseError."""
+    header records, each required exactly once; `parse` turns a word into a
+    value or raises ValueError. Grammar faults, then missing records, raise
+    ParseError."""
     with open(path) as fh:
         lines = [(n, ln.split()) for n, ln in enumerate(fh, 1) if ln.strip()]
     if not lines or lines[0][1] != magic.split():
@@ -79,4 +80,7 @@ def read(path, magic: str, tags, parse):
             fail(n, "expected BIAS line")
         layers.append((rows, values(*next_line(f"{fan_out} biases"), fan_out)))
         line = next(pending, None)
+    missing = [tag for tag in tags if tag not in records]
+    if missing:
+        raise ParseError(f"{path}: missing records {missing}")
     return records, layers

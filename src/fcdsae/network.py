@@ -234,27 +234,21 @@ def _finite(word: str) -> float:
     return value
 
 
-def save_model(params: NetworkParams, path, standardizer=None) -> None:
+def save_model(params: NetworkParams, path, standardizer) -> None:
     """Write the versioned plain-text model file, with the frozen
-    standardization statistics as STDMEAN/STDSTD records when given, so a
-    saved model is directly usable for evaluation."""
-    records = []
-    if standardizer is not None:
-        records = [("STDMEAN", standardizer.mean), ("STDSTD", standardizer.std)]
+    standardization statistics as STDMEAN/STDSTD records, so a saved model
+    is directly usable for evaluation."""
+    records = [("STDMEAN", standardizer.mean), ("STDSTD", standardizer.std)]
     modelfile.write(path, MODEL_MAGIC, records,
                     [(l.weights, l.biases) for l in params.layers], _fmt)
 
 
 def load_model(path):
-    """Read a model file; returns (NetworkParams, Standardizer or None)."""
+    """Read a model file; returns (NetworkParams, Standardizer)."""
     records, layers = modelfile.read(path, MODEL_MAGIC, ("STDMEAN", "STDSTD"),
                                      _finite)
     params = NetworkParams([LayerParams(np.array(w), np.array(b))
                             for w, b in layers])
-    if not records:
-        return params, None
-    if len(records) != 2:
-        raise ParseError(f"{path}: STDMEAN and STDSTD must come as a pair")
     for tag, vec in records.items():
         if len(vec) != params.layers[0].fan_in:
             raise ParseError(f"{path}: {tag} has {len(vec)} values, the input "

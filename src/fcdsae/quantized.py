@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from fcdsae import modelfile
+from fcdsae import metrics, modelfile
 from fcdsae.errors import DimensionError, DomainError, FrameError, ParseError
 
 QMODEL_MAGIC = "FCDSAE-Q 1"
@@ -106,31 +106,30 @@ _MAX_FAN_IN = 1 << 15
 class QuantizedModel:
     """Integer-word network plus quantized standardization constants.
 
-    The word fields are lists of Python ints and are never changed after
-    construction: the engine builds its arrays from them once, on first
-    use.
+    The word fields are int64 arrays, never changed after construction; the
+    engine derives its weight limbs from them once, on first use.
     """
 
     fmt: QFormat
-    weights: list[list[list[int]]]   # per layer: fan_out rows of fan_in words
-    biases: list[list[int]]          # per layer: fan_out words
-    std_mean: list[int]              # INPUT_FORMAT words
-    std_invstd: list[int]            # SCALE_FORMAT words
+    weights: list[np.ndarray]        # per layer: (fan_out, fan_in) words
+    biases: list[np.ndarray]         # per layer: (fan_out,) words
+    std_mean: np.ndarray             # INPUT_FORMAT words
+    std_invstd: np.ndarray           # SCALE_FORMAT words
     saturation_count: int = 0
 
     @property
     def input_width(self) -> int:
-        return len(self.weights[0][0])
+        return self.weights[0].shape[1]
 
     @cached_property
-    def _arrays(self):
-        """int64 mean and invstd, and per layer the float64 weight limbs
-        (fan_in x fan_out, lowest first), their width and the int64 bias at
-        the accumulator scale. DimensionError past the fan_in bound."""
+    def _layers(self):
+        """Per layer the float64 weight limbs (fan_in x fan_out, lowest
+        first), their width and the int64 bias at the accumulator scale.
+        DimensionError past the fan_in bound."""
         bits = self.fmt.total_bits
         layers = []
-        for i, (w_layer, b_layer) in enumerate(zip(self.weights, self.biases)):
-            w = np.array(w_layer, np.int64).T
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            w = w.T
             if len(w) > _MAX_FAN_IN:
                 raise DimensionError(f"layer {i} has fan_in {len(w)}; the "
                                      f"engine is exact up to {_MAX_FAN_IN}")
@@ -138,9 +137,8 @@ class QuantizedModel:
             top = 0 if k >= bits else k * (-(-bits // k) - 1)
             limbs = [(w >> s) & ((1 << k) - 1) for s in range(0, top, k)]
             layers.append(([limb.astype(np.float64) for limb in limbs + [w >> top]],
-                           k, np.array(b_layer, np.int64) << self.fmt.frac_bits))
-        return (np.array(self.std_mean, np.int64),
-                np.array(self.std_invstd, np.int64), layers)
+                           k, b << self.fmt.frac_bits))
+        return layers
 
 
 def quantize_model(params, std, fmt: QFormat = QFormat()) -> QuantizedModel:
@@ -148,12 +146,12 @@ def quantize_model(params, std, fmt: QFormat = QFormat()) -> QuantizedModel:
     the representable range saturate and are tallied, never rejected."""
     saturated = 0
 
-    def q(values, f: QFormat) -> list:
+    def q(values, f: QFormat) -> np.ndarray:
         nonlocal saturated
         values = np.asarray(values, np.float64)
         saturated += int(np.count_nonzero((values < f.min_value)
                                           | (values > f.max_value)))
-        return quantize(values, f).tolist()
+        return quantize(values, f)
 
     with np.errstate(over="ignore"):  # a subnormal std saturates its scale
         invstd = 1.0 / np.asarray(std.std, np.float64)
@@ -170,23 +168,17 @@ def frame_from_features(features) -> list[int]:
     return quantize(features, INPUT_FORMAT).tolist()
 
 
-def _rows(rows, width: int, dtype=None) -> np.ndarray:
-    """rows as an (N, width) array; FrameError for anything else."""
-    try:
-        x = np.array(rows, dtype=dtype)
-    except ValueError as exc:  # ragged rows, or a non-numeric value
-        raise FrameError(f"frames are not equal-length rows of numbers: {exc}") \
-            from None
-    if len(x) and x.shape[1:] != (width,):
-        raise FrameError(f"frames of shape {x.shape}, model expects {width} "
-                         "words per frame")
-    return x.reshape(len(x), width)
-
-
 def _frames(frames, width: int) -> np.ndarray:
     """frames as an (N, width) int64 array of Q18.14 words; FrameError for
     anything else, floats (integral ones included) and strings too."""
-    x = _rows(frames, width)
+    try:
+        x = np.asarray(frames)
+    except ValueError as exc:  # ragged rows
+        raise FrameError(f"frames are not equal-length rows: {exc}") from None
+    if len(x) and x.shape[1:] != (width,):
+        raise FrameError(f"frames of shape {x.shape}, model expects {width} "
+                         "words per frame")
+    x = x.reshape(len(x), width)
     if x.size:
         if x.dtype.kind not in "iu":
             raise FrameError(f"frame words must be {INPUT_FORMAT} integers, "
@@ -202,10 +194,9 @@ def _requantize(acc: np.ndarray, shift: int, fmt: QFormat) -> np.ndarray:
     away from zero, and saturate into fmt's raw range. Rounding works on
     the magnitude and adds nothing before shifting, so it cannot overflow;
     shift >= 1 (38 - f or f)."""
-    m = np.abs(acc)
+    m, sign = np.abs(acc), acc >> 63  # 0 or -1: (q ^ sign) - sign is +-q
     q = (m >> shift) + ((m >> (shift - 1)) & 1)
-    return np.minimum(np.maximum(np.where(acc < 0, -q, q), fmt.raw_min),
-                      fmt.raw_max)
+    return np.minimum(np.maximum((q ^ sign) - sign, fmt.raw_min), fmt.raw_max)
 
 
 _BLOCK = 1024
@@ -238,7 +229,7 @@ def q_forward_batch(qm: QuantizedModel, frames) -> tuple[np.ndarray, np.ndarray]
     - rounding works on the magnitude and adds nothing before shifting.
     """
     x = _frames(frames, qm.input_width)
-    mean, invstd, layers = qm._arrays
+    mean, invstd, layers = qm.std_mean, qm.std_invstd, qm._layers
     fmt, f = qm.fmt, qm.fmt.frac_bits
     # z = (x - mean) * invstd, exact product at 2^-(in_f + scale_f), then
     # rounded into the compute format
@@ -277,12 +268,9 @@ class QuantEvalResult:
 def evaluate_quantized(qm: QuantizedModel, examples) -> QuantEvalResult:
     """Metric block and confusion matrix of the fixed-point path over a
     `dataset.Examples`."""
-    from fcdsae.metrics import confusion, metric_block
-
-    features = _rows(examples.features, qm.input_width, np.float64)
-    _, preds = q_forward_batch(qm, quantize(features, INPUT_FORMAT))
-    cm = confusion(examples.labels, preds)
-    return QuantEvalResult(metrics=metric_block(cm), confusion=cm)
+    _, preds = q_forward_batch(qm, quantize(examples.features, INPUT_FORMAT))
+    cm = metrics.confusion(examples.labels, preds)
+    return QuantEvalResult(metrics=metrics.metric_block(cm), confusion=cm)
 
 
 def dump_frames(qm: QuantizedModel, frames: list[list[int]]) -> str:
@@ -309,18 +297,18 @@ def save_qmodel(qm: QuantizedModel, path) -> None:
     modelfile.write(path, QMODEL_MAGIC, records, zip(qm.weights, qm.biases), str)
 
 
-def _check_words(path, what: str, words, fmt: QFormat) -> None:
-    for w in words:
-        if not fmt.raw_min <= w <= fmt.raw_max:
-            raise ParseError(f"{path}: {what} word {w} is outside the {fmt} "
-                             f"range [{fmt.raw_min}, {fmt.raw_max}]")
+def _check_words(path, what: str, words, fmt: QFormat) -> np.ndarray:
+    """A record's int words as int64; ParseError names the first outside fmt."""
+    a = np.array(words, dtype=object)
+    bad = (a < fmt.raw_min) | (a > fmt.raw_max)
+    if bad.any():
+        raise ParseError(f"{path}: {what} word {a[bad][0]} is outside the "
+                         f"{fmt} range [{fmt.raw_min}, {fmt.raw_max}]")
+    return a.astype(np.int64)
 
 
 def load_qmodel(path) -> QuantizedModel:
     records, layers = modelfile.read(path, QMODEL_MAGIC, _QTAGS, int)
-    missing = [tag for tag in _QTAGS if tag not in records]
-    if missing:
-        raise ParseError(f"{path}: missing records {missing}")
     for tag, fixed in (("QIN", INPUT_FORMAT), ("QSCALE", SCALE_FORMAT)):
         if records[tag] != _format_words(fixed):
             raise ParseError(f"{path}: {tag} must be {fixed.total_bits} "
@@ -337,11 +325,11 @@ def load_qmodel(path) -> QuantizedModel:
         if len(records[tag]) != width:
             raise ParseError(f"{path}: {tag} has {len(records[tag])} words, "
                              f"the input width is {width}")
-        _check_words(path, tag, records[tag], word_fmt)
-    for i, (rows, biases) in enumerate(layers):
-        _check_words(path, f"layer {i} weight", (w for r in rows for w in r), fmt)
-        _check_words(path, f"layer {i} bias", biases, fmt)
-    return QuantizedModel(fmt=fmt, weights=[rows for rows, _ in layers],
-                          biases=[biases for _, biases in layers],
+        records[tag] = _check_words(path, tag, records[tag], word_fmt)
+    weights, biases = [], []
+    for i, (rows, b) in enumerate(layers):
+        weights.append(_check_words(path, f"layer {i} weight", rows, fmt))
+        biases.append(_check_words(path, f"layer {i} bias", b, fmt))
+    return QuantizedModel(fmt=fmt, weights=weights, biases=biases,
                           std_mean=records["STDMEAN"],
                           std_invstd=records["STDINVSTD"])

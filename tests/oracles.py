@@ -326,23 +326,29 @@ def scalar_quantize(x, fmt):
 
 
 def scalar_q_forward(qm, frame):
-    """Straight-line scalar interpreter of the fixed-point inference path."""
+    """Straight-line scalar interpreter of the fixed-point inference path.
+    It reads every word as a Python int, so its arithmetic is unbounded
+    whatever type the model or the frame stores them in."""
     from fcdsae.quantized import INPUT_FORMAT, SCALE_FORMAT
 
     f = qm.fmt.frac_bits
     total = qm.fmt.total_bits
     std_shift = INPUT_FORMAT.frac_bits + SCALE_FORMAT.frac_bits - f
+    frame = [int(v) for v in frame]
+    std_mean, std_invstd = qm.std_mean.tolist(), qm.std_invstd.tolist()
+    weights = [w.tolist() for w in qm.weights]
+    biases = [b.tolist() for b in qm.biases]
     acts = []
     for i in range(len(frame)):
-        diff = frame[i] - qm.std_mean[i]
-        prod = diff * qm.std_invstd[i]
+        diff = frame[i] - std_mean[i]
+        prod = diff * std_invstd[i]
         acts.append(_sat(_round_half_away(prod, std_shift), total))
-    for li in range(len(qm.weights)):
+    for li in range(len(weights)):
         nxt = []
-        for j in range(len(qm.weights[li])):
-            acc = qm.biases[li][j] * (1 << f)
+        for j in range(len(weights[li])):
+            acc = biases[li][j] * (1 << f)
             for k in range(len(acts)):
-                acc = acc + qm.weights[li][j][k] * acts[k]
+                acc = acc + weights[li][j][k] * acts[k]
             y = _sat(_round_half_away(acc, f), total)
             if y < 0:
                 y = 0

@@ -121,8 +121,9 @@ class TestQuantize:
         params, std = network.load_model(trained_model)
         qm = quantized.quantize_model(params, std, QFormat(16, 8))
         loaded = quantized.load_qmodel(out)
-        assert loaded.weights == qm.weights
-        assert loaded.std_mean == qm.std_mean
+        assert [w.tolist() for w in loaded.weights] \
+            == [w.tolist() for w in qm.weights]
+        assert loaded.std_mean.tolist() == qm.std_mean.tolist()
 
 
 class TestEval:
@@ -212,6 +213,17 @@ class TestConfigFile:
             assert code == 0
             assert out.read_bytes() == want.read_bytes(), explicit
 
+    def test_non_scalar_value_names_the_key(self, tmp_path, capsys, monkeypatch):
+        """A JSON null, boolean, array or object has no flag spelling: a
+        usage error naming its key, not a file named `None` or `True`."""
+        monkeypatch.chdir(tmp_path)
+        conf = tmp_path / "conf.json"
+        for value in ("null", "true", "[1]", '{"a": 1}'):
+            conf.write_text('{"n": 5, "out": %s}' % value)
+            code, _, err = run(capsys, "--config", str(conf), "gen-data")
+            assert code == 1 and "'out'" in err, value
+        assert list(tmp_path.iterdir()) == [conf]
+
     def test_missing_config(self, tmp_path, capsys):
         code, _, _ = run(capsys, "--config", str(tmp_path / "no.json"),
                          "gen-data", "--n", "5", "--out", str(tmp_path / "d.csv"))
@@ -268,9 +280,10 @@ def _wide_qmodel(tmp, hidden):
     """A 10-hidden-3 model.qtxt of zero words."""
     path = tmp / "m.qtxt"
     quantized.save_qmodel(quantized.QuantizedModel(
-        fmt=QFormat(), weights=[[[0] * 10] * hidden, [[0] * hidden] * 3],
-        biases=[[0] * hidden, [0] * 3], std_mean=[0] * 10,
-        std_invstd=[0] * 10), path)
+        fmt=QFormat(), weights=[np.zeros((hidden, 10), np.int64),
+                                np.zeros((3, hidden), np.int64)],
+        biases=[np.zeros(hidden, np.int64), np.zeros(3, np.int64)],
+        std_mean=np.zeros(10, np.int64), std_invstd=np.zeros(10, np.int64)), path)
     return str(path)
 
 
@@ -329,6 +342,10 @@ MALFORMED = {
         ["eval", "--qmodel", _edited(s.qmodel, tmp / "m.qtxt", 7, " ".join(
             ["99999999999"] + _words(s.qmodel, 7)[1:])),
          "--data", s.data], 2),
+    "qmodel-word-beyond-int64": lambda s, tmp: (
+        ["eval", "--qmodel", _edited(s.qmodel, tmp / "m.qtxt", 7, " ".join(
+            ["99999999999999999999"] + _words(s.qmodel, 7)[1:])),
+         "--data", s.data], 2),
     "infer-row-nan": lambda s, tmp: (
         ["infer", "--qmodel", s.qmodel, "--row", ROW.replace("24.2", "nan")], 1),
     "infer-row-inf": lambda s, tmp: (
@@ -362,6 +379,9 @@ MALFORMED = {
     "config-scalar": lambda s, tmp: (
         ["--config", _write(tmp / "c.json", b"3"), "gen-data",
          "--n", "5", "--out", str(tmp / "d.csv")], 1),
+    "config-null-value": lambda s, tmp: (
+        ["--config", _write(tmp / "c.json", b'{"out": null}'), "gen-data",
+         "--n", "5"], 1),
 }
 
 

@@ -45,8 +45,7 @@ def load_and_use(text, qmodel):
         assert all(qm.fmt.raw_min <= w <= qm.fmt.raw_max for w in words)
     else:
         network.forward(params, np.zeros((1, params.layers[0].fan_in)))
-        if std is not None:
-            quantized.quantize_model(params, std, QFormat(32, 2))
+        quantized.quantize_model(params, std, QFormat(32, 2))
     return True
 
 
@@ -60,8 +59,9 @@ def test_truncated_at_every_line(qmodel):
 
 
 TOKENS = st.sampled_from(["", "0", "-1", "1.5", "nan", "inf", "-inf", "1e999",
-                          "1e-320", "99999999999", "abc", "LAYER", "BIAS",
-                          "STDMEAN", "STDSTD", "Q", "QIN", "2 3", "4"])
+                          "1e-320", "99999999999", "99999999999999999999",
+                          "abc", "LAYER", "BIAS", "STDMEAN", "STDSTD", "Q",
+                          "QIN", "2 3", "4"])
 
 
 @pytest.mark.parametrize("qmodel", [False, True], ids=["model", "qmodel"])
@@ -94,8 +94,44 @@ def test_grammar_fault_names_the_line(tmp_path, old, new, match):
         network.load_model(path)
 
 
+@pytest.mark.parametrize("qmodel", [False, True], ids=["model", "qmodel"])
+def test_every_header_record_required(tmp_path, qmodel):
+    """A file without one of its header records is a ParseError naming it,
+    raised only once the grammar holds: with a short last bias row as well,
+    the short row is the fault reported."""
+    lines = (QMODEL_TEXT if qmodel else MODEL_TEXT).splitlines()
+    load = quantized.load_qmodel if qmodel else network.load_model
+    path = tmp_path / "m"
+    n_records = next(i for i, ln in enumerate(lines) if ln.startswith("LAYER")) - 1
+    assert n_records == (5 if qmodel else 2)
+    for i in range(1, n_records + 1):
+        kept = lines[:i] + lines[i + 1:]
+        path.write_text("\n".join(kept) + "\n")
+        tag = lines[i].split()[0]
+        with pytest.raises(ParseError, match=rf"missing records \['{tag}'\]"):
+            load(path)
+        path.write_text("\n".join(kept[:-1] + ["1"]) + "\n")
+        with pytest.raises(ParseError, match="expected 2 values, got 1"):
+            load(path)
+
+
+def test_word_beyond_int64_is_named(tmp_path):
+    """A word no int64 holds is named like any other out-of-range word."""
+    lines = QMODEL_TEXT.splitlines()
+    row = lines.index("LAYER 4 3") + 1
+    lines[row] = " ".join(["-99999999999999999999"] + lines[row].split()[1:])
+    path = tmp_path / "m.qtxt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="layer 0 weight word -99999999999999999999 "):
+        quantized.load_qmodel(path)
+
+
 def test_blank_lines_ignored(tmp_path):
     plain, spaced = tmp_path / "a.qtxt", tmp_path / "b.qtxt"
     plain.write_text(QMODEL_TEXT)
     spaced.write_text("\n" + QMODEL_TEXT.replace("\n", "\n\n"))
-    assert quantized.load_qmodel(spaced) == quantized.load_qmodel(plain)
+    a, b = quantized.load_qmodel(spaced), quantized.load_qmodel(plain)
+    assert a.fmt == b.fmt
+    assert all(np.array_equal(x, y) for x, y in zip(
+        a.weights + a.biases + [a.std_mean, a.std_invstd],
+        b.weights + b.biases + [b.std_mean, b.std_invstd], strict=True))

@@ -233,11 +233,12 @@ class TestTopology:
 
 class TestModelFile:
     def test_round_trip_exact(self, tmp_path):
+        from fcdsae.dataset import Standardizer
+
         params = network.init_network((4, 5, 3), seed=11)
         path = tmp_path / "m.txt"
-        network.save_model(params, path)
-        loaded, std = network.load_model(path)
-        assert std is None
+        network.save_model(params, path, Standardizer(np.zeros(4), np.ones(4)))
+        loaded, _ = network.load_model(path)
         for la, lb in zip(params.layers, loaded.layers):
             npt.assert_array_equal(la.weights, lb.weights)
             npt.assert_array_equal(la.biases, lb.biases)

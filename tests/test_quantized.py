@@ -169,18 +169,22 @@ class TestQuantizeOracle:
                               np.nextafter(f.min_value, -np.inf),
                               np.nextafter(f.max_value, np.inf)]
             qm = quantize_model(params, std, fmt)
-            words = [w for layer in qm.weights for row in layer for w in row] \
-                + [w for b in qm.biases for w in b] + qm.std_mean + qm.std_invstd
-            assert all(type(w) is int for w in words)
+            words = model_words(qm)
+            assert all(w.dtype == np.int64 for w in words)
             tensors = [(layer.weights, fmt) for layer in params.layers] + [
                 (layer.biases, fmt) for layer in params.layers] + [
                 (std.mean, INPUT_FORMAT),
                 ([1.0 / s for s in std.std.tolist()], SCALE_FORMAT)]
-            assert qm.weights + qm.biases + [qm.std_mean, qm.std_invstd] \
+            assert [w.tolist() for w in words] \
                 == [oracle_words(t, f) for t, f in tensors]
             assert qm.saturation_count == sum(
                 not f.min_value <= v <= f.max_value
                 for t, f in tensors for v in np.ravel(t).tolist())
+
+
+def model_words(qm):
+    """The model's word arrays: weights, biases, mean and scale."""
+    return qm.weights + qm.biases + [qm.std_mean, qm.std_invstd]
 
 
 def identity_model(width=3, fmt=Q88):
@@ -215,7 +219,8 @@ class TestQuantizeModel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             qm = quantize_model(params, std, Q88)
-        assert qm.std_invstd == [SCALE_FORMAT.raw_max, 1 << SCALE_FORMAT.frac_bits]
+        assert qm.std_invstd.tolist() == [SCALE_FORMAT.raw_max,
+                                          1 << SCALE_FORMAT.frac_bits]
         assert qm.saturation_count == 1
 
 
@@ -323,10 +328,8 @@ class TestFilesAndDumps:
         save_qmodel(qm, path)
         back = load_qmodel(path)
         assert back.fmt == qm.fmt
-        assert back.weights == qm.weights
-        assert back.biases == qm.biases
-        assert back.std_mean == qm.std_mean
-        assert back.std_invstd == qm.std_invstd
+        for got, want in zip(model_words(back), model_words(qm), strict=True):
+            assert got.dtype == np.int64 and np.array_equal(got, want)
 
     def test_frame_dump_deterministic(self):
         rng = np.random.default_rng(6)
@@ -349,7 +352,7 @@ def range_end_model(rng, fmt, widths):
     """Every word at or next to its format's bounds, or 0 or +-1."""
     def words(f, shape):
         return rng.choice([f.raw_min, f.raw_min + 1, -1, 0, 1, f.raw_max - 1,
-                           f.raw_max], size=shape).tolist()
+                           f.raw_max], size=shape)
     return QuantizedModel(
         fmt=fmt, weights=[words(fmt, (n_out, n_in))
                           for n_in, n_out in zip(widths[:-1], widths[1:])],
@@ -401,10 +404,11 @@ def limb_stress_model(rng, fmt, fan_in, sign):
         w0 = ((1 << f >> 1) + edge + rest) * pow(acts[0], -1, 1 << f) % (1 << f)
         columns.append(([w0] + [-1] * (fan_in - 1), w0 * acts[0] - rest))
     qm = QuantizedModel(
-        fmt=fmt, weights=[[w for w, _ in columns]],
-        biases=[[min(max(1 - (acc >> f), fmt.raw_min), fmt.raw_max)
-                 for _, acc in columns]],
-        std_mean=[0] * fan_in, std_invstd=[1 << (38 - f - shift)] * fan_in)
+        fmt=fmt, weights=[np.array([w for w, _ in columns])],
+        biases=[np.array([min(max(1 - (acc >> f), fmt.raw_min), fmt.raw_max)
+                          for _, acc in columns])],
+        std_mean=np.zeros(fan_in, np.int64),
+        std_invstd=np.full(fan_in, 1 << (38 - f - shift)))
     return qm, [a << shift for a in acts]
 
 
@@ -474,9 +478,11 @@ class TestBatchEngine:
         Q2.30, five of 7 bits for 32-bit words at the fan_in bound; the
         limbs add back up to the weights."""
         row = ([fmt.raw_min, -1, 0, 1, fmt.raw_max] * fan_in)[:fan_in]
-        qm = QuantizedModel(fmt=fmt, weights=[[row]], biases=[[0]],
-                            std_mean=[0] * fan_in, std_invstd=[0] * fan_in)
-        limbs, k, _ = qm._arrays[2][0]
+        qm = QuantizedModel(fmt=fmt, weights=[np.array([row])],
+                            biases=[np.zeros(1, np.int64)],
+                            std_mean=np.zeros(fan_in, np.int64),
+                            std_invstd=np.zeros(fan_in, np.int64))
+        limbs, k, _ = qm._layers[0]
         assert (k, len(limbs)) == (width, count) == limb_layout(fmt.total_bits,
                                                                 fan_in)
         assert all(limb.dtype == np.float64 for limb in limbs)
@@ -490,10 +496,10 @@ class TestBatchEngine:
         sum at -(2^53 - 2^46); the engine refuses a wider layer."""
         fmt = QFormat(32, 1)
         for fan_in in (1 << 15, (1 << 15) + 1):
-            qm = QuantizedModel(fmt=fmt, weights=[[[-1] * fan_in]],
-                                biases=[[fmt.raw_min]],
-                                std_mean=[INPUT_FORMAT.raw_max] * fan_in,
-                                std_invstd=[SCALE_FORMAT.raw_max] * fan_in)
+            qm = QuantizedModel(fmt=fmt, weights=[np.full((1, fan_in), -1)],
+                                biases=[np.array([fmt.raw_min])],
+                                std_mean=np.full(fan_in, INPUT_FORMAT.raw_max),
+                                std_invstd=np.full(fan_in, SCALE_FORMAT.raw_max))
             frames = [[INPUT_FORMAT.raw_min] * fan_in]
             if fan_in > 1 << 15:
                 with pytest.raises(DimensionError):
