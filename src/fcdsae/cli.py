@@ -238,6 +238,9 @@ def main(argv: list[str] | None = None) -> int:
             UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:  # numpy's message names the array's size
+        print(f"error: out of memory: {exc}".rstrip(": "), file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -111,8 +111,7 @@ def parse_csv(path) -> np.ndarray:
     def text():  # decoded as open(path, newline="") does, a block at a time
         return io.TextIOWrapper(io.BytesIO(raw), newline="")
 
-    body = text()
-    header = next(_csv_rows(path, body), None)
+    header = next(_csv_rows(path, text()), None)
     if header is None:
         raise ParseError(f"{path}: empty file")
     header = [h.strip() for h in header]
@@ -122,13 +121,18 @@ def parse_csv(path) -> np.ndarray:
             f"{path}: header mismatch; missing columns {missing}"
             if missing else f"{path}: header order must be {COLUMNS}"
         )
-    # loadtxt strips U+001C-U+001F around a number, float() rejects them
-    if not any(c in raw for c in b"\x1c\x1d\x1e\x1f"):
+    # loadtxt reads the raw bytes past the first b"\n" only where csv and
+    # float() read the same: ASCII (loadtxt reads a lone \xa0 byte as latin-1
+    # NBSP), no U+001C-U+001F (loadtxt strips them, float() rejects them),
+    # no quote or lone \r in line 1 (csv would run the header past it).
+    line1 = raw.partition(b"\n")[0]
+    if (raw.isascii() and b'"' not in line1 and b"\r" not in line1[:-1]
+            and not any(c in raw for c in b"\x1c\x1d\x1e\x1f")):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # "input contained no data"
-                m = np.loadtxt(body, delimiter=",", ndmin=2, comments=None,
-                               quotechar='"')
+                m = np.loadtxt(io.BytesIO(raw), delimiter=",", ndmin=2,
+                               comments=None, quotechar='"', skiprows=1)
             if m.shape[1] == len(COLUMNS) and np.isfinite(m).all():
                 return m
         except (ValueError, UserWarning):
@@ -238,16 +242,6 @@ _NOISE_SIGMA = 0.2
 _HFR_LOW, _HFR_HIGH = 85.0, 95.0
 
 
-def synthetic_hfr(z_power: float, z_airflow: float, z_watertemp: float,
-                  z_h2press: float, noise: float = 0.0) -> float:
-    """The generator's HFR signal as a smooth function of standardized
-    features, plus optional additive noise, clipped to the plausible band."""
-    sig = (_HFR_CENTER
-           + 1.3 * math.tanh(1.2 * z_power - 0.8 * z_airflow)
-           + 0.7 * math.tanh(z_watertemp + 0.5 * z_h2press))
-    return float(min(max(sig + noise, _HFR_LOW), _HFR_HIGH))
-
-
 def synthetic_matrix(n: int, seed: int,
                      noise_sigma: float = _NOISE_SIGMA) -> np.ndarray:
     """Deterministic synthetic bench data as an (N, 11) CSV-order matrix:
@@ -266,12 +260,15 @@ def synthetic_matrix(n: int, seed: int,
     def z(col):
         base = BASE_VALUES[col]
         # uniform on [0.9b, 1.1b]: mean b, population std 0.1*b/sqrt(3)
-        return ((m[:, COLUMNS.index(col)] - base)
-                / (0.1 * base / math.sqrt(3.0))).tolist()
+        return (m[:, COLUMNS.index(col)] - base) / (0.1 * base / math.sqrt(3.0))
 
-    # a math.tanh loop: np.tanh differs from it in the last ulp
-    m[:, -1] = list(map(synthetic_hfr, z("Power"), z("AirFlow"),
-                        z("WaterTempOut"), z("H2PressIn"), noise.tolist()))
+    def tanh(x):  # math.tanh per value: np.tanh differs in the last ulp
+        return np.fromiter(map(math.tanh, x.tolist()), np.float64, n)
+
+    # tests/oracles.synthetic_hfr is this formula on scalars
+    sig = (_HFR_CENTER + 1.3 * tanh(1.2 * z("Power") - 0.8 * z("AirFlow"))
+           + 0.7 * tanh(z("WaterTempOut") + 0.5 * z("H2PressIn")))
+    m[:, -1] = np.minimum(np.maximum(sig + noise, _HFR_LOW), _HFR_HIGH)
     return m
 
 

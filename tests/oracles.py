@@ -230,6 +230,16 @@ def reader_parse_csv(path):
     return rows
 
 
+def synthetic_hfr(z_power, z_airflow, z_watertemp, z_h2press, noise=0.0):
+    """dataset.synthetic_matrix's HFR formula on scalars, the spec its array
+    code must match bit for bit: a smooth function of standardized
+    features, plus optional additive noise, clipped to the plausible band."""
+    sig = (90.0
+           + 1.3 * math.tanh(1.2 * z_power - 0.8 * z_airflow)
+           + 0.7 * math.tanh(z_watertemp + 0.5 * z_h2press))
+    return float(min(max(sig + noise, 85.0), 95.0))
+
+
 def synthetic_draws(seed, n, noise_sigma):
     """generate_synthetic's random draws, redone here: one uniform column
     per feature in FEATURE_COLUMNS order, then the normal noise. Returns the

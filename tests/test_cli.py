@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fcdsae import network, quantized
+from fcdsae import dataset, network, quantized
 from fcdsae.cli import main
 from fcdsae.dataset import Standardizer
 from fcdsae.quantized import QFormat
@@ -55,6 +55,20 @@ class TestGenData:
         run(capsys, "gen-data", "--n", "50", "--seed", "9", "--out", str(a))
         run(capsys, "gen-data", "--n", "50", "--seed", "9", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("message", [
+        "Unable to allocate 78.2 PiB for an array with shape "
+        "(1000000000000000, 11) and data type float64", ""],
+        ids=["numpy", "bare"])
+    def test_out_of_memory_is_a_one_line_error(self, tmp_path, capsys,
+                                               monkeypatch, message):
+        def synthetic_matrix(n, seed):
+            raise MemoryError(message)
+        monkeypatch.setattr(dataset, "synthetic_matrix", synthetic_matrix)
+        code, _, err = run(capsys, "gen-data", "--n", "1000000000000000",
+                           "--out", str(tmp_path / "d.csv"))
+        want = f"out of memory: {message}" if message else "out of memory"
+        assert (code, err) == (2, f"error: {want}\n")
 
     def test_unwritable_path(self, capsys):
         code, _, _ = run(capsys, "gen-data", "--n", "5", "--seed", "1",
@@ -357,6 +371,10 @@ MALFORMED = {
     "csv-not-utf8": lambda s, tmp: (
         ["eval", "--model", s.model, "--data", _write(tmp / "d.csv", b"\xff\n")],
         2),
+    "csv-body-byte-a0": lambda s, tmp: (  # NBSP in latin-1, not UTF-8
+        ["eval", "--model", s.model, "--data", _write(
+            tmp / "d.csv",
+            Path(s.data).read_bytes().replace(b"\n1,", b"\n1\xa0,"))], 2),
     "csv-long-header-cell": lambda s, tmp: (
         ["eval", "--model", s.model, "--data", _write(
             tmp / "d.csv", b"x" * 200_000 + Path(s.data).read_bytes()[1:])], 2),

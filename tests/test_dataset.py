@@ -11,14 +11,14 @@ from hypothesis import example, given, settings, strategies as st
 from fcdsae import dataset
 from fcdsae.dataset import (Examples, LabeledExample, SensorRecord,
                             Standardizer, generate_synthetic, label_for_hfr,
-                            labels_for_hfr, parse_csv, split, synthetic_hfr,
-                            write_csv)
+                            labels_for_hfr, parse_csv, split, write_csv)
 from fcdsae.errors import DomainError, ParseError
 
-from oracles import reader_parse_csv, synthetic_draws
+from oracles import reader_parse_csv, synthetic_draws, synthetic_hfr
 
 TABLE_ROW_1 = "1,24.2,222.4,363.8,83,68.5,165.5,0.44,145.6,28.6,88.5"
 HEADER = ",".join(dataset.COLUMNS)
+QUOTED_NEWLINE_HEADER = HEADER[:-len("HFR")] + '"HFR\n"'
 
 
 def _row(cells=tuple(TABLE_ROW_1.split(",")), **edits):
@@ -31,7 +31,7 @@ def csv_texts(draw):
     """CSV files that the fast path and the row reader may disagree on:
     odd cells, padding (control characters and newlines too) and quotes,
     blank, whitespace-only and commas-only lines, mixed line ends, and
-    files 10, 11 or 12 cells wide."""
+    files 10, 11 or 12 cells wide, and a header holding a quoted newline."""
     number = st.one_of(
         st.floats(allow_nan=False, allow_infinity=False).map(repr),
         st.floats(allow_nan=False, allow_infinity=False).map("%.12g".__mod__),
@@ -47,10 +47,11 @@ def csv_texts(draw):
         st.lists(cell, min_size=width, max_size=width).map(",".join),
         st.lists(cell, min_size=1, max_size=13).map(",".join),
         st.sampled_from(["", "   ", "\t", ",,,,,,,,,,", " , "]))
-    rows = draw(st.lists(st.tuples(row, st.sampled_from(["\n", "\r\n"])),
-                         max_size=6))
-    header = draw(st.sampled_from([HEADER, ", ".join(dataset.COLUMNS)]))
-    return header + "\r\n" + "".join(r + end for r, end in rows)
+    end = st.sampled_from(["\n", "\r\n", "\r"])
+    rows = draw(st.lists(st.tuples(row, end), max_size=6))
+    header = draw(st.sampled_from([HEADER, ", ".join(dataset.COLUMNS),
+                                   QUOTED_NEWLINE_HEADER]))
+    return header + draw(end) + "".join(r + e for r, e in rows)
 
 
 class TestParseCsv:
@@ -108,6 +109,11 @@ class TestParseCsv:
     @example(f"{HEADER}\n" + f"{TABLE_ROW_1},1\n" * 3)
     @example(f"{HEADER}\n")
     @example(f"{HEADER}\r\n\r\n")
+    @example(HEADER + "\n" + _row(c1="\u00a024.2", c3="363.8\u2003") + "\n")
+    @example(HEADER + "\n" + _row(c10="88.5\u00a0") + "\n" + TABLE_ROW_1 + "\n")
+    @example(QUOTED_NEWLINE_HEADER + "\r\n" + TABLE_ROW_1 + "\r\n")
+    @example(QUOTED_NEWLINE_HEADER + "\r\n" + _row(c0='1"') + "\r\n")
+    @example(f"{HEADER}\r{TABLE_ROW_1}\n{TABLE_ROW_1}\n")
     def test_fast_path_matches_row_reader(self, text):
         """The same matrix, bit for bit, or the same ParseError message as
         the row-by-row reader, with no numpy warning."""
@@ -324,4 +330,24 @@ class TestGenerateSynthetic:
             expected = synthetic_hfr(
                 z(r.power, 24.2), z(r.air_flow, 28.6),
                 z(r.water_temp_out, 68.5), z(r.h2_pressure_in, 165.5))
-            assert r.hfr == pytest.approx(expected, abs=1e-12)
+            assert r.hfr == expected
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.2])
+    @pytest.mark.parametrize("n", [1, 36363])
+    @pytest.mark.parametrize("seed", [42, 7, 201])
+    def test_hfr_column_is_the_scalar_spec(self, seed, n, sigma):
+        """The array formula gives the bytes of a per-row loop over the
+        scalar spec, fed the stored features and the generator's noise."""
+        m = dataset.synthetic_matrix(n, seed, noise_sigma=sigma)
+        rng = np.random.default_rng(seed)
+        for col in dataset.FEATURE_COLUMNS:  # the feature draws come first
+            base = dataset.BASE_VALUES[col]
+            rng.uniform(0.9 * base, 1.1 * base, size=n)
+        noise = rng.normal(0.0, sigma, size=n) if sigma > 0 else np.zeros(n)
+        cols = [dataset.COLUMNS.index(c)
+                for c in ("Power", "AirFlow", "WaterTempOut", "H2PressIn")]
+        bases = [dataset.BASE_VALUES[dataset.COLUMNS[j]] for j in cols]
+        want = [synthetic_hfr(*((row[j] - b) / (0.1 * b / math.sqrt(3.0))
+                                for j, b in zip(cols, bases)), noise=e)
+                for row, e in zip(m.tolist(), noise.tolist())]
+        assert m[:, -1].tobytes() == np.array(want).tobytes()
