@@ -82,11 +82,12 @@ def _cmd_gen_data(args) -> int:
         raise UsageError(f"--n must be >= 1, got {args.n}")
     m = dataset.synthetic_matrix(args.n, args.seed)
     dataset.write_csv(m, args.out)
-    counts = np.bincount(dataset.labels_for_hfr(m[:, -1]), minlength=3)
+    counts = np.bincount(dataset.labels_for_hfr(m[:, -1]),
+                         minlength=metrics.N_CLASSES)
     print(f"wrote {len(m)} records to {args.out}")
     print("class distribution: " +
           " ".join(f"{c}:{counts[c]} ({counts[c] / len(m):.1%})"
-                   for c in range(3)))
+                   for c in range(metrics.N_CLASSES)))
     print(_repro_line(args))
     return EXIT_OK
 
@@ -167,8 +168,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_infer(args) -> int:
     parts = args.row.split(",")
-    if len(parts) != 10:
-        raise UsageError(f"--row needs exactly 10 values, got {len(parts)}")
+    if len(parts) != dataset.N_FEATURES:
+        raise UsageError(f"--row needs exactly {dataset.N_FEATURES} values, "
+                         f"got {len(parts)}")
     try:
         values = [float(p) for p in parts]
     except ValueError:

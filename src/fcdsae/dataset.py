@@ -102,31 +102,17 @@ class Examples:
 
 def parse_csv(path) -> np.ndarray:
     """Read a canonical-header CSV into an (N, 11) float64 matrix, order
-    preserved. np.loadtxt reads the body; unless that gives 11 finite
-    columns, the row-by-row reader reads it again, so the values are
-    float()'s and a ParseError names the row and column either way."""
+    preserved. np.loadtxt reads the body of a file in write_csv's layout;
+    unless that gives 11 finite columns, and for any other file, the
+    row-by-row reader reads it, so the values are float()'s and a
+    ParseError names the row and column either way."""
     with open(path, "rb") as fh:
         raw = fh.read()
-
-    def text():  # decoded as open(path, newline="") does, a block at a time
-        return io.TextIOWrapper(io.BytesIO(raw), newline="")
-
-    header = next(_csv_rows(path, text()), None)
-    if header is None:
-        raise ParseError(f"{path}: empty file")
-    header = [h.strip() for h in header]
-    if header != COLUMNS:
-        missing = [c for c in COLUMNS if c not in header]
-        raise ParseError(
-            f"{path}: header mismatch; missing columns {missing}"
-            if missing else f"{path}: header order must be {COLUMNS}"
-        )
-    # loadtxt reads the raw bytes past the first b"\n" only where csv and
-    # float() read the same: ASCII (loadtxt reads a lone \xa0 byte as latin-1
-    # NBSP), no U+001C-U+001F (loadtxt strips them, float() rejects them),
-    # no quote or lone \r in line 1 (csv would run the header past it).
-    line1 = raw.partition(b"\n")[0]
-    if (raw.isascii() and b'"' not in line1 and b"\r" not in line1[:-1]
+    # loadtxt reads only where csv and float() read the same: write_csv's
+    # header line, ASCII (loadtxt reads a lone \xa0 byte as latin-1 NBSP),
+    # no U+001C-U+001F (loadtxt strips them, float() rejects them)
+    head = ",".join(COLUMNS).encode()
+    if (raw.startswith((head + b"\r\n", head + b"\n")) and raw.isascii()
             and not any(c in raw for c in b"\x1c\x1d\x1e\x1f")):
         try:
             with warnings.catch_warnings():
@@ -137,8 +123,18 @@ def parse_csv(path) -> np.ndarray:
                 return m
         except (ValueError, UserWarning):
             pass
-    rows = _csv_rows(path, text())
-    next(rows)
+    # decoded as open(path, newline="") does, a block at a time
+    rows = _csv_rows(path, io.TextIOWrapper(io.BytesIO(raw), newline=""))
+    header = next(rows, None)
+    if header is None:
+        raise ParseError(f"{path}: empty file")
+    header = [h.strip() for h in header]
+    if header != COLUMNS:
+        missing = [c for c in COLUMNS if c not in header]
+        raise ParseError(
+            f"{path}: header mismatch; missing columns {missing}"
+            if missing else f"{path}: header order must be {COLUMNS}"
+        )
     return _parse_rows(path, rows)
 
 
@@ -242,11 +238,10 @@ _NOISE_SIGMA = 0.2
 _HFR_LOW, _HFR_HIGH = 85.0, 95.0
 
 
-def synthetic_matrix(n: int, seed: int,
-                     noise_sigma: float = _NOISE_SIGMA) -> np.ndarray:
+def synthetic_matrix(n: int, seed: int) -> np.ndarray:
     """Deterministic synthetic bench data as an (N, 11) CSV-order matrix:
     t = 1..n, features uniform within +-10% of the reference operating
-    point, HFR from the frozen smooth formula."""
+    point, HFR from the frozen smooth formula plus N(0, 0.2^2) noise."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
@@ -255,7 +250,7 @@ def synthetic_matrix(n: int, seed: int,
     for j, col in enumerate(FEATURE_COLUMNS, start=1):
         base = BASE_VALUES[col]
         m[:, j] = rng.uniform(0.9 * base, 1.1 * base, size=n)
-    noise = rng.normal(0.0, noise_sigma, size=n) if noise_sigma > 0 else np.zeros(n)
+    noise = rng.normal(0.0, _NOISE_SIGMA, size=n)
 
     def z(col):
         base = BASE_VALUES[col]
@@ -272,8 +267,6 @@ def synthetic_matrix(n: int, seed: int,
     return m
 
 
-def generate_synthetic(n: int, seed: int,
-                       noise_sigma: float = _NOISE_SIGMA) -> list[SensorRecord]:
+def generate_synthetic(n: int, seed: int) -> list[SensorRecord]:
     """`synthetic_matrix` as SensorRecords (adapter)."""
-    return [SensorRecord(*row)
-            for row in synthetic_matrix(n, seed, noise_sigma).tolist()]
+    return [SensorRecord(*row) for row in synthetic_matrix(n, seed).tolist()]

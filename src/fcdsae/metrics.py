@@ -52,12 +52,13 @@ def confusion(true_labels, predicted_labels) -> ConfusionMatrix:
     t, p = np.asarray(true_labels), np.asarray(predicted_labels)
     if len(t) != len(p):
         raise DomainError("label lists must have equal length")
-    valid = np.isin(t, (0, 1, 2)) & np.isin(p, (0, 1, 2))
+    valid = np.isin(t, range(N_CLASSES)) & np.isin(p, range(N_CLASSES))
     if not valid.all():
         i = np.argmin(valid)
         raise DomainError(f"label out of range: true={t[i]}, pred={p[i]}")
     # the cast is exact for labels in range, and lets `[]` (float64) through
-    counts = np.bincount((3 * t + p).astype(np.int64), minlength=9)
+    counts = np.bincount((N_CLASSES * t + p).astype(np.int64),
+                         minlength=N_CLASSES * N_CLASSES)
     return ConfusionMatrix(counts=counts.reshape(N_CLASSES, N_CLASSES))
 
 

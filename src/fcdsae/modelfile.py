@@ -29,8 +29,8 @@ def write(path, magic: str, records, layers, fmt) -> None:
 def read(path, magic: str, tags, parse):
     """Returns ({tag: values}, [(weight rows, biases)]). `tags` are the
     header records, each required exactly once; `parse` turns a word into a
-    value or raises ValueError. Grammar faults, then missing records, raise
-    ParseError."""
+    value or raises ValueError. Words are ASCII without `_` (as C reads
+    them). Grammar faults, then missing records, raise ParseError."""
     with open(path) as fh:
         lines = [(n, ln.split()) for n, ln in enumerate(fh, 1) if ln.strip()]
     if not lines or lines[0][1] != magic.split():
@@ -43,6 +43,9 @@ def read(path, magic: str, tags, parse):
     def values(n, words, count=None):
         if count is not None and len(words) != count:
             fail(n, f"expected {count} values, got {len(words)}")
+        for w in words:
+            if "_" in w or not w.isascii():
+                fail(n, f"{w!r} is not a plain ASCII number")
         try:
             return [parse(w) for w in words]
         except ValueError as exc:

@@ -146,12 +146,12 @@ def mse_loss(output: np.ndarray, targets: np.ndarray) -> float:
 
 
 def backward(trace: ForwardTrace, params: NetworkParams, targets: np.ndarray,
-             sparsity_rows: list[np.ndarray] | None = None,
-             out: NetworkParams | None = None) -> NetworkParams:
-    """Gradients of the total loss w.r.t. every weight and bias, in the
-    layout of `params`: written into `out` when given, else a new buffer.
+             sparsity_rows: list[np.ndarray] | None,
+             out: NetworkParams) -> NetworkParams:
+    """Gradients of the total loss w.r.t. every weight and bias, written
+    into `out`, which has the layout of `params`, and returned.
 
-    `sparsity_rows`, when given, holds one `sparsity.penalty_gradient` row
+    `sparsity_rows`, unless None, holds one `sparsity.penalty_gradient` row
     per hidden layer, added to every sample's post-activation delta before
     the delta is pushed through the ReLU. The ReLU subgradient at exactly 0
     is 0, so the mask `post > 0` equals `pre > 0` (NaN fails both)."""
@@ -161,7 +161,6 @@ def backward(trace: ForwardTrace, params: NetworkParams, targets: np.ndarray,
         raise DimensionError(
             f"output shape {output.shape} != target shape {targets.shape}"
         )
-    grads = params.like(np.empty_like(params.buffer)) if out is None else out
     n_layers = len(params.layers)
     # dJ/d(post) at the output layer for mean-over-all-entries MSE
     delta_post = 2.0 * (output - targets) / output.size
@@ -170,11 +169,11 @@ def backward(trace: ForwardTrace, params: NetworkParams, targets: np.ndarray,
             delta_post += sparsity_rows[i]
         delta_pre = np.multiply(delta_post, trace.post[i] > 0.0, out=delta_post)
         prev_act = trace.inputs if i == 0 else trace.post[i - 1]
-        np.matmul(delta_pre.T, prev_act, out=grads.layers[i].weights)
-        np.add.reduce(delta_pre, axis=0, out=grads.layers[i].biases)
+        np.matmul(delta_pre.T, prev_act, out=out.layers[i].weights)
+        np.add.reduce(delta_pre, axis=0, out=out.layers[i].biases)
         if i > 0:
             delta_post = delta_pre @ params.layers[i].weights
-    return grads
+    return out
 
 
 # Adam decay rates and denominator guard (Kingma & Ba defaults)
@@ -189,12 +188,11 @@ class AdamState:
 
     first_moment: np.ndarray
     second_moment: np.ndarray
+    lr: float
     step_count: int = 0
-    lr: float = 0.001
 
     @classmethod
-    def for_network(cls, params: NetworkParams,
-                    lr: float = 0.001) -> "AdamState":
+    def for_network(cls, params: NetworkParams, lr: float) -> "AdamState":
         return cls(first_moment=np.zeros_like(params.buffer),
                    second_moment=np.zeros_like(params.buffer), lr=lr)
 

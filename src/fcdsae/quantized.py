@@ -13,6 +13,7 @@ tested against is the scalar interpreter in tests/oracles.py.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,8 +30,8 @@ class QFormat:
     """Signed fixed-point format: total_bits words, integer_bits of range
     (sign included), the rest fractional."""
 
-    total_bits: int = 16
-    integer_bits: int = 8
+    total_bits: int
+    integer_bits: int
 
     def __post_init__(self):
         if not 2 <= self.total_bits <= 32:
@@ -52,27 +53,18 @@ class QFormat:
     def raw_max(self) -> int:
         return (1 << (self.total_bits - 1)) - 1
 
-    @property
-    def min_value(self) -> float:
-        return self.raw_min * 2.0 ** -self.frac_bits
-
-    @property
-    def max_value(self) -> float:
-        return self.raw_max * 2.0 ** -self.frac_bits
-
     def __str__(self) -> str:
         return f"Q{self.integer_bits}.{self.frac_bits}"
 
     @classmethod
     def parse(cls, text: str) -> "QFormat":
-        """Parse 'Qi.f' (e.g. 'Q8.8') into a format descriptor."""
-        if not text.startswith("Q") or "." not in text:
+        """Parse 'Qi.f' (e.g. 'Q8.8'), i and f in ASCII digits, into a
+        format descriptor."""
+        # at most 9 digits each, so int() never meets its digit limit
+        match = re.fullmatch(r"Q([0-9]{1,9})\.([0-9]{1,9})", text)
+        if match is None:
             raise DomainError(f"bad Q-format string {text!r}, expected 'Qi.f'")
-        try:
-            i_str, f_str = text[1:].split(".", 1)
-            i, f = int(i_str), int(f_str)
-        except ValueError:
-            raise DomainError(f"bad Q-format string {text!r}") from None
+        i, f = map(int, match.groups())
         return cls(total_bits=i + f, integer_bits=i)
 
 
@@ -141,20 +133,21 @@ class QuantizedModel:
         return layers
 
 
-def quantize_model(params, std, fmt: QFormat = QFormat()) -> QuantizedModel:
+@np.errstate(over="ignore")  # huge values and 1 / a subnormal std saturate
+def quantize_model(params, std, fmt: QFormat) -> QuantizedModel:
     """Quantize every weight, bias, and standardizer constant; values beyond
     the representable range saturate and are tallied, never rejected."""
     saturated = 0
 
     def q(values, f: QFormat) -> np.ndarray:
         nonlocal saturated
-        values = np.asarray(values, np.float64)
-        saturated += int(np.count_nonzero((values < f.min_value)
-                                          | (values > f.max_value)))
+        # scaling by 2^f is exact, or overflows to +-inf; NaN counts nowhere
+        scaled = np.asarray(values, np.float64) * float(1 << f.frac_bits)
+        saturated += int(np.count_nonzero((scaled < f.raw_min)
+                                          | (scaled > f.raw_max)))
         return quantize(values, f)
 
-    with np.errstate(over="ignore"):  # a subnormal std saturates its scale
-        invstd = 1.0 / np.asarray(std.std, np.float64)
+    invstd = 1.0 / np.asarray(std.std, np.float64)
     return QuantizedModel(
         fmt=fmt, weights=[q(layer.weights, fmt) for layer in params.layers],
         biases=[q(layer.biases, fmt) for layer in params.layers],

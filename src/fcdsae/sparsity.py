@@ -40,10 +40,6 @@ class ActivationSummary:
     raw: np.ndarray
     clamped: np.ndarray
 
-    @property
-    def was_clamped(self) -> np.ndarray:
-        return self.raw != self.clamped
-
 
 def average_activation(trace: ForwardTrace, layer_index: int) -> ActivationSummary:
     """Batch-mean activation of each unit in one hidden layer, clamped into
@@ -75,11 +71,6 @@ def kl_divergence(xi: float, xi_k: float) -> float:
     return float(_kl(xi, xi_k))
 
 
-def penalty_total(summaries: list[ActivationSummary], cfg: SparsityConfig) -> float:
-    """psi times the summed KL divergence over all penalized hidden units."""
-    return cfg.psi * float(sum(_kl(cfg.xi, s.clamped).sum() for s in summaries))
-
-
 def penalty_gradient(summary: ActivationSummary, cfg: SparsityConfig,
                      batch_size: int) -> np.ndarray:
     """Gradient of the penalty w.r.t. each unit's activation, per sample.
@@ -93,11 +84,13 @@ def penalty_gradient(summary: ActivationSummary, cfg: SparsityConfig,
     per_unit = (cfg.psi / batch_size) * (
         -cfg.xi / xi_k + (1.0 - cfg.xi) / (1.0 - xi_k)
     )
-    return np.where(summary.was_clamped, 0.0, per_unit)
+    return np.where(summary.raw != summary.clamped, 0.0, per_unit)
 
 
 def total_loss(mse: float, summaries: list[ActivationSummary],
                cfg: SparsityConfig) -> float:
-    """MSE plus the sparsity penalty. Bit-identical to the MSE when psi=0:
+    """MSE plus the sparsity penalty: psi times the summed KL divergence
+    over all penalized hidden units. Bit-identical to the MSE when psi=0:
     the clamped KL sum is finite, so the penalty is exactly +0.0."""
-    return mse + penalty_total(summaries, cfg)
+    return mse + cfg.psi * float(sum(_kl(cfg.xi, s.clamped).sum()
+                                     for s in summaries))

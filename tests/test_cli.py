@@ -286,7 +286,8 @@ def _model(tmp, topology):
 def _qmodel(tmp, topology):
     path = tmp / "m.qtxt"
     params, std = network.load_model(_model(tmp, topology))
-    quantized.save_qmodel(quantized.quantize_model(params, std, QFormat()), path)
+    quantized.save_qmodel(
+        quantized.quantize_model(params, std, QFormat(16, 8)), path)
     return str(path)
 
 
@@ -294,11 +295,17 @@ def _wide_qmodel(tmp, hidden):
     """A 10-hidden-3 model.qtxt of zero words."""
     path = tmp / "m.qtxt"
     quantized.save_qmodel(quantized.QuantizedModel(
-        fmt=QFormat(), weights=[np.zeros((hidden, 10), np.int64),
+        fmt=QFormat(16, 8), weights=[np.zeros((hidden, 10), np.int64),
                                 np.zeros((3, hidden), np.int64)],
         biases=[np.zeros(hidden, np.int64), np.zeros(3, np.int64)],
         std_mean=np.zeros(10, np.int64), std_invstd=np.zeros(10, np.int64)), path)
     return str(path)
+
+
+def _quantize_as(fmt):
+    """A quantize of the saved model at --format `fmt`, a usage error."""
+    return lambda s, tmp: (["quantize", "--model", s.model, "--format", fmt,
+                            "--out", str(tmp / "out.qtxt")], 1)
 
 
 def _write(path, content):
@@ -391,6 +398,13 @@ MALFORMED = {
     "train-lr-1e300": lambda s, tmp: (
         ["train", "--data", s.data, "--lr", "1e300",
          "--out-model", str(tmp / "m.txt")], 1),
+    "format-plus-sign": _quantize_as("Q+8.8"),
+    "format-leading-space": _quantize_as("Q 8.8"),
+    "format-space-before-dot": _quantize_as("Q8 .8"),
+    "format-arabic-indic-digits": _quantize_as("Q\u0668.\u0668"),
+    "format-underscore": _quantize_as("Q8_0.8"),  # Q80.8: too wide anyway
+    "format-underscore-as-q12.4": _quantize_as("Q1_2.4"),
+    "format-5000-digits": _quantize_as("Q" + "9" * 5000 + ".8"),
     "config-list": lambda s, tmp: (
         ["--config", _write(tmp / "c.json", b"[1, 2]"), "gen-data",
          "--n", "5", "--out", str(tmp / "d.csv")], 1),

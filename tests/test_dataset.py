@@ -320,10 +320,11 @@ class TestGenerateSynthetic:
         npt.assert_allclose(np.clip(hfr, 85.0, 95.0),
                             [r.hfr for r in records], rtol=0, atol=1e-12)
 
-    def test_zero_noise_reproducible_from_features(self):
+    def test_zero_noise_reproducible_from_features(self, monkeypatch):
         # with sigma forced to 0, HFR must equal an independent re-evaluation
         # of the frozen formula from the stored features
-        for r in generate_synthetic(300, 11, noise_sigma=0.0):
+        monkeypatch.setattr(dataset, "_NOISE_SIGMA", 0.0)
+        for r in generate_synthetic(300, 11):
             def z(value, base):
                 return (value - base) / (0.1 * base / math.sqrt(3.0))
 
@@ -335,10 +336,12 @@ class TestGenerateSynthetic:
     @pytest.mark.parametrize("sigma", [0.0, 0.2])
     @pytest.mark.parametrize("n", [1, 36363])
     @pytest.mark.parametrize("seed", [42, 7, 201])
-    def test_hfr_column_is_the_scalar_spec(self, seed, n, sigma):
+    def test_hfr_column_is_the_scalar_spec(self, seed, n, sigma, monkeypatch):
         """The array formula gives the bytes of a per-row loop over the
-        scalar spec, fed the stored features and the generator's noise."""
-        m = dataset.synthetic_matrix(n, seed, noise_sigma=sigma)
+        scalar spec, fed the stored features and the generator's noise:
+        the fixed 0.2, and 0, which isolates the formula."""
+        monkeypatch.setattr(dataset, "_NOISE_SIGMA", sigma)
+        m = dataset.synthetic_matrix(n, seed)
         rng = np.random.default_rng(seed)
         for col in dataset.FEATURE_COLUMNS:  # the feature draws come first
             base = dataset.BASE_VALUES[col]

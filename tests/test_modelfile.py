@@ -126,6 +126,25 @@ def test_word_beyond_int64_is_named(tmp_path):
         quantized.load_qmodel(path)
 
 
+@pytest.mark.parametrize("qmodel, word", [
+    (True, "1_0"), (True, "\u0663"), (False, "1_0.5"), (False, "\u0663.5"),
+], ids=["qmodel-underscore", "qmodel-arabic-indic-digit", "model-underscore",
+        "model-arabic-indic-digit"])
+def test_non_ascii_or_underscore_word_rejected(tmp_path, qmodel, word):
+    """Python reads int("1_0") as 10, int("\u0663") as 3 and float("1_0.5")
+    as 10.5, where C's strtol reads 1_0 as 1: both loaders refuse such a
+    word, naming its line."""
+    lines = (QMODEL_TEXT if qmodel else MODEL_TEXT).splitlines()
+    row = lines.index("LAYER 4 3") + 1
+    lines[row] = " ".join([word] + lines[row].split()[1:])
+    path = tmp_path / "m"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    load = quantized.load_qmodel if qmodel else network.load_model
+    with pytest.raises(ParseError, match=rf"line {row + 1}: '{word}' is not a "
+                                         "plain ASCII number"):
+        load(path)
+
+
 def test_blank_lines_ignored(tmp_path):
     plain, spaced = tmp_path / "a.qtxt", tmp_path / "b.qtxt"
     plain.write_text(QMODEL_TEXT)

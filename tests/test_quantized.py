@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fcdsae import network, quantized
+from fcdsae.cli import build_parser
 from fcdsae.dataset import Examples, Standardizer
 from fcdsae.errors import DimensionError, DomainError, FrameError
 from fcdsae.metrics import confusion
@@ -27,13 +28,20 @@ FORMATS = [INPUT_FORMAT, SCALE_FORMAT] + [
     for integer in sorted({1, (total + 1) // 2, total - 1})]
 
 
+def value_range(fmt):
+    """The smallest and the largest value a format represents."""
+    return dequantize(fmt.raw_min, fmt), dequantize(fmt.raw_max, fmt)
+
+
 class TestQFormat:
     def test_defaults(self):
-        fmt = QFormat()
+        """The CLI's --format default, Q8.8, is the one default format."""
+        args = build_parser().parse_args(["quantize", "--model", "m",
+                                          "--out", "q"])
+        fmt = QFormat.parse(args.format)
         assert fmt.total_bits == 16 and fmt.integer_bits == 8
         assert fmt.frac_bits == 8
-        assert fmt.max_value == 127.99609375
-        assert fmt.min_value == -128.0
+        assert value_range(fmt) == (-128.0, 127.99609375)
 
     def test_parse(self):
         fmt = QFormat.parse("Q8.8")
@@ -92,11 +100,11 @@ class TestQuantizeScalar:
     def test_roundtrip_error_bound(self, x):
         fmt = Q88
         rt = dequantize(quantize(x, fmt), fmt)
-        if fmt.min_value <= x <= fmt.max_value:
+        lo, hi = value_range(fmt)
+        if lo <= x <= hi:
             assert abs(rt - x) <= 2.0**-9 + 1e-12
         else:
-            bound = fmt.max_value if x > 0 else fmt.min_value
-            assert rt == bound
+            assert rt == (hi if x > 0 else lo)
 
     @given(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0))
     def test_monotone(self, a, b):
@@ -119,13 +127,13 @@ def format_and_values(draw):
     inf = float("inf")
     lsb = 2.0 ** -fmt.frac_bits
     span = 1 << fmt.total_bits
+    lo, hi = value_range(fmt)
     edges = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, inf, -inf,
-             fmt.max_value, fmt.min_value, math.nextafter(fmt.max_value, inf),
-             math.nextafter(fmt.min_value, -inf)]
+             hi, lo, math.nextafter(hi, inf), math.nextafter(lo, -inf)]
     value = st.one_of(
         st.sampled_from(edges),
         st.integers(-span, span).map(lambda k: (k + 0.5) * lsb),
-        st.floats(2 * fmt.min_value, 2 * fmt.max_value),
+        st.floats(2 * lo, 2 * hi),
         st.floats(allow_nan=False))
     return fmt, draw(st.lists(value, min_size=1, max_size=16))
 
@@ -165,9 +173,9 @@ class TestQuantizeOracle:
             for values, f in ((params.layers[0].weights[0], fmt),
                               (params.layers[1].biases, fmt),
                               (std.mean, INPUT_FORMAT)):
-                values[:4] = [f.min_value, f.max_value,
-                              np.nextafter(f.min_value, -np.inf),
-                              np.nextafter(f.max_value, np.inf)]
+                lo, hi = value_range(f)
+                values[:4] = [lo, hi, np.nextafter(lo, -np.inf),
+                              np.nextafter(hi, np.inf)]
             qm = quantize_model(params, std, fmt)
             words = model_words(qm)
             assert all(w.dtype == np.int64 for w in words)
@@ -178,7 +186,7 @@ class TestQuantizeOracle:
             assert [w.tolist() for w in words] \
                 == [oracle_words(t, f) for t, f in tensors]
             assert qm.saturation_count == sum(
-                not f.min_value <= v <= f.max_value
+                not value_range(f)[0] <= v <= value_range(f)[1]
                 for t, f in tensors for v in np.ravel(t).tolist())
 
 

@@ -21,9 +21,6 @@ def tiny_data(n=12, seed=0):
 class TestConfig:
     @pytest.mark.parametrize("kw", [dict(max_epochs=0), dict(batch_size=0),
                                     dict(lr=0.0),
-                                    dict(topology=(5, 32, 3)),
-                                    dict(topology=(10, 32, 2)),
-                                    dict(topology=(10, 3)),
                                     dict(lr=float("nan")), dict(lr=float("inf")),
                                     dict(sparsity=SparsityConfig(psi=1e306))])
     def test_invalid(self, kw):
@@ -31,12 +28,12 @@ class TestConfig:
             TrainConfig(**kw)
 
     def test_psi_bound_counts_hidden_units(self):
-        """2 * psi * 48 units * -log(CLAMP_EPS) is finite at 1e305, not at
-        1e306 (the sparsity penalty and the MSE could then overflow J)."""
-        TrainConfig(sparsity=SparsityConfig(psi=1e305))
+        """2 * psi * 48 units * -log(CLAMP_EPS) is finite at 1.35e305, not
+        at 1.4e305 (the sparsity penalty and the MSE could then overflow J);
+        a bound counting fewer units would accept both."""
+        TrainConfig(sparsity=SparsityConfig(psi=1.35e305))
         with pytest.raises(DomainError, match="psi too large"):
-            TrainConfig(topology=(10, 3000, 3),
-                        sparsity=SparsityConfig(psi=1e305))
+            TrainConfig(sparsity=SparsityConfig(psi=1.4e305))
 
 
 class TestTrain:
