@@ -164,7 +164,7 @@ def train(cfg: TrainConfig, data: SplitDataset
     y_test = data.test.labels
     t_train = one_hot(y_train)
 
-    params = network.init_network(network.DEFAULT_TOPOLOGY, seed=cfg.seed)
+    params = network.init_network(seed=cfg.seed)  # DEFAULT_TOPOLOGY
     state = AdamState.for_network(params, cfg.lr)
     grads = params.like(np.empty_like(params.buffer))
     shuffle_rng = np.random.default_rng(cfg.seed + 1)

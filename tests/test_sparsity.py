@@ -118,8 +118,7 @@ class TestPenaltyTotal:
         assert total >= 0.0
         # np.log and math.log may differ in the last ulp of each term
         assert total == pytest.approx(math.fsum(terms), rel=1e-12, abs=1e-12)
-        assert self.penalty([self.summary([xi] * len(means))],
-                                      cfg) == 0.0
+        assert self.penalty([self.summary([xi] * len(means))], cfg) == 0.0
 
     def test_psi_zero_total_loss_bit_equals_mse(self):
         cfg = SparsityConfig(psi=0.0)
