@@ -77,7 +77,7 @@ def _repro_line(args) -> str:
     return f"# reproducibility: command={args.command} {params}"
 
 
-def _cmd_gen_data(args) -> int:
+def _cmd_gen_data(args) -> None:
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
     m = dataset.synthetic_matrix(args.n, args.seed)
@@ -88,15 +88,13 @@ def _cmd_gen_data(args) -> int:
     print("class distribution: " +
           " ".join(f"{c}:{counts[c]} ({counts[c] / len(m):.1%})"
                    for c in range(metrics.N_CLASSES)))
-    print(_repro_line(args))
-    return EXIT_OK
 
 
 def _load_examples(path) -> dataset.Examples:
     return dataset.Examples.from_matrix(dataset.parse_csv(path))
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args) -> None:
     cfg = trainer.TrainConfig(
         lr=args.lr, batch_size=args.batch, max_epochs=args.epochs,
         seed=args.seed, sparsity=SparsityConfig(xi=args.xi, psi=args.psi))
@@ -111,15 +109,14 @@ def _cmd_train(args) -> int:
     print(report.final_metrics.format_table())
     print(f"best epoch: {report.best_epoch + 1} of {report.epochs_run}")
     print(f"model written to {args.out_model}")
-    print(_repro_line(args))
-    return EXIT_OK
 
 
 def _check_topology(path, n_inputs: int, n_outputs: int) -> None:
     """The loaders read any topology; the commands serve only 10->...->3."""
     if (n_inputs, n_outputs) != (dataset.N_FEATURES, metrics.N_CLASSES):
         raise ParseError(f"{path}: model maps {n_inputs} inputs to "
-                         f"{n_outputs} outputs, not 10 to 3")
+                         f"{n_outputs} outputs, not {dataset.N_FEATURES} to "
+                         f"{metrics.N_CLASSES}")
 
 
 def _load_model(path):
@@ -134,18 +131,16 @@ def _load_qmodel(path):
     return qm
 
 
-def _cmd_quantize(args) -> int:
+def _cmd_quantize(args) -> None:
     fmt = QFormat.parse(args.format)
     params, std = _load_model(args.model)
     qm = quantized.quantize_model(params, std, fmt)
     quantized.save_qmodel(qm, args.out)
     print(f"quantized to {fmt}; saturated values: {qm.saturation_count}")
     print(f"quantized model written to {args.out}")
-    print(_repro_line(args))
-    return EXIT_OK
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> None:
     examples = _load_examples(args.data)
     if args.model:
         params, std = _load_model(args.model)
@@ -162,17 +157,15 @@ def _cmd_eval(args) -> int:
     if args.out_confusion:
         with open(args.out_confusion, "w") as fh:
             fh.write(cm.to_csv())
-    print(_repro_line(args))
-    return EXIT_OK
 
 
-def _cmd_infer(args) -> int:
+def _cmd_infer(args) -> None:
     parts = args.row.split(",")
     if len(parts) != dataset.N_FEATURES:
         raise UsageError(f"--row needs exactly {dataset.N_FEATURES} values, "
                          f"got {len(parts)}")
     try:
-        values = [float(p) for p in parts]
+        values = [float(dataset.plain(p)) for p in parts]
     except ValueError:
         raise UsageError(f"--row contains a non-numeric value: {args.row!r}")
     if not all(math.isfinite(v) for v in values):
@@ -182,8 +175,6 @@ def _cmd_infer(args) -> int:
     outs, pred = quantized.q_forward(qm, frame)
     print(f"class: {pred}")
     print("output words: " + " ".join(str(w) for w in outs))
-    print(_repro_line(args))
-    return EXIT_OK
 
 
 _COMMANDS = {
@@ -232,7 +223,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _apply_config_defaults(argv)
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        _COMMANDS[args.command](args)
+        print(_repro_line(args))
+        return EXIT_OK
     except (UsageError, DomainError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -100,6 +100,14 @@ class Examples:
         return map(LabeledExample, self.features, self.labels.tolist())
 
 
+def plain(word: str) -> str:
+    """`word` if it is ASCII without `_`, else a ValueError: Python reads
+    `1_0` as 10 and `\u0663` as 3, where C's strtod reads `1_0` as 1."""
+    if "_" in word or not word.isascii():
+        raise ValueError(f"{word!r} is not a plain ASCII number")
+    return word
+
+
 def parse_csv(path) -> np.ndarray:
     """Read a canonical-header CSV into an (N, 11) float64 matrix, order
     preserved. np.loadtxt reads the body of a file in write_csv's layout;
@@ -149,7 +157,7 @@ def _csv_rows(path, text):
 
 
 def _parse_rows(path, reader) -> np.ndarray:
-    """The row-by-row reader: csv cells through float(), checked per cell."""
+    """The row-by-row reader: csv cells through plain() and float()."""
     rows = []
     for row_num, row in enumerate(reader, start=2):
         if not row or all(not c.strip() for c in row):
@@ -162,7 +170,7 @@ def _parse_rows(path, reader) -> np.ndarray:
         vals = []
         for col_name, cell in zip(COLUMNS, row):
             try:
-                value = float(cell)
+                value = float(plain(cell))
             except ValueError:
                 value = math.nan
             if not math.isfinite(value):

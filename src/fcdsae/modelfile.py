@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import re
 
+from fcdsae.dataset import plain
 from fcdsae.errors import ParseError
 
 # positive layer sizes below 10^9, in ASCII digits
@@ -29,10 +30,12 @@ def write(path, magic: str, records, layers, fmt) -> None:
 def read(path, magic: str, tags, parse):
     """Returns ({tag: values}, [(weight rows, biases)]). `tags` are the
     header records, each required exactly once; `parse` turns a word into a
-    value or raises ValueError. Words are ASCII without `_` (as C reads
-    them). Grammar faults, then missing records, raise ParseError."""
-    with open(path) as fh:
-        lines = [(n, ln.split()) for n, ln in enumerate(fh, 1) if ln.strip()]
+    value or raises ValueError. Words are split on space and tab and are
+    ASCII without `_`, as C reads them. Grammar faults, then missing
+    records, raise ParseError."""
+    with open(path) as fh:  # universal newlines: a CRLF line ends in \n
+        lines = [(n, words) for n, ln in enumerate(fh, 1)
+                 if (words := re.findall(r"[^ \t\n]+", ln))]
     if not lines or lines[0][1] != magic.split():
         raise ParseError(f"{path}: missing '{magic}' header")
     pending = iter(lines[1:])
@@ -43,11 +46,8 @@ def read(path, magic: str, tags, parse):
     def values(n, words, count=None):
         if count is not None and len(words) != count:
             fail(n, f"expected {count} values, got {len(words)}")
-        for w in words:
-            if "_" in w or not w.isascii():
-                fail(n, f"{w!r} is not a plain ASCII number")
         try:
-            return [parse(w) for w in words]
+            return [parse(plain(w)) for w in words]
         except ValueError as exc:
             fail(n, str(exc))
 

@@ -10,10 +10,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from fcdsae import modelfile
-from fcdsae.dataset import Standardizer
+from fcdsae.dataset import N_FEATURES, Standardizer
 from fcdsae.errors import DimensionError, ParseError
+from fcdsae.metrics import N_CLASSES
 
-DEFAULT_TOPOLOGY = (10, 32, 16, 3)
+DEFAULT_TOPOLOGY = (N_FEATURES, 32, 16, N_CLASSES)
 
 MODEL_MAGIC = "FCDSAE 1"
 
@@ -25,61 +26,45 @@ class LayerParams:
     weights: np.ndarray
     biases: np.ndarray
 
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.biases = np.asarray(self.biases, dtype=np.float64)
-        if self.weights.ndim != 2:
-            raise DimensionError("weights must be a 2-D matrix")
-        if self.biases.shape != (self.weights.shape[0],):
-            raise DimensionError(
-                f"bias length {self.biases.shape} does not match fan_out "
-                f"{self.weights.shape[0]}"
-            )
 
-    @property
-    def fan_in(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def fan_out(self) -> int:
-        return self.weights.shape[0]
-
-
-@dataclass
 class NetworkParams:
     """Ordered dense layers; every layer uses ReLU (hidden and output).
 
     The layers are views into `buffer`, one flat float64 vector of each
     layer's weights (row-major) then biases, in layer order. The constructor
-    copies the given layers into a new buffer."""
+    checks the shapes, fixes `topology` and the per-layer layout, and copies
+    the given layers into a new buffer; `like` and `copy` reuse the layout."""
 
-    layers: list[LayerParams]
+    def __init__(self, layers: list[LayerParams]):
+        shapes = [(np.shape(l.weights), np.shape(l.biases)) for l in layers]
+        for i, (w, b) in enumerate(shapes):
+            if len(w) != 2:
+                raise DimensionError(f"layer {i} weights must be a 2-D matrix")
+            if b != w[:1]:
+                raise DimensionError(f"layer {i} bias shape {b} does not match "
+                                     f"fan_out {w[0]}")
+            if i and w[1] != shapes[i - 1][0][0]:
+                raise DimensionError(f"layer {i} fan_in {w[1]} != layer "
+                                     f"{i - 1} fan_out {shapes[i - 1][0][0]}")
+        self.topology = (shapes[0][0][1],) + tuple(w[0] for w, _ in shapes)
+        self._layout, end = [], 0  # (weights slice, its shape, biases slice)
+        for w, _ in shapes:
+            start, mid = end, end + w[0] * w[1]
+            end = mid + w[0]
+            self._layout.append((slice(start, mid), w, slice(mid, end)))
+        self._wrap(np.concatenate([np.ravel(t) for l in layers
+                                   for t in (l.weights, l.biases)],
+                                  dtype=np.float64))
 
-    def __post_init__(self):
-        for i in range(len(self.layers) - 1):
-            if self.layers[i].fan_out != self.layers[i + 1].fan_in:
-                raise DimensionError(
-                    f"layer {i} fan_out {self.layers[i].fan_out} != "
-                    f"layer {i + 1} fan_in {self.layers[i + 1].fan_in}"
-                )
-        self.buffer = np.concatenate(
-            [t.ravel() for l in self.layers for t in (l.weights, l.biases)])
-        self.layers = self.like(self.buffer).layers
-
-    @property
-    def topology(self) -> tuple[int, ...]:
-        return (self.layers[0].fan_in,) + tuple(l.fan_out for l in self.layers)
+    def _wrap(self, buffer: np.ndarray) -> None:
+        self.buffer = buffer
+        self.layers = [LayerParams(buffer[w].reshape(shape), buffer[b])
+                       for w, shape, b in self._layout]
 
     def like(self, buffer: np.ndarray) -> "NetworkParams":
         """This layout over another flat buffer, which is not copied."""
-        twin, offset = copy.copy(self), 0
-        twin.buffer, twin.layers = buffer, []
-        for l in self.layers:
-            end = offset + l.weights.size
-            twin.layers.append(LayerParams(
-                buffer[offset:end].reshape(l.weights.shape),
-                buffer[end:end + l.fan_out]))
-            offset = end + l.fan_out
+        twin = copy.copy(self)
+        twin._wrap(buffer)
         return twin
 
     def copy(self) -> "NetworkParams":
@@ -117,14 +102,11 @@ def forward(params: NetworkParams, batch: np.ndarray) -> ForwardTrace:
     """
     if getattr(batch, "dtype", None) != np.float64 or batch.ndim != 2:
         batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    post = []
-    x = batch
-    for i, layer in enumerate(params.layers):
-        if x.shape[1] != layer.fan_in:
-            raise DimensionError(
-                f"activation width {x.shape[1]} does not match layer {i} "
-                f"fan_in {layer.fan_in}"
-            )
+    if batch.shape[1] != params.topology[0]:
+        raise DimensionError(f"activation width {batch.shape[1]} does not "
+                             f"match layer 0 fan_in {params.topology[0]}")
+    post, x = [], batch
+    for layer in params.layers:
         # max(x @ W.T + b, 0) with one temporary per layer, not three
         x = x @ layer.weights.T
         x += layer.biases
@@ -248,9 +230,9 @@ def load_model(path):
     params = NetworkParams([LayerParams(np.array(w), np.array(b))
                             for w, b in layers])
     for tag, vec in records.items():
-        if len(vec) != params.layers[0].fan_in:
+        if len(vec) != params.topology[0]:
             raise ParseError(f"{path}: {tag} has {len(vec)} values, the input "
-                             f"width is {params.layers[0].fan_in}")
+                             f"width is {params.topology[0]}")
     if min(records["STDSTD"]) <= 0:
         raise ParseError(f"{path}: every STDSTD value must be > 0")
     return params, Standardizer(mean=np.array(records["STDMEAN"]),

@@ -29,29 +29,19 @@ class SparsityConfig:
             raise DomainError(f"psi must be finite and >= 0, got {self.psi}")
 
 
-@dataclass
-class ActivationSummary:
-    """Per-unit batch-mean activations of one hidden layer.
-
-    `raw` is the unclamped mean (needed to know which units were clamped);
-    `clamped` is the value the penalty actually uses.
-    """
-
-    raw: np.ndarray
-    clamped: np.ndarray
+def _clamp(mean: np.ndarray) -> np.ndarray:
+    """Batch means clamped into [CLAMP_EPS, 1 - CLAMP_EPS]; NaN stays NaN."""
+    return np.minimum(np.maximum(mean, CLAMP_EPS), 1.0 - CLAMP_EPS)
 
 
-def average_activation(trace: ForwardTrace, layer_index: int) -> ActivationSummary:
-    """Batch-mean activation of each unit in one hidden layer, clamped into
-    [CLAMP_EPS, 1 - CLAMP_EPS]."""
+def average_activation(trace: ForwardTrace, layer_index: int) -> np.ndarray:
+    """Unclamped batch-mean activation of each unit in one hidden layer."""
     if not 0 <= layer_index < len(trace.post) - 1:
         raise DomainError(f"layer {layer_index} is not a hidden layer")
     acts = trace.post[layer_index]
     if acts.shape[0] < 1:
         raise DomainError("empty batch")
-    raw = np.add.reduce(acts, axis=0) / acts.shape[0]  # what acts.mean runs
-    clamped = np.minimum(np.maximum(raw, CLAMP_EPS), 1.0 - CLAMP_EPS)
-    return ActivationSummary(raw=raw, clamped=clamped)
+    return np.add.reduce(acts, axis=0) / acts.shape[0]  # what acts.mean runs
 
 
 def _kl(xi: float, xi_k: np.ndarray) -> np.ndarray:
@@ -71,26 +61,28 @@ def kl_divergence(xi: float, xi_k: float) -> float:
     return float(_kl(xi, xi_k))
 
 
-def penalty_gradient(summary: ActivationSummary, cfg: SparsityConfig,
+def penalty_gradient(mean: np.ndarray, cfg: SparsityConfig,
                      batch_size: int) -> np.ndarray:
     """Gradient of the penalty w.r.t. each unit's activation, per sample.
 
     d/dh of psi*KL(xi || mean(h)) through the batch mean is
     (psi/p) * (-xi/xi_k + (1-xi)/(1-xi_k)), the same for every sample of the
-    batch; a clamped mean is a constant, so its gradient is zero. Returns
-    the per-unit row, shaped (width,).
+    batch; a clamped mean is a constant, so its gradient is zero (a NaN
+    mean differs from its clamp too). Returns the per-unit row, shaped
+    (width,).
     """
-    xi_k = summary.clamped
+    xi_k = _clamp(mean)
     per_unit = (cfg.psi / batch_size) * (
         -cfg.xi / xi_k + (1.0 - cfg.xi) / (1.0 - xi_k)
     )
-    return np.where(summary.raw != summary.clamped, 0.0, per_unit)
+    return np.where(mean != xi_k, 0.0, per_unit)
 
 
-def total_loss(mse: float, summaries: list[ActivationSummary],
+def total_loss(mse: float, means: list[np.ndarray],
                cfg: SparsityConfig) -> float:
     """MSE plus the sparsity penalty: psi times the summed KL divergence
-    over all penalized hidden units. Bit-identical to the MSE when psi=0:
-    the clamped KL sum is finite, so the penalty is exactly +0.0."""
-    return mse + cfg.psi * float(sum(_kl(cfg.xi, s.clamped).sum()
-                                     for s in summaries))
+    over all penalized hidden units, at their clamped batch means.
+    Bit-identical to the MSE when psi=0: the clamped KL sum is finite, so
+    the penalty is exactly +0.0."""
+    return mse + cfg.psi * float(sum(_kl(cfg.xi, _clamp(m)).sum()
+                                     for m in means))

@@ -103,7 +103,7 @@ def predict_batch(params: NetworkParams, std_features: np.ndarray) -> np.ndarray
     return np.argmax(out, axis=1)
 
 
-def _hidden_summaries(trace):
+def _hidden_means(trace):
     return [sparsity.average_activation(trace, i)
             for i in range(len(trace.post) - 1)]
 
@@ -115,10 +115,10 @@ def evaluate_total_loss(params: NetworkParams, x: np.ndarray, targets: np.ndarra
     activation over every hidden unit, all from one forward pass."""
     trace = network.forward(params, x)
     mse = network.mse_loss(trace.output, targets)
-    summaries = _hidden_summaries(trace)
-    mean_activation = float(np.concatenate([s.raw for s in summaries]).mean())
+    means = _hidden_means(trace)
     return (np.argmax(trace.output, axis=1), mse,
-            sparsity.total_loss(mse, summaries, cfg), mean_activation)
+            sparsity.total_loss(mse, means, cfg),
+            float(np.concatenate(means).mean()))
 
 
 def _epoch(cfg, epoch, order, x_train, t_train, params, state, grads):
@@ -137,8 +137,8 @@ def _epoch(cfg, epoch, order, x_train, t_train, params, state, grads):
         if not math.isfinite(network.mse_loss(trace.output, tb)):
             raise FloatingPointError(f"training diverged: non-finite loss at "
                                      f"epoch {epoch + 1}, batch {start // size}")
-        rows = [sparsity.penalty_gradient(s, scfg, len(xb))
-                for s in _hidden_summaries(trace)] if scfg.psi > 0.0 else None
+        rows = [sparsity.penalty_gradient(m, scfg, len(xb))
+                for m in _hidden_means(trace)] if scfg.psi > 0.0 else None
         network.backward(trace, params, tb, rows, out=grads)
         try:
             network.adam_step(params, grads, state)

@@ -32,9 +32,9 @@ def total_loss_value(params, batch, targets, cfg):
     """J_total evaluated from scratch (forward + penalty), no gradient code."""
     trace = network.forward(params, batch)
     mse = network.mse_loss(trace.output, targets)
-    summaries = [sparsity.average_activation(trace, i)
-                 for i in range(len(trace.post) - 1)]
-    return sparsity.total_loss(mse, summaries, cfg)
+    means = [sparsity.average_activation(trace, i)
+             for i in range(len(trace.post) - 1)]
+    return sparsity.total_loss(mse, means, cfg)
 
 
 def fd_gradients(params, batch, targets, cfg, h=1e-6):
@@ -196,8 +196,10 @@ def reference_train(cfg, data):
 
 def reader_parse_csv(path):
     """dataset.parse_csv as the plain row-by-row reader: csv.reader cells
-    through float(), every cell checked, no fast path. Returns the rows as
-    lists of floats, or raises the ParseError parse_csv must raise."""
+    through float(), every cell checked, no fast path. A cell with a
+    non-ASCII character or an `_` is not a number, though float() reads
+    `1_0` as 10 and `\u0663` as 3. Returns the rows as lists of floats, or
+    raises the ParseError parse_csv must raise."""
     import csv
 
     from fcdsae.dataset import COLUMNS
@@ -226,6 +228,8 @@ def reader_parse_csv(path):
                 try:
                     value = float(cell)
                 except ValueError:
+                    value = math.nan
+                if not cell.isascii() or "_" in cell:
                     value = math.nan
                 if not math.isfinite(value):
                     raise ParseError(f"{path} row {row_num}, column {name!r}: "

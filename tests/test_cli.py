@@ -371,10 +371,22 @@ MALFORMED = {
         ["infer", "--qmodel", s.qmodel, "--row", ROW.replace("24.2", "nan")], 1),
     "infer-row-inf": lambda s, tmp: (
         ["infer", "--qmodel", s.qmodel, "--row", ROW.replace("24.2", "-inf")], 1),
+    "infer-row-underscore": lambda s, tmp: (
+        ["infer", "--qmodel", s.qmodel, "--row", "1_0" + ROW[1:]], 1),
+    "infer-row-arabic-indic": lambda s, tmp: (
+        ["infer", "--qmodel", s.qmodel, "--row", "\u0663" + ROW[1:]], 1),
     "csv-inf-cell": lambda s, tmp: (
         ["eval", "--qmodel", s.qmodel, "--data", _write(
             tmp / "d.csv", Path(s.data).read_bytes().replace(b"\n1,", b"\ninf,"))],
         2),
+    "csv-underscore-cell": lambda s, tmp: (
+        ["eval", "--model", s.model, "--data", _write(
+            tmp / "d.csv", Path(s.data).read_bytes().replace(b"\n1,", b"\n1_0,"))],
+        2),
+    "csv-arabic-indic-cell": lambda s, tmp: (
+        ["eval", "--model", s.model, "--data", _write(
+            tmp / "d.csv", Path(s.data).read_bytes().replace(
+                b"\n1,", "\n\u0663,".encode()))], 2),
     "csv-not-utf8": lambda s, tmp: (
         ["eval", "--model", s.model, "--data", _write(tmp / "d.csv", b"\xff\n")],
         2),

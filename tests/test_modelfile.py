@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fcdsae import network, quantized
+from fcdsae import modelfile, network, quantized
 from fcdsae.dataset import Standardizer
 from fcdsae.errors import ParseError
 from fcdsae.quantized import QFormat
@@ -44,7 +44,7 @@ def load_and_use(text, qmodel):
         words, _ = quantized.q_forward(qm, [0] * qm.input_width)
         assert all(qm.fmt.raw_min <= w <= qm.fmt.raw_max for w in words)
     else:
-        network.forward(params, np.zeros((1, params.layers[0].fan_in)))
+        network.forward(params, np.zeros((1, params.topology[0])))
         quantized.quantize_model(params, std, QFormat(32, 2))
     return True
 
@@ -143,6 +143,42 @@ def test_non_ascii_or_underscore_word_rejected(tmp_path, qmodel, word):
     with pytest.raises(ParseError, match=rf"line {row + 1}: '{word}' is not a "
                                          "plain ASCII number"):
         load(path)
+
+
+@pytest.mark.parametrize("qmodel, separator", [
+    (True, "\x1f"), (False, "\u2003"),
+], ids=["qmodel-unit-separator", "model-em-space"])
+def test_only_space_and_tab_separate_words(tmp_path, qmodel, separator):
+    """str.split() also splits on U+001C-U+001F and Unicode spaces, where a
+    C reader splitting on space and tab sees one word: a weight row with
+    such a separator is a short row, named by its line."""
+    lines = (QMODEL_TEXT if qmodel else MODEL_TEXT).splitlines()
+    row = lines.index("LAYER 4 3") + 1
+    lines[row] = lines[row].replace(" ", separator, 1)
+    path = tmp_path / "m"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    load = quantized.load_qmodel if qmodel else network.load_model
+    with pytest.raises(ParseError, match=rf"line {row + 1}: expected 4 values, "
+                                         "got 3"):
+        load(path)
+
+
+@pytest.mark.parametrize("qmodel", [False, True], ids=["model", "qmodel"])
+def test_crlf_and_tabs_read_the_same_words(tmp_path, qmodel):
+    """CRLF ends a line as LF does, and a tab separates words as a space
+    does."""
+    text = QMODEL_TEXT if qmodel else MODEL_TEXT
+    tags = ["Q", "QIN", "QSCALE", "STDMEAN", "STDINVSTD"] if qmodel else [
+        "STDMEAN", "STDSTD"]
+    magic = text.splitlines()[0]
+    plain, crlf, tabs = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+    plain.write_text(text)
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    tabs.write_text(text.replace(" ", "\t"))
+    want = modelfile.read(plain, magic, tags, str)
+    for path in (crlf, tabs):
+        assert modelfile.read(path, magic, tags, str) == want
+        assert load_and_use(path.read_text(), qmodel)
 
 
 def test_blank_lines_ignored(tmp_path):

@@ -231,6 +231,30 @@ class TestTopology:
         with pytest.raises(DimensionError):
             NetworkParams([good, bad])
 
+    @pytest.mark.parametrize("weights, biases, match", [
+        (np.zeros(3), np.zeros(3), "weights must be a 2-D matrix"),
+        (np.zeros((3, 5, 1)), np.zeros(3), "weights must be a 2-D matrix"),
+        (np.zeros((3, 5)), np.zeros(5), r"bias shape \(5,\) does not match"),
+        (np.zeros((3, 5)), np.zeros((3, 1)), r"bias shape \(3, 1\)"),
+    ], ids=["1-d-weights", "3-d-weights", "bias-not-fan-out", "2-d-bias"])
+    def test_bad_layer_shape_rejected(self, weights, biases, match):
+        good = LayerParams(np.zeros((5, 4)), np.zeros(5))
+        with pytest.raises(DimensionError, match="layer 1 " + match):
+            NetworkParams([good, LayerParams(weights, biases)])
+
+    def test_like_shares_its_buffer_and_copy_does_not(self):
+        params = network.init_network((4, 5, 3), seed=2)
+        buffer = np.zeros_like(params.buffer)
+        twin = params.like(buffer)
+        assert twin.buffer is buffer and twin.topology == params.topology
+        twin.layers[1].biases[:] = 7.0
+        npt.assert_array_equal(buffer[-3:], 7.0)
+        copied = params.copy()
+        assert not np.shares_memory(copied.buffer, params.buffer)
+        assert copied.buffer.tobytes() == params.buffer.tobytes()
+        copied.layers[0].weights[0, 0] += 1.0
+        assert copied.buffer[0] != params.buffer[0]
+
 
 class TestModelFile:
     def test_round_trip_exact(self, tmp_path):

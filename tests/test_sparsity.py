@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 from fcdsae import network, sparsity
 from fcdsae.errors import DomainError
 from fcdsae.network import LayerParams, NetworkParams
-from fcdsae.sparsity import ActivationSummary, SparsityConfig
+from fcdsae.sparsity import SparsityConfig
 
 from oracles import assert_grads_close, backward, fd_gradients, random_network
 
@@ -35,17 +35,22 @@ class TestConfig:
 
 class TestAverageActivation:
     def test_batch_mean(self):
-        summary = sparsity.average_activation(trace_for([[0.2], [0.4], [0.6]]), 0)
-        npt.assert_allclose(summary.clamped, [0.4])
+        mean = sparsity.average_activation(trace_for([[0.2], [0.4], [0.6]]), 0)
+        npt.assert_allclose(mean, [0.4])
 
     def test_clamp_floor(self):
-        summary = sparsity.average_activation(trace_for([[0.0], [0.0]]), 0)
-        npt.assert_allclose(summary.clamped, [1e-6])
-        assert summary.raw[0] == 0.0
+        mean = sparsity.average_activation(trace_for([[0.0], [0.0]]), 0)
+        assert mean[0] == 0.0  # unclamped: the penalty clamps it
+        cfg = SparsityConfig(psi=1.0)
+        assert (sparsity.total_loss(0.0, [mean], cfg)
+                == sparsity.kl_divergence(cfg.xi, 1e-6))
 
     def test_clamp_ceiling(self):
-        summary = sparsity.average_activation(trace_for([[2.0], [4.0]]), 0)
-        npt.assert_allclose(summary.clamped, [1.0 - 1e-6])
+        mean = sparsity.average_activation(trace_for([[2.0], [4.0]]), 0)
+        assert mean[0] == 3.0
+        cfg = SparsityConfig(psi=1.0)
+        assert (sparsity.total_loss(0.0, [mean], cfg)
+                == sparsity.kl_divergence(cfg.xi, 1.0 - 1e-6))
 
     def test_output_layer_rejected(self):
         with pytest.raises(DomainError):
@@ -84,25 +89,25 @@ class TestKlDivergence:
 class TestPenaltyTotal:
     """The penalty as total_loss adds it to an MSE of 0."""
 
-    def summary(self, values):
-        vals = np.asarray(values, float)
-        return ActivationSummary(raw=vals, clamped=vals)
+    @staticmethod
+    def mean(values):
+        return np.asarray(values, float)
 
     @staticmethod
-    def penalty(summaries, cfg):
-        return sparsity.total_loss(0.0, summaries, cfg)
+    def penalty(means, cfg):
+        return sparsity.total_loss(0.0, means, cfg)
 
     def test_zero_weight(self):
         cfg = SparsityConfig(psi=0.0)
-        assert self.penalty([self.summary([0.3, 0.7])], cfg) == 0.0
+        assert self.penalty([self.mean([0.3, 0.7])], cfg) == 0.0
 
     def test_at_target_is_zero(self):
         cfg = SparsityConfig(xi=0.05, psi=0.1)
-        assert self.penalty([self.summary([0.05, 0.05])], cfg) == 0.0
+        assert self.penalty([self.mean([0.05, 0.05])], cfg) == 0.0
 
     def test_hand_value(self):
         cfg = SparsityConfig(xi=0.05, psi=0.1)
-        total = self.penalty([self.summary([0.5, 0.5])], cfg)
+        total = self.penalty([self.mean([0.5, 0.5])], cfg)
         assert total == pytest.approx(0.1 * 2 * KL_005_05, abs=1e-6)
 
     @given(st.floats(0.001, 0.999),
@@ -114,40 +119,36 @@ class TestPenaltyTotal:
                      + (1.0 - xi) * math.log((1.0 - xi) / (1.0 - m)), 0.0)
                  for m in means]
         total = self.penalty(
-            [self.summary(means), self.summary([xi])], cfg)
+            [self.mean(means), self.mean([xi])], cfg)
         assert total >= 0.0
         # np.log and math.log may differ in the last ulp of each term
         assert total == pytest.approx(math.fsum(terms), rel=1e-12, abs=1e-12)
-        assert self.penalty([self.summary([xi] * len(means))], cfg) == 0.0
+        assert self.penalty([self.mean([xi] * len(means))], cfg) == 0.0
 
     def test_psi_zero_total_loss_bit_equals_mse(self):
         cfg = SparsityConfig(psi=0.0)
         mse = 0.123456789
-        assert sparsity.total_loss(mse, [self.summary([0.9])], cfg) == mse
+        assert sparsity.total_loss(mse, [self.mean([0.9])], cfg) == mse
 
 
 class TestPenaltyGradient:
     def test_stationary_at_target(self):
         cfg = SparsityConfig(xi=0.05, psi=1.0)
-        vals = np.array([0.05])
-        summary = ActivationSummary(raw=vals, clamped=vals)
-        grad = sparsity.penalty_gradient(summary, cfg, batch_size=1)
+        grad = sparsity.penalty_gradient(np.array([0.05]), cfg, batch_size=1)
         npt.assert_allclose(grad, 0.0, atol=1e-15)
 
     def test_scalar_derivative(self):
         cfg = SparsityConfig(xi=0.05, psi=1.0)
-        vals = np.array([0.2])
-        summary = ActivationSummary(raw=vals, clamped=vals)
-        grad = sparsity.penalty_gradient(summary, cfg, batch_size=1)
+        grad = sparsity.penalty_gradient(np.array([0.2]), cfg, batch_size=1)
         assert grad.shape == (1,)
         npt.assert_allclose(grad, [-0.25 + 1.1875])
 
     def test_clamped_unit_has_zero_gradient(self):
         cfg = SparsityConfig(xi=0.05, psi=1.0)
-        summary = ActivationSummary(raw=np.array([3.0]),
-                                    clamped=np.array([1.0 - 1e-6]))
-        grad = sparsity.penalty_gradient(summary, cfg, batch_size=2)
-        npt.assert_array_equal(grad, 0.0)
+        means = np.array([3.0, 0.0, np.nan, 0.2])
+        grad = sparsity.penalty_gradient(means, cfg, batch_size=2)
+        npt.assert_array_equal(grad[:3], 0.0)
+        assert grad[3] != 0.0
 
     def test_finite_difference_of_penalty(self):
         # perturbing one activation of any sample changes the penalty by
@@ -160,8 +161,8 @@ class TestPenaltyGradient:
             s = sparsity.average_activation(trace_for(a), 0)
             return sparsity.total_loss(0.0, [s], cfg)
 
-        summary = sparsity.average_activation(trace_for(acts), 0)
-        delta = sparsity.penalty_gradient(summary, cfg, batch_size=2)
+        mean = sparsity.average_activation(trace_for(acts), 0)
+        delta = sparsity.penalty_gradient(mean, cfg, batch_size=2)
         for i, k in np.ndindex(acts.shape):
             plus, minus = acts.copy(), acts.copy()
             plus[i, k] += h
@@ -179,9 +180,9 @@ class TestGradientInjection:
         targets = np.eye(3)[rng.integers(0, 3, size=8)]
         cfg = SparsityConfig(psi=psi)
         trace = network.forward(params, x)
-        summaries = [sparsity.average_activation(trace, i)
-                     for i in range(len(trace.post) - 1)]
-        sgrads = [sparsity.penalty_gradient(s, cfg, 8) for s in summaries]
+        means = [sparsity.average_activation(trace, i)
+                 for i in range(len(trace.post) - 1)]
+        sgrads = [sparsity.penalty_gradient(m, cfg, 8) for m in means]
         analytic = backward(trace, params, targets, sgrads)
         numeric = fd_gradients(params, x, targets, cfg)
         assert_grads_close(analytic, numeric)
