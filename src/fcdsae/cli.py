@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -31,6 +30,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def seed(text: str) -> int:
+    """The type of --seed: numpy seeds its generators with integers >= 0."""
+    if (value := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="fcdsae", description=__doc__)
     parser.add_argument("--config", help="JSON file supplying flag defaults")
@@ -38,12 +44,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gen-data", help="write a synthetic sensor CSV")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=seed, default=42)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("train", help="train the classifier on a CSV")
     p.add_argument("--data", required=True)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=seed, default=42)
     p.add_argument("--epochs", type=int, default=trainer.TrainConfig.max_epochs)
     p.add_argument("--lr", type=float, default=trainer.TrainConfig.lr)
     p.add_argument("--batch", type=int, default=trainer.TrainConfig.batch_size)
@@ -165,11 +171,10 @@ def _cmd_infer(args) -> None:
         raise UsageError(f"--row needs exactly {dataset.N_FEATURES} values, "
                          f"got {len(parts)}")
     try:
-        values = [float(dataset.plain(p)) for p in parts]
+        values = [dataset.number(p) for p in parts]
     except ValueError:
-        raise UsageError(f"--row contains a non-numeric value: {args.row!r}")
-    if not all(math.isfinite(v) for v in values):
-        raise UsageError(f"--row contains a non-finite value: {args.row!r}")
+        raise UsageError(f"--row contains a value that is not a finite "
+                         f"number: {args.row!r}")
     qm = _load_qmodel(args.qmodel)
     frame = quantized.frame_from_features(values)
     outs, pred = quantized.q_forward(qm, frame)
@@ -212,8 +217,9 @@ def _apply_config_defaults(argv: list[str]) -> list[str]:
             raise UsageError(f"config {path}: {key!r} is not a number or string")
     out = unknown + known.rest
     k = next((j for j, a in enumerate(out) if a in _COMMANDS), len(out)) + 1
-    out[k:k] = [a for key, value in conf.items()
-                for a in ("--" + str(key).replace("_", "-"), str(value))]
+    # one `--key=value` word, so a value may start with `-`
+    out[k:k] = [f"--{str(key).replace('_', '-')}={value}"
+                for key, value in conf.items()]
     return out
 
 

@@ -108,6 +108,14 @@ def plain(word: str) -> str:
     return word
 
 
+def number(word: str) -> float:
+    """`float(plain(word))`, or a ValueError unless that is finite."""
+    value = float(plain(word))
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {word!r}")
+    return value
+
+
 def parse_csv(path) -> np.ndarray:
     """Read a canonical-header CSV into an (N, 11) float64 matrix, order
     preserved. np.loadtxt reads the body of a file in write_csv's layout;
@@ -157,7 +165,7 @@ def _csv_rows(path, text):
 
 
 def _parse_rows(path, reader) -> np.ndarray:
-    """The row-by-row reader: csv cells through plain() and float()."""
+    """The row-by-row reader: csv cells through number()."""
     rows = []
     for row_num, row in enumerate(reader, start=2):
         if not row or all(not c.strip() for c in row):
@@ -170,13 +178,10 @@ def _parse_rows(path, reader) -> np.ndarray:
         vals = []
         for col_name, cell in zip(COLUMNS, row):
             try:
-                value = float(plain(cell))
+                vals.append(number(cell))
             except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise ParseError(f"{path} row {row_num}, column "
-                                 f"{col_name!r}: not a finite number {cell!r}")
-            vals.append(value)
+                raise ParseError(f"{path} row {row_num}, column {col_name!r}: "
+                                 f"not a finite number {cell!r}") from None
         rows.append(vals)
     if not rows:
         raise ParseError(f"{path}: no data rows")
@@ -252,6 +257,8 @@ def synthetic_matrix(n: int, seed: int) -> np.ndarray:
     point, HFR from the frozen smooth formula plus N(0, 0.2^2) noise."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
+    if n * len(COLUMNS) * 8 > np.iinfo(np.intp).max:  # numpy raises ValueError
+        raise MemoryError(f"{n} rows of {len(COLUMNS)} values do not fit")
     rng = np.random.default_rng(seed)
     m = np.empty((n, len(COLUMNS)))
     m[:, 0] = np.arange(1, n + 1)

@@ -31,8 +31,8 @@ def read(path, magic: str, tags, parse):
     """Returns ({tag: values}, [(weight rows, biases)]). `tags` are the
     header records, each required exactly once; `parse` turns a word into a
     value or raises ValueError. Words are split on space and tab and are
-    ASCII without `_`, as C reads them. Grammar faults, then missing
-    records, raise ParseError."""
+    printable ASCII without `_`, as C reads them. Grammar faults, then
+    missing records, raise ParseError."""
     with open(path) as fh:  # universal newlines: a CRLF line ends in \n
         lines = [(n, words) for n, ln in enumerate(fh, 1)
                  if (words := re.findall(r"[^ \t\n]+", ln))]
@@ -46,6 +46,9 @@ def read(path, magic: str, tags, parse):
     def values(n, words, count=None):
         if count is not None and len(words) != count:
             fail(n, f"expected {count} values, got {len(words)}")
+        for w in words:
+            if not w.isprintable():  # int() and float() strip \v and \f
+                fail(n, f"{w!r} is not printable ASCII")
         try:
             return [parse(plain(w)) for w in words]
         except ValueError as exc:

@@ -4,13 +4,12 @@ backpropagation and Adam updates, plus the plain-text model file format."""
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from fcdsae import modelfile
-from fcdsae.dataset import N_FEATURES, Standardizer
+from fcdsae.dataset import N_FEATURES, Standardizer, number
 from fcdsae.errors import DimensionError, ParseError
 from fcdsae.metrics import N_CLASSES
 
@@ -71,18 +70,6 @@ class NetworkParams:
         return self.like(self.buffer.copy())
 
 
-@dataclass
-class ForwardTrace:
-    """Per-layer post-ReLU activations for one batch; inputs kept for backprop."""
-
-    inputs: np.ndarray
-    post: list[np.ndarray]
-
-    @property
-    def output(self) -> np.ndarray:
-        return self.post[-1]
-
-
 def init_network(topology: tuple[int, ...] = DEFAULT_TOPOLOGY,
                  seed: int = 0) -> NetworkParams:
     """He-uniform initialization scaled by fan_in, biases zero."""
@@ -95,24 +82,23 @@ def init_network(topology: tuple[int, ...] = DEFAULT_TOPOLOGY,
     return NetworkParams(layers)
 
 
-def forward(params: NetworkParams, batch: np.ndarray) -> ForwardTrace:
-    """Run the batch through every layer, recording post-ReLU activations.
-
-    ReLU is applied after every layer, including the output layer.
-    """
+def forward(params: NetworkParams, batch: np.ndarray) -> list[np.ndarray]:
+    """Run the batch through every layer. Returns `[batch, h1, ..., output]`:
+    the batch as a float64 matrix, then each layer's post-ReLU activations.
+    ReLU is applied after every layer, including the output layer."""
     if getattr(batch, "dtype", None) != np.float64 or batch.ndim != 2:
         batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     if batch.shape[1] != params.topology[0]:
         raise DimensionError(f"activation width {batch.shape[1]} does not "
                              f"match layer 0 fan_in {params.topology[0]}")
-    post, x = [], batch
+    acts, x = [batch], batch
     for layer in params.layers:
         # max(x @ W.T + b, 0) with one temporary per layer, not three
         x = x @ layer.weights.T
         x += layer.biases
         np.maximum(x, 0.0, out=x)
-        post.append(x)
-    return ForwardTrace(inputs=batch, post=post)
+        acts.append(x)
+    return acts
 
 
 def mse_loss(output: np.ndarray, targets: np.ndarray) -> float:
@@ -127,18 +113,19 @@ def mse_loss(output: np.ndarray, targets: np.ndarray) -> float:
     return float(np.add.reduce(diff * diff, axis=None) / diff.size)
 
 
-def backward(trace: ForwardTrace, params: NetworkParams, targets: np.ndarray,
+def backward(acts: list[np.ndarray], params: NetworkParams, targets: np.ndarray,
              sparsity_rows: list[np.ndarray] | None,
              out: NetworkParams) -> NetworkParams:
     """Gradients of the total loss w.r.t. every weight and bias, written
-    into `out`, which has the layout of `params`, and returned.
+    into `out`, which has the layout of `params`, and returned; `acts` is
+    what `forward` returned.
 
     `sparsity_rows`, unless None, holds one `sparsity.penalty_gradient` row
     per hidden layer, added to every sample's post-activation delta before
     the delta is pushed through the ReLU. The ReLU subgradient at exactly 0
     is 0, so the mask `post > 0` equals `pre > 0` (NaN fails both)."""
     targets = np.asarray(targets, dtype=np.float64)
-    output = trace.output
+    output = acts[-1]
     if output.shape != targets.shape:
         raise DimensionError(
             f"output shape {output.shape} != target shape {targets.shape}"
@@ -149,9 +136,8 @@ def backward(trace: ForwardTrace, params: NetworkParams, targets: np.ndarray,
     for i in range(n_layers - 1, -1, -1):
         if i < n_layers - 1 and sparsity_rows is not None:
             delta_post += sparsity_rows[i]
-        delta_pre = np.multiply(delta_post, trace.post[i] > 0.0, out=delta_post)
-        prev_act = trace.inputs if i == 0 else trace.post[i - 1]
-        np.matmul(delta_pre.T, prev_act, out=out.layers[i].weights)
+        delta_pre = np.multiply(delta_post, acts[i + 1] > 0.0, out=delta_post)
+        np.matmul(delta_pre.T, acts[i], out=out.layers[i].weights)
         np.add.reduce(delta_pre, axis=0, out=out.layers[i].biases)
         if i > 0:
             delta_post = delta_pre @ params.layers[i].weights
@@ -207,13 +193,6 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _finite(word: str) -> float:
-    value = float(word)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {word!r}")
-    return value
-
-
 def save_model(params: NetworkParams, path, standardizer) -> None:
     """Write the versioned plain-text model file, with the frozen
     standardization statistics as STDMEAN/STDSTD records, so a saved model
@@ -226,7 +205,7 @@ def save_model(params: NetworkParams, path, standardizer) -> None:
 def load_model(path):
     """Read a model file; returns (NetworkParams, Standardizer)."""
     records, layers = modelfile.read(path, MODEL_MAGIC, ("STDMEAN", "STDSTD"),
-                                     _finite)
+                                     number)
     params = NetworkParams([LayerParams(np.array(w), np.array(b))
                             for w, b in layers])
     for tag, vec in records.items():

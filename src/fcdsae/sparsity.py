@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from fcdsae.errors import DomainError
-from fcdsae.network import ForwardTrace
 
 # batch-mean activations are clamped into [CLAMP_EPS, 1 - CLAMP_EPS], which
 # keeps the KL terms defined for unbounded ReLU activations
@@ -34,11 +33,9 @@ def _clamp(mean: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(mean, CLAMP_EPS), 1.0 - CLAMP_EPS)
 
 
-def average_activation(trace: ForwardTrace, layer_index: int) -> np.ndarray:
-    """Unclamped batch-mean activation of each unit in one hidden layer."""
-    if not 0 <= layer_index < len(trace.post) - 1:
-        raise DomainError(f"layer {layer_index} is not a hidden layer")
-    acts = trace.post[layer_index]
+def average_activation(acts: np.ndarray) -> np.ndarray:
+    """Unclamped batch-mean activation of each unit of one hidden layer,
+    from its (batch, width) activations."""
     if acts.shape[0] < 1:
         raise DomainError("empty batch")
     return np.add.reduce(acts, axis=0) / acts.shape[0]  # what acts.mean runs

@@ -99,13 +99,11 @@ def one_hot(labels: np.ndarray) -> np.ndarray:
 
 def predict_batch(params: NetworkParams, std_features: np.ndarray) -> np.ndarray:
     """Argmax class per row; np.argmax already breaks ties to the lowest index."""
-    out = network.forward(params, std_features).output
-    return np.argmax(out, axis=1)
+    return np.argmax(network.forward(params, std_features)[-1], axis=1)
 
 
-def _hidden_means(trace):
-    return [sparsity.average_activation(trace, i)
-            for i in range(len(trace.post) - 1)]
+def _hidden_means(acts):
+    return [sparsity.average_activation(a) for a in acts[1:-1]]
 
 
 def evaluate_total_loss(params: NetworkParams, x: np.ndarray, targets: np.ndarray,
@@ -113,10 +111,10 @@ def evaluate_total_loss(params: NetworkParams, x: np.ndarray, targets: np.ndarra
                         ) -> tuple[np.ndarray, float, float, float]:
     """Argmax predictions, one-hot MSE, J_total and the unclamped mean
     activation over every hidden unit, all from one forward pass."""
-    trace = network.forward(params, x)
-    mse = network.mse_loss(trace.output, targets)
-    means = _hidden_means(trace)
-    return (np.argmax(trace.output, axis=1), mse,
+    acts = network.forward(params, x)
+    mse = network.mse_loss(acts[-1], targets)
+    means = _hidden_means(acts)
+    return (np.argmax(acts[-1], axis=1), mse,
             sparsity.total_loss(mse, means, cfg),
             float(np.concatenate(means).mean()))
 
@@ -133,13 +131,13 @@ def _epoch(cfg, epoch, order, x_train, t_train, params, state, grads):
     xs, ts = x_train[order], t_train[order]
     for start in range(0, len(xs), size):
         xb, tb = xs[start:start + size], ts[start:start + size]
-        trace = network.forward(params, xb)
-        if not math.isfinite(network.mse_loss(trace.output, tb)):
+        acts = network.forward(params, xb)
+        if not math.isfinite(network.mse_loss(acts[-1], tb)):
             raise FloatingPointError(f"training diverged: non-finite loss at "
                                      f"epoch {epoch + 1}, batch {start // size}")
         rows = [sparsity.penalty_gradient(m, scfg, len(xb))
-                for m in _hidden_means(trace)] if scfg.psi > 0.0 else None
-        network.backward(trace, params, tb, rows, out=grads)
+                for m in _hidden_means(acts)] if scfg.psi > 0.0 else None
+        network.backward(acts, params, tb, rows, out=grads)
         try:
             network.adam_step(params, grads, state)
         except ValueError as exc:  # a non-finite gradient

@@ -30,10 +30,9 @@ def random_network(topology, seed):
 
 def total_loss_value(params, batch, targets, cfg):
     """J_total evaluated from scratch (forward + penalty), no gradient code."""
-    trace = network.forward(params, batch)
-    mse = network.mse_loss(trace.output, targets)
-    means = [sparsity.average_activation(trace, i)
-             for i in range(len(trace.post) - 1)]
+    acts = network.forward(params, batch)
+    mse = network.mse_loss(acts[-1], targets)
+    means = [sparsity.average_activation(a) for a in acts[1:-1]]
     return sparsity.total_loss(mse, means, cfg)
 
 
@@ -63,10 +62,10 @@ def fd_gradients(params, batch, targets, cfg, h=1e-6):
     return grads
 
 
-def backward(trace, params, targets, sparsity_rows=None):
+def backward(acts, params, targets, sparsity_rows=None):
     """network.backward into a new gradient buffer."""
     out = params.like(np.empty_like(params.buffer))
-    return network.backward(trace, params, targets, sparsity_rows, out=out)
+    return network.backward(acts, params, targets, sparsity_rows, out=out)
 
 
 def assert_grads_close(analytic, numeric, rel_tol=1e-4, abs_floor=1e-7):

@@ -39,14 +39,13 @@ def test_criterion_1_gradient_fidelity():
             targets = np.eye(3)[rng.integers(0, 3, size=batch.shape[0])]
             for psi in (0.0, 1e-3, 1e-1):
                 cfg = SparsityConfig(psi=psi)
-                trace = network.forward(params, batch)
-                summaries = [sparsity.average_activation(trace, i)
-                             for i in range(len(trace.post) - 1)]
+                acts = network.forward(params, batch)
+                summaries = [sparsity.average_activation(a) for a in acts[1:-1]]
                 sgrads = None
                 if psi > 0:
                     sgrads = [sparsity.penalty_gradient(s, cfg, batch.shape[0])
                               for s in summaries]
-                analytic = backward(trace, params, targets, sgrads)
+                analytic = backward(acts, params, targets, sgrads)
                 numeric = fd_gradients(params, batch, targets, cfg)
                 assert_grads_close(analytic, numeric,
                                    rel_tol=1e-4, abs_floor=1e-7)

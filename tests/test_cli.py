@@ -238,6 +238,15 @@ class TestConfigFile:
             assert code == 1 and "'out'" in err, value
         assert list(tmp_path.iterdir()) == [conf]
 
+    def test_value_may_start_with_a_dash(self, tmp_path, capsys, monkeypatch):
+        """A config value goes in as one `--key=value` word, as `--out=-x.csv`
+        does on the command line, so argparse does not read it as a flag."""
+        monkeypatch.chdir(tmp_path)
+        Path("conf.json").write_text(json.dumps({"n": 5, "out": "-x.csv"}))
+        code, _, _ = run(capsys, "--config", "conf.json", "gen-data")
+        assert code == 0
+        assert len(Path("-x.csv").read_text().splitlines()) == 6
+
     def test_missing_config(self, tmp_path, capsys):
         code, _, _ = run(capsys, "--config", str(tmp_path / "no.json"),
                          "gen-data", "--n", "5", "--out", str(tmp_path / "d.csv"))
@@ -401,6 +410,9 @@ MALFORMED = {
         ["eval", "--model", s.model, "--data", _write(
             tmp / "d.csv", Path(s.data).read_bytes().replace(
                 b"\n1,", b"\n" + b"x" * 200_000 + b","))], 2),
+    "train-negative-seed": lambda s, tmp: (
+        ["train", "--data", s.data, "--seed", "-1",
+         "--out-model", str(tmp / "m.txt")], 1),
     "train-lr-nan": lambda s, tmp: (
         ["train", "--data", s.data, "--lr", "nan",
          "--out-model", str(tmp / "m.txt")], 1),
@@ -426,6 +438,14 @@ MALFORMED = {
     "config-null-value": lambda s, tmp: (
         ["--config", _write(tmp / "c.json", b'{"out": null}'), "gen-data",
          "--n", "5"], 1),
+    "config-negative-seed": lambda s, tmp: (
+        ["--config", _write(tmp / "c.json", b'{"seed": -3}'), "gen-data",
+         "--n", "5", "--out", str(tmp / "d.csv")], 1),
+    "gen-data-negative-seed": lambda s, tmp: (
+        ["gen-data", "--n", "5", "--seed", "-3", "--out", str(tmp / "d.csv")], 1),
+    "gen-data-n-beyond-numpy": lambda s, tmp: (  # a ValueError in numpy
+        ["gen-data", "--n", "100000000000000000000",
+         "--out", str(tmp / "d.csv")], 2),
 }
 
 

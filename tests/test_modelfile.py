@@ -145,21 +145,26 @@ def test_non_ascii_or_underscore_word_rejected(tmp_path, qmodel, word):
         load(path)
 
 
-@pytest.mark.parametrize("qmodel, separator", [
-    (True, "\x1f"), (False, "\u2003"),
-], ids=["qmodel-unit-separator", "model-em-space"])
-def test_only_space_and_tab_separate_words(tmp_path, qmodel, separator):
+@pytest.mark.parametrize("qmodel, separator, error", [
+    (True, "\x1f", "expected 4 values, got 3"),
+    (False, "\u2003", "expected 4 values, got 3"),
+    (True, "\x0b ", r"'[^']+\\x0b' is not printable ASCII"),
+    (False, "\x0c ", r"'[^']+\\x0c' is not printable ASCII"),
+], ids=["qmodel-unit-separator", "model-em-space", "qmodel-vertical-tab",
+        "model-form-feed"])
+def test_only_space_and_tab_separate_words(tmp_path, qmodel, separator, error):
     """str.split() also splits on U+001C-U+001F and Unicode spaces, where a
     C reader splitting on space and tab sees one word: a weight row with
-    such a separator is a short row, named by its line."""
+    such a separator is a short row, named by its line. int() and float()
+    strip a vertical tab or form feed glued to a word, where C's strtol and
+    strtod stop at it: such a word is refused, named by its line."""
     lines = (QMODEL_TEXT if qmodel else MODEL_TEXT).splitlines()
     row = lines.index("LAYER 4 3") + 1
     lines[row] = lines[row].replace(" ", separator, 1)
     path = tmp_path / "m"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     load = quantized.load_qmodel if qmodel else network.load_model
-    with pytest.raises(ParseError, match=rf"line {row + 1}: expected 4 values, "
-                                         "got 3"):
+    with pytest.raises(ParseError, match=rf"line {row + 1}: {error}"):
         load(path)
 
 

@@ -25,18 +25,18 @@ def random_grads(params, rng):
 class TestForward:
     def test_relu_clamps_negative(self):
         params = single_layer([[1.0, -1.0]], [0.0])
-        trace = network.forward(params, [[2.0, 3.0]])
-        npt.assert_array_equal(trace.output, [[0.0]])
+        acts = network.forward(params, [[2.0, 3.0]])
+        npt.assert_array_equal(acts[-1], [[0.0]])
 
     def test_identity(self):
         params = single_layer(np.eye(3), [0.0, 0.0, 0.0])
-        trace = network.forward(params, [[1.0, 0.0, 2.0]])
-        npt.assert_array_equal(trace.output, [[1.0, 0.0, 2.0]])
+        acts = network.forward(params, [[1.0, 0.0, 2.0]])
+        npt.assert_array_equal(acts[-1], [[1.0, 0.0, 2.0]])
 
     def test_weighted_sum_with_bias(self):
         params = single_layer([[0.5, 0.5]], [0.1])
-        trace = network.forward(params, [[1.0, 1.0]])
-        npt.assert_allclose(trace.output, [[1.1]])
+        acts = network.forward(params, [[1.0, 1.0]])
+        npt.assert_allclose(acts[-1], [[1.1]])
 
     def test_shape_mismatch_names_layer(self):
         params = single_layer([[1.0, 2.0]], [0.0])
@@ -48,14 +48,16 @@ class TestForward:
         x = np.random.default_rng(0).normal(size=(6, 4))
         a = network.forward(params, x)
         b = network.forward(params, x)
-        for pa, pb in zip(a.post, b.post):
+        for pa, pb in zip(a, b, strict=True):
             assert np.array_equal(pa, pb)
 
     def test_trace_relu_invariant(self):
         params = network.init_network((4, 5, 3), seed=9)
         x = np.random.default_rng(1).normal(size=(8, 4))
-        trace = network.forward(params, x)
-        for layer, prev, post in zip(params.layers, [x] + trace.post, trace.post):
+        acts = network.forward(params, x)
+        assert len(acts) == len(params.layers) + 1
+        npt.assert_array_equal(acts[0], x)
+        for layer, prev, post in zip(params.layers, acts, acts[1:]):
             pre = prev @ layer.weights.T + layer.biases
             npt.assert_array_equal(post, np.maximum(pre, 0.0))
 
@@ -82,8 +84,8 @@ class TestBackward:
     def test_zero_error_gives_zero_gradients(self):
         params = single_layer(np.eye(3), [0.0, 0.0, 0.0])
         x = np.array([[1.0, 2.0, 3.0]])
-        trace = network.forward(params, x)
-        grads = backward(trace, params, trace.output.copy())
+        acts = network.forward(params, x)
+        grads = backward(acts, params, acts[-1].copy())
         for layer in grads.layers:
             npt.assert_array_equal(layer.weights, 0.0)
             npt.assert_array_equal(layer.biases, 0.0)
@@ -91,8 +93,8 @@ class TestBackward:
     def test_scalar_linear_gradient(self):
         # (W*1 - 2)^2 at W=1: d/dW = 2*(1-2) = -2
         params = single_layer([[1.0]], [0.0])
-        trace = network.forward(params, [[1.0]])
-        grads = backward(trace, params, [[2.0]])
+        acts = network.forward(params, [[1.0]])
+        grads = backward(acts, params, [[2.0]])
         npt.assert_allclose(grads.layers[0].weights, [[-2.0]])
 
     @pytest.mark.parametrize("seed", range(5))
@@ -102,16 +104,16 @@ class TestBackward:
         x = rng.normal(size=(6, 4))
         targets = np.eye(3)[rng.integers(0, 3, size=6)]
         cfg = SparsityConfig(psi=0.0)
-        trace = network.forward(params, x)
-        analytic = backward(trace, params, targets)
+        acts = network.forward(params, x)
+        analytic = backward(acts, params, targets)
         numeric = fd_gradients(params, x, targets, cfg)
         assert_grads_close(analytic, numeric)
 
     def test_mismatched_targets(self):
         params = single_layer([[1.0]], [0.0])
-        trace = network.forward(params, [[1.0]])
+        acts = network.forward(params, [[1.0]])
         with pytest.raises(DimensionError):
-            backward(trace, params, [[1.0, 2.0]])
+            backward(acts, params, [[1.0, 2.0]])
 
 
 class TestAdam:

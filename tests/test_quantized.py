@@ -313,8 +313,8 @@ class TestWideningError:
     def test_more_frac_bits_never_worse(self, reference_run):
         params, std, _ = reference_run
         x = np.array([e for e in range(10)], float)
-        trace = network.forward(params, std.transform_matrix(x).reshape(1, -1))
-        float_out = trace.output[0]
+        acts = network.forward(params, std.transform_matrix(x).reshape(1, -1))
+        float_out = acts[-1][0]
         frame = frame_from_features(x)
         prev_err = None
         for frac in [4, 8, 12, 16, 20, 24]:

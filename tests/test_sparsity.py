@@ -17,13 +17,6 @@ from oracles import assert_grads_close, backward, fd_gradients, random_network
 KL_005_05 = 0.494632
 
 
-def trace_for(activations):
-    """Wrap raw hidden activations (batch x width) into a two-layer trace."""
-    acts = np.asarray(activations, dtype=float)
-    out = np.zeros((acts.shape[0], 1))
-    return network.ForwardTrace(inputs=acts, post=[acts, out])
-
-
 class TestConfig:
     @pytest.mark.parametrize("kw", [dict(xi=0.0), dict(xi=1.0), dict(psi=-1.0),
                                     dict(psi=float("nan")),
@@ -35,26 +28,26 @@ class TestConfig:
 
 class TestAverageActivation:
     def test_batch_mean(self):
-        mean = sparsity.average_activation(trace_for([[0.2], [0.4], [0.6]]), 0)
+        mean = sparsity.average_activation(np.array([[0.2], [0.4], [0.6]]))
         npt.assert_allclose(mean, [0.4])
 
     def test_clamp_floor(self):
-        mean = sparsity.average_activation(trace_for([[0.0], [0.0]]), 0)
+        mean = sparsity.average_activation(np.array([[0.0], [0.0]]))
         assert mean[0] == 0.0  # unclamped: the penalty clamps it
         cfg = SparsityConfig(psi=1.0)
         assert (sparsity.total_loss(0.0, [mean], cfg)
                 == sparsity.kl_divergence(cfg.xi, 1e-6))
 
     def test_clamp_ceiling(self):
-        mean = sparsity.average_activation(trace_for([[2.0], [4.0]]), 0)
+        mean = sparsity.average_activation(np.array([[2.0], [4.0]]))
         assert mean[0] == 3.0
         cfg = SparsityConfig(psi=1.0)
         assert (sparsity.total_loss(0.0, [mean], cfg)
                 == sparsity.kl_divergence(cfg.xi, 1.0 - 1e-6))
 
-    def test_output_layer_rejected(self):
-        with pytest.raises(DomainError):
-            sparsity.average_activation(trace_for([[0.5]]), 1)
+    def test_empty_batch_rejected(self):
+        with pytest.raises(DomainError, match="empty batch"):
+            sparsity.average_activation(np.zeros((0, 3)))
 
 
 class TestKlDivergence:
@@ -158,10 +151,10 @@ class TestPenaltyGradient:
         h = 1e-6
 
         def penalty(a):
-            s = sparsity.average_activation(trace_for(a), 0)
+            s = sparsity.average_activation(a)
             return sparsity.total_loss(0.0, [s], cfg)
 
-        mean = sparsity.average_activation(trace_for(acts), 0)
+        mean = sparsity.average_activation(acts)
         delta = sparsity.penalty_gradient(mean, cfg, batch_size=2)
         for i, k in np.ndindex(acts.shape):
             plus, minus = acts.copy(), acts.copy()
@@ -179,10 +172,9 @@ class TestGradientInjection:
         x = rng.normal(size=(8, 4))
         targets = np.eye(3)[rng.integers(0, 3, size=8)]
         cfg = SparsityConfig(psi=psi)
-        trace = network.forward(params, x)
-        means = [sparsity.average_activation(trace, i)
-                 for i in range(len(trace.post) - 1)]
+        acts = network.forward(params, x)
+        means = [sparsity.average_activation(a) for a in acts[1:-1]]
         sgrads = [sparsity.penalty_gradient(m, cfg, 8) for m in means]
-        analytic = backward(trace, params, targets, sgrads)
+        analytic = backward(acts, params, targets, sgrads)
         numeric = fd_gradients(params, x, targets, cfg)
         assert_grads_close(analytic, numeric)
