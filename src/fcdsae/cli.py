@@ -14,7 +14,7 @@ import numpy as np
 from fcdsae import dataset, metrics, network, quantized, trainer
 from fcdsae.errors import DimensionError, DomainError, FrameError, ParseError
 from fcdsae.quantized import QFormat
-from fcdsae.sparsity import SparsityConfig
+from fcdsae.trainer import TrainConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -30,9 +30,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def integer(text: str) -> int:
+    """The type of the integer flags: a plain ASCII integer, as the data
+    files take numbers, so `1_0` and `\u0663` are usage errors."""
+    return int(dataset.plain(text))
+
+
 def seed(text: str) -> int:
     """The type of --seed: numpy seeds its generators with integers >= 0."""
-    if (value := int(text)) < 0:
+    if (value := integer(text)) < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
@@ -43,18 +49,18 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="write a synthetic sensor CSV")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.add_argument("--seed", type=seed, default=42)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("train", help="train the classifier on a CSV")
     p.add_argument("--data", required=True)
     p.add_argument("--seed", type=seed, default=42)
-    p.add_argument("--epochs", type=int, default=trainer.TrainConfig.max_epochs)
-    p.add_argument("--lr", type=float, default=trainer.TrainConfig.lr)
-    p.add_argument("--batch", type=int, default=trainer.TrainConfig.batch_size)
-    p.add_argument("--xi", type=float, default=SparsityConfig.xi)
-    p.add_argument("--psi", type=float, default=SparsityConfig.psi)
+    p.add_argument("--epochs", type=integer, default=TrainConfig.max_epochs)
+    p.add_argument("--lr", type=dataset.number, default=TrainConfig.lr)
+    p.add_argument("--batch", type=integer, default=TrainConfig.batch_size)
+    p.add_argument("--xi", type=dataset.number, default=TrainConfig.xi)
+    p.add_argument("--psi", type=dataset.number, default=TrainConfig.psi)
     p.add_argument("--out-model", required=True)
     p.add_argument("--out-report")
 
@@ -84,8 +90,6 @@ def _repro_line(args) -> str:
 
 
 def _cmd_gen_data(args) -> None:
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
     m = dataset.synthetic_matrix(args.n, args.seed)
     dataset.write_csv(m, args.out)
     counts = np.bincount(dataset.labels_for_hfr(m[:, -1]),
@@ -101,9 +105,8 @@ def _load_examples(path) -> dataset.Examples:
 
 
 def _cmd_train(args) -> None:
-    cfg = trainer.TrainConfig(
-        lr=args.lr, batch_size=args.batch, max_epochs=args.epochs,
-        seed=args.seed, sparsity=SparsityConfig(xi=args.xi, psi=args.psi))
+    cfg = TrainConfig(lr=args.lr, batch_size=args.batch, max_epochs=args.epochs,
+                      seed=args.seed, xi=args.xi, psi=args.psi)
     examples = _load_examples(args.data)
     data = dataset.split(examples, seed=args.seed)
     params, std, report = trainer.train(cfg, data)
@@ -162,7 +165,7 @@ def _cmd_eval(args) -> None:
         print(f"quantized accuracy: {result.metrics.accuracy:.4f}")
     if args.out_confusion:
         with open(args.out_confusion, "w") as fh:
-            fh.write(cm.to_csv())
+            fh.write(metrics.confusion_csv(cm))
 
 
 def _cmd_infer(args) -> None:

@@ -13,23 +13,6 @@ N_CLASSES = 3
 
 
 @dataclass
-class ConfusionMatrix:
-    """3x3 counts; rows index the true class, columns the predicted class."""
-
-    counts: np.ndarray
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def to_csv(self) -> str:
-        header = "true\\pred," + ",".join(str(c) for c in range(N_CLASSES))
-        rows = [f"{t}," + ",".join(str(int(v)) for v in self.counts[t])
-                for t in range(N_CLASSES)]
-        return "\n".join([header] + rows) + "\n"
-
-
-@dataclass
 class MetricBlock:
     """Accuracy, support-weighted precision/recall/F1, and the error rate
     (1 - accuracy), which is what the reference results tabulate as MSE."""
@@ -47,8 +30,9 @@ class MetricBlock:
         return "\n".join(f"{name:<10} {value:.4f}" for name, value in rows)
 
 
-def confusion(true_labels, predicted_labels) -> ConfusionMatrix:
-    """Count (true, predicted) pairs, lists or arrays, into a 3x3 matrix."""
+def confusion(true_labels, predicted_labels) -> np.ndarray:
+    """Count (true, predicted) pairs, lists or arrays, into a (3, 3) int64
+    matrix; rows index the true class, columns the predicted class."""
     t, p = np.asarray(true_labels), np.asarray(predicted_labels)
     if len(t) != len(p):
         raise DomainError("label lists must have equal length")
@@ -59,19 +43,26 @@ def confusion(true_labels, predicted_labels) -> ConfusionMatrix:
     # the cast is exact for labels in range, and lets `[]` (float64) through
     counts = np.bincount((N_CLASSES * t + p).astype(np.int64),
                          minlength=N_CLASSES * N_CLASSES)
-    return ConfusionMatrix(counts=counts.reshape(N_CLASSES, N_CLASSES))
+    return counts.reshape(N_CLASSES, N_CLASSES)
 
 
-def metric_block(cm: ConfusionMatrix) -> MetricBlock:
+def confusion_csv(counts: np.ndarray) -> str:
+    """A `true\\pred,0,1,2` header, then one line per true class."""
+    header = "true\\pred," + ",".join(str(c) for c in range(N_CLASSES))
+    rows = [f"{t}," + ",".join(str(int(v)) for v in counts[t])
+            for t in range(N_CLASSES)]
+    return "\n".join([header] + rows) + "\n"
+
+
+def metric_block(counts: np.ndarray) -> MetricBlock:
     """Aggregate the confusion matrix with support-weighted averaging.
 
     A class with zero predicted support contributes precision 0; a class
     with zero true support is skipped (weight 0 either way).
     """
-    total = cm.total
+    total = int(counts.sum())
     if total == 0:
         raise DomainError("empty confusion matrix")
-    counts = cm.counts
     accuracy = float(np.trace(counts)) / total
 
     supports = counts.sum(axis=1)

@@ -3,7 +3,6 @@ backpropagation and Adam updates, plus the plain-text model file format."""
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +30,8 @@ class NetworkParams:
 
     The layers are views into `buffer`, one flat float64 vector of each
     layer's weights (row-major) then biases, in layer order. The constructor
-    checks the shapes, fixes `topology` and the per-layer layout, and copies
-    the given layers into a new buffer; `like` and `copy` reuse the layout."""
+    checks the shapes, fixes `topology`, and copies the given layers into a
+    new buffer, so `copy` is the constructor over this network's layers."""
 
     def __init__(self, layers: list[LayerParams]):
         shapes = [(np.shape(l.weights), np.shape(l.biases)) for l in layers]
@@ -46,28 +45,18 @@ class NetworkParams:
                 raise DimensionError(f"layer {i} fan_in {w[1]} != layer "
                                      f"{i - 1} fan_out {shapes[i - 1][0][0]}")
         self.topology = (shapes[0][0][1],) + tuple(w[0] for w, _ in shapes)
-        self._layout, end = [], 0  # (weights slice, its shape, biases slice)
+        self.buffer = np.concatenate([np.ravel(t) for l in layers
+                                      for t in (l.weights, l.biases)],
+                                     dtype=np.float64)
+        self.layers, end = [], 0
         for w, _ in shapes:
             start, mid = end, end + w[0] * w[1]
             end = mid + w[0]
-            self._layout.append((slice(start, mid), w, slice(mid, end)))
-        self._wrap(np.concatenate([np.ravel(t) for l in layers
-                                   for t in (l.weights, l.biases)],
-                                  dtype=np.float64))
-
-    def _wrap(self, buffer: np.ndarray) -> None:
-        self.buffer = buffer
-        self.layers = [LayerParams(buffer[w].reshape(shape), buffer[b])
-                       for w, shape, b in self._layout]
-
-    def like(self, buffer: np.ndarray) -> "NetworkParams":
-        """This layout over another flat buffer, which is not copied."""
-        twin = copy.copy(self)
-        twin._wrap(buffer)
-        return twin
+            self.layers.append(LayerParams(self.buffer[start:mid].reshape(w),
+                                           self.buffer[mid:end]))
 
     def copy(self) -> "NetworkParams":
-        return self.like(self.buffer.copy())
+        return NetworkParams(self.layers)
 
 
 def init_network(topology: tuple[int, ...] = DEFAULT_TOPOLOGY,

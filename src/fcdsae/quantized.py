@@ -255,7 +255,7 @@ def q_forward(qm: QuantizedModel, frame) -> tuple[list[int], int]:
 @dataclass
 class QuantEvalResult:
     metrics: "MetricBlock"
-    confusion: "ConfusionMatrix"
+    confusion: np.ndarray  # (3, 3) counts, true class by row
 
 
 def evaluate_quantized(qm: QuantizedModel, examples) -> QuantEvalResult:

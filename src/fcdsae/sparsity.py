@@ -3,8 +3,6 @@ and its analytic gradient for injection into backpropagation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from fcdsae.errors import DomainError
@@ -12,20 +10,6 @@ from fcdsae.errors import DomainError
 # batch-mean activations are clamped into [CLAMP_EPS, 1 - CLAMP_EPS], which
 # keeps the KL terms defined for unbounded ReLU activations
 CLAMP_EPS = 1e-6
-
-
-@dataclass(frozen=True)
-class SparsityConfig:
-    """Target activation level and penalty weight."""
-
-    xi: float = 0.05
-    psi: float = 1e-3
-
-    def __post_init__(self):
-        if not 0.0 < self.xi < 1.0:
-            raise DomainError(f"xi must lie in (0,1), got {self.xi}")
-        if not 0.0 <= self.psi < np.inf:  # NaN fails too
-            raise DomainError(f"psi must be finite and >= 0, got {self.psi}")
 
 
 def _clamp(mean: np.ndarray) -> np.ndarray:
@@ -58,7 +42,7 @@ def kl_divergence(xi: float, xi_k: float) -> float:
     return float(_kl(xi, xi_k))
 
 
-def penalty_gradient(mean: np.ndarray, cfg: SparsityConfig,
+def penalty_gradient(mean: np.ndarray, xi: float, psi: float,
                      batch_size: int) -> np.ndarray:
     """Gradient of the penalty w.r.t. each unit's activation, per sample.
 
@@ -69,17 +53,14 @@ def penalty_gradient(mean: np.ndarray, cfg: SparsityConfig,
     (width,).
     """
     xi_k = _clamp(mean)
-    per_unit = (cfg.psi / batch_size) * (
-        -cfg.xi / xi_k + (1.0 - cfg.xi) / (1.0 - xi_k)
-    )
+    per_unit = (psi / batch_size) * (-xi / xi_k + (1.0 - xi) / (1.0 - xi_k))
     return np.where(mean != xi_k, 0.0, per_unit)
 
 
-def total_loss(mse: float, means: list[np.ndarray],
-               cfg: SparsityConfig) -> float:
+def total_loss(mse: float, means: list[np.ndarray], xi: float,
+               psi: float) -> float:
     """MSE plus the sparsity penalty: psi times the summed KL divergence
     over all penalized hidden units, at their clamped batch means.
     Bit-identical to the MSE when psi=0: the clamped KL sum is finite, so
     the penalty is exactly +0.0."""
-    return mse + cfg.psi * float(sum(_kl(cfg.xi, _clamp(m)).sum()
-                                     for m in means))
+    return mse + psi * float(sum(_kl(xi, _clamp(m)).sum() for m in means))

@@ -5,14 +5,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from fcdsae import metrics, network, sparsity
 from fcdsae.dataset import SplitDataset, Standardizer
 from fcdsae.errors import DomainError
-from fcdsae.metrics import ConfusionMatrix, MetricBlock, confusion, metric_block
+from fcdsae.metrics import MetricBlock, confusion, metric_block
 from fcdsae.network import AdamState, NetworkParams
 
 
@@ -22,8 +22,8 @@ class TrainConfig:
     batch_size: int = 64
     max_epochs: int = 15
     seed: int = 0
-    sparsity: sparsity.SparsityConfig = field(
-        default_factory=sparsity.SparsityConfig)
+    xi: float = 0.05  # sparsity target
+    psi: float = 1e-3  # sparsity weight
 
     def __post_init__(self):
         if self.max_epochs < 1:
@@ -32,11 +32,15 @@ class TrainConfig:
             raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 < self.lr < math.inf:  # NaN fails too
             raise DomainError(f"lr must be finite and > 0, got {self.lr}")
+        if not 0.0 < self.xi < 1.0:
+            raise DomainError(f"xi must lie in (0,1), got {self.xi}")
+        if not 0.0 <= self.psi < math.inf:  # NaN fails too
+            raise DomainError(f"psi must be finite and >= 0, got {self.psi}")
         # J = MSE + psi*sum(KL) < max: MSE <= max/3, each KL <= -log(CLAMP_EPS)
         hidden_units = sum(network.DEFAULT_TOPOLOGY[1:-1])
-        if not math.isfinite(2.0 * self.sparsity.psi * hidden_units
+        if not math.isfinite(2.0 * self.psi * hidden_units
                              * -math.log(sparsity.CLAMP_EPS)):
-            raise DomainError(f"psi too large, J may overflow: {self.sparsity.psi}")
+            raise DomainError(f"psi too large, J may overflow: {self.psi}")
 
 
 @dataclass
@@ -49,7 +53,7 @@ class TrainReport:
     mse: list[float]
     best_epoch: int
     final_metrics: MetricBlock
-    final_confusion: ConfusionMatrix
+    final_confusion: np.ndarray  # (3, 3) counts, true class by row
     final_mse: float
     mean_hidden_activation: float
     config: TrainConfig
@@ -75,8 +79,7 @@ class TrainReport:
             f"topology: {'-'.join(map(str, network.DEFAULT_TOPOLOGY))}",
             f"lr: {cfg.lr}  batch_size: {cfg.batch_size}  "
             f"max_epochs: {cfg.max_epochs}  seed: {cfg.seed}",
-            f"sparsity: xi={cfg.sparsity.xi} psi={cfg.sparsity.psi} "
-            f"clamp_eps={sparsity.CLAMP_EPS}",
+            f"sparsity: xi={cfg.xi} psi={cfg.psi} clamp_eps={sparsity.CLAMP_EPS}",
             f"best_epoch: {self.best_epoch + 1}",
             f"mean_hidden_activation: {self.mean_hidden_activation:.10g}",
             f"final_one_hot_mse: {self.final_mse:.10g}",
@@ -85,7 +88,7 @@ class TrainReport:
             self.final_metrics.format_table(),
             "",
             "confusion matrix",
-            self.final_confusion.to_csv().rstrip("\n"),
+            metrics.confusion_csv(self.final_confusion).rstrip("\n"),
             "",
             "epoch trajectory",
             self.epochs_csv().rstrip("\n"),
@@ -107,7 +110,7 @@ def _hidden_means(acts):
 
 
 def evaluate_total_loss(params: NetworkParams, x: np.ndarray, targets: np.ndarray,
-                        cfg: sparsity.SparsityConfig
+                        cfg: TrainConfig
                         ) -> tuple[np.ndarray, float, float, float]:
     """Argmax predictions, one-hot MSE, J_total and the unclamped mean
     activation over every hidden unit, all from one forward pass."""
@@ -115,7 +118,7 @@ def evaluate_total_loss(params: NetworkParams, x: np.ndarray, targets: np.ndarra
     mse = network.mse_loss(acts[-1], targets)
     means = _hidden_means(acts)
     return (np.argmax(acts[-1], axis=1), mse,
-            sparsity.total_loss(mse, means, cfg),
+            sparsity.total_loss(mse, means, cfg.xi, cfg.psi),
             float(np.concatenate(means).mean()))
 
 
@@ -127,7 +130,7 @@ def _epoch(cfg, epoch, order, x_train, t_train, params, state, grads):
     the two are finite together. psi is finite and bounded (TrainConfig), so
     the penalty is finite unless a clamped mean is NaN, and a NaN mean needs
     a NaN hidden activation, which makes every output of its row NaN."""
-    scfg, size = cfg.sparsity, cfg.batch_size
+    size = cfg.batch_size
     xs, ts = x_train[order], t_train[order]
     for start in range(0, len(xs), size):
         xb, tb = xs[start:start + size], ts[start:start + size]
@@ -135,8 +138,8 @@ def _epoch(cfg, epoch, order, x_train, t_train, params, state, grads):
         if not math.isfinite(network.mse_loss(acts[-1], tb)):
             raise FloatingPointError(f"training diverged: non-finite loss at "
                                      f"epoch {epoch + 1}, batch {start // size}")
-        rows = [sparsity.penalty_gradient(m, scfg, len(xb))
-                for m in _hidden_means(acts)] if scfg.psi > 0.0 else None
+        rows = [sparsity.penalty_gradient(m, cfg.xi, cfg.psi, len(xb))
+                for m in _hidden_means(acts)] if cfg.psi > 0.0 else None
         network.backward(acts, params, tb, rows, out=grads)
         try:
             network.adam_step(params, grads, state)
@@ -164,7 +167,7 @@ def train(cfg: TrainConfig, data: SplitDataset
 
     params = network.init_network(seed=cfg.seed)  # DEFAULT_TOPOLOGY
     state = AdamState.for_network(params, cfg.lr)
-    grads = params.like(np.empty_like(params.buffer))
+    grads = params.copy()  # backward overwrites every value
     shuffle_rng = np.random.default_rng(cfg.seed + 1)
 
     hist_train_acc, hist_val_acc, hist_j, hist_mse = [], [], [], []
@@ -174,7 +177,7 @@ def train(cfg: TrainConfig, data: SplitDataset
         _epoch(cfg, epoch, shuffle_rng.permutation(len(y_train)), x_train,
                t_train, params, state, grads)
         train_preds, mse_full, j_full, _ = evaluate_total_loss(
-            params, x_train, t_train, cfg.sparsity)
+            params, x_train, t_train, cfg)
         train_acc = float(np.mean(train_preds == y_train))
         val_acc = float(np.mean(predict_batch(params, x_test) == y_test))
         hist_train_acc.append(train_acc)
@@ -187,7 +190,7 @@ def train(cfg: TrainConfig, data: SplitDataset
 
     params = best_params
     test_preds, final_mse, _, mean_activation = evaluate_total_loss(
-        params, x_test, one_hot(y_test), cfg.sparsity)
+        params, x_test, one_hot(y_test), cfg)
     cm = confusion(y_test, test_preds)
     block = metric_block(cm)
     report = TrainReport(

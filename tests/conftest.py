@@ -6,7 +6,6 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from fcdsae import dataset, trainer
-from fcdsae.sparsity import SparsityConfig
 
 REFERENCE_N = 36363
 REFERENCE_SEED = 42
@@ -28,8 +27,7 @@ def reference_run(reference_data):
 
 @pytest.fixture(scope="session")
 def reference_run_no_sparsity(reference_data):
-    cfg = trainer.TrainConfig(seed=REFERENCE_SEED,
-                              sparsity=SparsityConfig(psi=0.0))
+    cfg = trainer.TrainConfig(seed=REFERENCE_SEED, psi=0.0)
     return trainer.train(cfg, reference_data)
 
 

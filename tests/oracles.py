@@ -28,15 +28,15 @@ def random_network(topology, seed):
     return params
 
 
-def total_loss_value(params, batch, targets, cfg):
+def total_loss_value(params, batch, targets, xi, psi):
     """J_total evaluated from scratch (forward + penalty), no gradient code."""
     acts = network.forward(params, batch)
     mse = network.mse_loss(acts[-1], targets)
     means = [sparsity.average_activation(a) for a in acts[1:-1]]
-    return sparsity.total_loss(mse, means, cfg)
+    return sparsity.total_loss(mse, means, xi, psi)
 
 
-def fd_gradients(params, batch, targets, cfg, h=1e-6):
+def fd_gradients(params, batch, targets, xi, psi, h=1e-6):
     """Central finite differences of J_total w.r.t. every parameter."""
     grads = []
     for layer in params.layers:
@@ -44,18 +44,18 @@ def fd_gradients(params, batch, targets, cfg, h=1e-6):
         for idx in np.ndindex(layer.weights.shape):
             orig = layer.weights[idx]
             layer.weights[idx] = orig + h
-            plus = total_loss_value(params, batch, targets, cfg)
+            plus = total_loss_value(params, batch, targets, xi, psi)
             layer.weights[idx] = orig - h
-            minus = total_loss_value(params, batch, targets, cfg)
+            minus = total_loss_value(params, batch, targets, xi, psi)
             layer.weights[idx] = orig
             gw[idx] = (plus - minus) / (2.0 * h)
         gb = np.zeros_like(layer.biases)
         for idx in np.ndindex(layer.biases.shape):
             orig = layer.biases[idx]
             layer.biases[idx] = orig + h
-            plus = total_loss_value(params, batch, targets, cfg)
+            plus = total_loss_value(params, batch, targets, xi, psi)
             layer.biases[idx] = orig - h
-            minus = total_loss_value(params, batch, targets, cfg)
+            minus = total_loss_value(params, batch, targets, xi, psi)
             layer.biases[idx] = orig
             gb[idx] = (plus - minus) / (2.0 * h)
         grads.append((gw, gb))
@@ -64,8 +64,8 @@ def fd_gradients(params, batch, targets, cfg, h=1e-6):
 
 def backward(acts, params, targets, sparsity_rows=None):
     """network.backward into a new gradient buffer."""
-    out = params.like(np.empty_like(params.buffer))
-    return network.backward(acts, params, targets, sparsity_rows, out=out)
+    return network.backward(acts, params, targets, sparsity_rows,
+                            out=params.copy())
 
 
 def assert_grads_close(analytic, numeric, rel_tol=1e-4, abs_floor=1e-7):
@@ -90,7 +90,7 @@ def reference_train(cfg, data):
     from fcdsae import metrics, trainer
     from fcdsae.dataset import Standardizer
 
-    sc = cfg.sparsity
+    xi, psi = cfg.xi, cfg.psi
     std = Standardizer.fit(data.train.features)
     x_train = std.transform_matrix(data.train.features)
     y_train = data.train.labels
@@ -126,8 +126,7 @@ def reference_train(cfg, data):
         return float(np.sum(diff * diff) / diff.size)
 
     def penalty(clamped):
-        xi = sc.xi
-        return sc.psi * float(sum(
+        return psi * float(sum(
             np.maximum(xi * np.log(xi / c)
                        + (1.0 - xi) * np.log((1.0 - xi) / (1.0 - c)), 0.0).sum()
             for c in clamped))
@@ -146,9 +145,9 @@ def reference_train(cfg, data):
             grads = [None] * len(layers)
             delta = 2.0 * (post[-1] - tb) / post[-1].size
             for i in range(len(layers) - 1, -1, -1):
-                if i < len(layers) - 1 and sc.psi > 0.0:
-                    row = (sc.psi / len(idx)) * (
-                        -sc.xi / clamped[i] + (1.0 - sc.xi) / (1.0 - clamped[i]))
+                if i < len(layers) - 1 and psi > 0.0:
+                    row = (psi / len(idx)) * (
+                        -xi / clamped[i] + (1.0 - xi) / (1.0 - clamped[i]))
                     row = np.where(raw[i] != clamped[i], 0.0, row)
                     delta = delta + np.broadcast_to(row, delta.shape)
                 delta = delta * (post[i] > 0.0)

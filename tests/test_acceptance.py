@@ -11,7 +11,6 @@ from fcdsae import dataset, network, quantized, sparsity, trainer
 from fcdsae.cli import main as cli_main
 from fcdsae.metrics import confusion, metric_block
 from fcdsae.quantized import QFormat, dump_frames, frame_from_features
-from fcdsae.sparsity import SparsityConfig
 
 from oracles import (assert_grads_close, backward, bayes_accuracy,
                      fd_gradients, random_network, recount_metrics,
@@ -38,15 +37,15 @@ def test_criterion_1_gradient_fidelity():
             batch = rng.normal(size=(int(rng.integers(1, 9)), 4))
             targets = np.eye(3)[rng.integers(0, 3, size=batch.shape[0])]
             for psi in (0.0, 1e-3, 1e-1):
-                cfg = SparsityConfig(psi=psi)
                 acts = network.forward(params, batch)
                 summaries = [sparsity.average_activation(a) for a in acts[1:-1]]
                 sgrads = None
                 if psi > 0:
-                    sgrads = [sparsity.penalty_gradient(s, cfg, batch.shape[0])
+                    sgrads = [sparsity.penalty_gradient(s, 0.05, psi,
+                                                        batch.shape[0])
                               for s in summaries]
                 analytic = backward(acts, params, targets, sgrads)
-                numeric = fd_gradients(params, batch, targets, cfg)
+                numeric = fd_gradients(params, batch, targets, 0.05, psi)
                 assert_grads_close(analytic, numeric,
                                    rel_tol=1e-4, abs_floor=1e-7)
         assert time.perf_counter() - t0 < 10.0

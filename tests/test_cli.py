@@ -443,6 +443,17 @@ MALFORMED = {
          "--n", "5", "--out", str(tmp / "d.csv")], 1),
     "gen-data-negative-seed": lambda s, tmp: (
         ["gen-data", "--n", "5", "--seed", "-3", "--out", str(tmp / "d.csv")], 1),
+    "train-batch-underscore": lambda s, tmp: (  # int() reads 10
+        ["train", "--data", s.data, "--batch=1_0",
+         "--out-model", str(tmp / "m.txt")], 1),
+    "train-lr-arabic-indic": lambda s, tmp: (  # float() reads 3.0
+        ["train", "--data", s.data, "--lr=\u0663",
+         "--out-model", str(tmp / "m.txt")], 1),
+    "gen-data-n-arabic-indic": lambda s, tmp: (
+        ["gen-data", "--n", "\u0663", "--out", str(tmp / "d.csv")], 1),
+    "config-epochs-underscore": lambda s, tmp: (
+        ["--config", _write(tmp / "c.json", b'{"epochs": "1_5"}'), "train",
+         "--data", s.data, "--out-model", str(tmp / "m.txt")], 1),
     "gen-data-n-beyond-numpy": lambda s, tmp: (  # a ValueError in numpy
         ["gen-data", "--n", "100000000000000000000",
          "--out", str(tmp / "d.csv")], 2),

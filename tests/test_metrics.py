@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fcdsae.errors import DomainError
-from fcdsae.metrics import ConfusionMatrix, confusion, metric_block
+from fcdsae.metrics import confusion, confusion_csv, metric_block
 
 from oracles import recount_metrics
 
@@ -19,19 +19,18 @@ class TestConfusion:
     def test_perfect(self):
         for as_seq in SEQUENCE_TYPES:
             cm = confusion(as_seq([0, 1, 2]), as_seq([0, 1, 2]))
-            npt.assert_array_equal(cm.counts, np.eye(3, dtype=int))
+            npt.assert_array_equal(cm, np.eye(3, dtype=int))
 
     def test_hand_count(self):
         for as_seq in SEQUENCE_TYPES:
             cm = confusion(as_seq([0, 0, 1]), as_seq([1, 0, 1]))
-            npt.assert_array_equal(cm.counts,
-                                   [[1, 1, 0], [0, 1, 0], [0, 0, 0]])
-            assert cm.total == 3
+            npt.assert_array_equal(cm, [[1, 1, 0], [0, 1, 0], [0, 0, 0]])
+            assert cm.dtype == np.int64
 
     def test_empty(self):
         for cm in (confusion([], []),
                    confusion(np.array([], int), np.array([], int))):
-            npt.assert_array_equal(cm.counts, np.zeros((3, 3)))
+            npt.assert_array_equal(cm, np.zeros((3, 3)))
 
     def test_out_of_range(self):
         # the error names the first bad pair
@@ -50,27 +49,31 @@ class TestConfusion:
             with pytest.raises(DomainError):
                 confusion(as_seq([0, 1]), as_seq([0]))
 
+    def test_csv_bytes(self):
+        """The `eval --out-confusion` file and the report's matrix block."""
+        cm = np.array([[8, 2, 0], [1, 9, 0], [0, 0, 10]])
+        assert confusion_csv(cm) == ("true\\pred,0,1,2\n0,8,2,0\n"
+                                     "1,1,9,0\n2,0,0,10\n")
+
 
 class TestMetricBlock:
     def test_perfect_classifier(self):
-        block = metric_block(ConfusionMatrix(np.diag([5, 5, 5])))
+        block = metric_block(np.diag([5, 5, 5]))
         assert block.accuracy == block.precision == block.recall == block.f1 == 1.0
         assert block.mse == 0.0
 
     def test_hand_matrix(self):
-        cm = ConfusionMatrix(np.array([[8, 2, 0], [1, 9, 0], [0, 0, 10]]))
-        block = metric_block(cm)
+        block = metric_block(np.array([[8, 2, 0], [1, 9, 0], [0, 0, 10]]))
         assert block.accuracy == pytest.approx(27 / 30)
         assert block.recall == pytest.approx(0.9)
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
-            metric_block(ConfusionMatrix(np.zeros((3, 3), dtype=int)))
+            metric_block(np.zeros((3, 3), dtype=int))
 
     def test_zero_predicted_support_precision(self):
         # nothing ever predicted as class 2
-        cm = ConfusionMatrix(np.array([[5, 0, 0], [0, 5, 0], [5, 0, 0]]))
-        block = metric_block(cm)
+        block = metric_block(np.array([[5, 0, 0], [0, 5, 0], [5, 0, 0]]))
         assert 0.0 <= block.precision <= 1.0
 
     @settings(max_examples=100, deadline=None)
@@ -107,7 +110,7 @@ class TestMetricBlock:
         assert a == b
 
     def test_table_format(self):
-        block = metric_block(ConfusionMatrix(np.diag([5, 5, 5])))
+        block = metric_block(np.diag([5, 5, 5]))
         table = block.format_table()
         for name in ["Accuracy", "Precision", "Recall", "F1-Score", "MSE"]:
             assert name in table

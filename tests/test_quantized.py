@@ -438,8 +438,8 @@ class TestBatchEngine:
             scale = 2.0**-INPUT_FORMAT.frac_bits
             examples = Examples(np.array(frames).reshape(len(frames), -1) * scale,
                                 np.array(labels))
-            got = evaluate_quantized(qm, examples).confusion.counts
-            want = confusion(labels, [p for _, p in expected]).counts
+            got = evaluate_quantized(qm, examples).confusion
+            want = confusion(labels, [p for _, p in expected])
             assert (got == want).all()
 
     def test_random_models_and_saturating_frames(self):

@@ -7,23 +7,12 @@ from hypothesis import example, given, strategies as st
 
 from fcdsae import network, sparsity
 from fcdsae.errors import DomainError
-from fcdsae.network import LayerParams, NetworkParams
-from fcdsae.sparsity import SparsityConfig
 
 from oracles import assert_grads_close, backward, fd_gradients, random_network
 
 # kl(0.05, 0.5) evaluated by hand:
 #   0.05*ln(0.05/0.5) + 0.95*ln(0.95/0.5) = 0.4946317...
 KL_005_05 = 0.494632
-
-
-class TestConfig:
-    @pytest.mark.parametrize("kw", [dict(xi=0.0), dict(xi=1.0), dict(psi=-1.0),
-                                    dict(psi=float("nan")),
-                                    dict(psi=float("inf"))])
-    def test_invalid_rejected(self, kw):
-        with pytest.raises(DomainError):
-            SparsityConfig(**kw)
 
 
 class TestAverageActivation:
@@ -34,16 +23,14 @@ class TestAverageActivation:
     def test_clamp_floor(self):
         mean = sparsity.average_activation(np.array([[0.0], [0.0]]))
         assert mean[0] == 0.0  # unclamped: the penalty clamps it
-        cfg = SparsityConfig(psi=1.0)
-        assert (sparsity.total_loss(0.0, [mean], cfg)
-                == sparsity.kl_divergence(cfg.xi, 1e-6))
+        assert (sparsity.total_loss(0.0, [mean], 0.05, 1.0)
+                == sparsity.kl_divergence(0.05, 1e-6))
 
     def test_clamp_ceiling(self):
         mean = sparsity.average_activation(np.array([[2.0], [4.0]]))
         assert mean[0] == 3.0
-        cfg = SparsityConfig(psi=1.0)
-        assert (sparsity.total_loss(0.0, [mean], cfg)
-                == sparsity.kl_divergence(cfg.xi, 1.0 - 1e-6))
+        assert (sparsity.total_loss(0.0, [mean], 0.05, 1.0)
+                == sparsity.kl_divergence(0.05, 1.0 - 1e-6))
 
     def test_empty_batch_rejected(self):
         with pytest.raises(DomainError, match="empty batch"):
@@ -87,75 +74,67 @@ class TestPenaltyTotal:
         return np.asarray(values, float)
 
     @staticmethod
-    def penalty(means, cfg):
-        return sparsity.total_loss(0.0, means, cfg)
+    def penalty(means, xi, psi):
+        return sparsity.total_loss(0.0, means, xi, psi)
 
     def test_zero_weight(self):
-        cfg = SparsityConfig(psi=0.0)
-        assert self.penalty([self.mean([0.3, 0.7])], cfg) == 0.0
+        assert self.penalty([self.mean([0.3, 0.7])], 0.05, 0.0) == 0.0
 
     def test_at_target_is_zero(self):
-        cfg = SparsityConfig(xi=0.05, psi=0.1)
-        assert self.penalty([self.mean([0.05, 0.05])], cfg) == 0.0
+        assert self.penalty([self.mean([0.05, 0.05])], 0.05, 0.1) == 0.0
 
     def test_hand_value(self):
-        cfg = SparsityConfig(xi=0.05, psi=0.1)
-        total = self.penalty([self.mean([0.5, 0.5])], cfg)
+        total = self.penalty([self.mean([0.5, 0.5])], 0.05, 0.1)
         assert total == pytest.approx(0.1 * 2 * KL_005_05, abs=1e-6)
 
     @given(st.floats(0.001, 0.999),
            st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=32))
     @example(xi=0.001, means=[0.0010000000000000002])
     def test_matches_math_log_reference(self, xi, means):
-        cfg = SparsityConfig(xi=xi, psi=1.0)
         terms = [max(xi * math.log(xi / m)
                      + (1.0 - xi) * math.log((1.0 - xi) / (1.0 - m)), 0.0)
                  for m in means]
-        total = self.penalty(
-            [self.mean(means), self.mean([xi])], cfg)
+        total = self.penalty([self.mean(means), self.mean([xi])], xi, 1.0)
         assert total >= 0.0
         # np.log and math.log may differ in the last ulp of each term
         assert total == pytest.approx(math.fsum(terms), rel=1e-12, abs=1e-12)
-        assert self.penalty([self.mean([xi] * len(means))], cfg) == 0.0
+        assert self.penalty([self.mean([xi] * len(means))], xi, 1.0) == 0.0
 
     def test_psi_zero_total_loss_bit_equals_mse(self):
-        cfg = SparsityConfig(psi=0.0)
         mse = 0.123456789
-        assert sparsity.total_loss(mse, [self.mean([0.9])], cfg) == mse
+        assert sparsity.total_loss(mse, [self.mean([0.9])], 0.05, 0.0) == mse
 
 
 class TestPenaltyGradient:
     def test_stationary_at_target(self):
-        cfg = SparsityConfig(xi=0.05, psi=1.0)
-        grad = sparsity.penalty_gradient(np.array([0.05]), cfg, batch_size=1)
+        grad = sparsity.penalty_gradient(np.array([0.05]), 0.05, 1.0,
+                                         batch_size=1)
         npt.assert_allclose(grad, 0.0, atol=1e-15)
 
     def test_scalar_derivative(self):
-        cfg = SparsityConfig(xi=0.05, psi=1.0)
-        grad = sparsity.penalty_gradient(np.array([0.2]), cfg, batch_size=1)
+        grad = sparsity.penalty_gradient(np.array([0.2]), 0.05, 1.0,
+                                         batch_size=1)
         assert grad.shape == (1,)
         npt.assert_allclose(grad, [-0.25 + 1.1875])
 
     def test_clamped_unit_has_zero_gradient(self):
-        cfg = SparsityConfig(xi=0.05, psi=1.0)
         means = np.array([3.0, 0.0, np.nan, 0.2])
-        grad = sparsity.penalty_gradient(means, cfg, batch_size=2)
+        grad = sparsity.penalty_gradient(means, 0.05, 1.0, batch_size=2)
         npt.assert_array_equal(grad[:3], 0.0)
         assert grad[3] != 0.0
 
     def test_finite_difference_of_penalty(self):
         # perturbing one activation of any sample changes the penalty by
         # the unit's delta*h
-        cfg = SparsityConfig(xi=0.05, psi=1.0)
         acts = np.array([[0.3, 0.1], [0.5, 0.2]])
         h = 1e-6
 
         def penalty(a):
             s = sparsity.average_activation(a)
-            return sparsity.total_loss(0.0, [s], cfg)
+            return sparsity.total_loss(0.0, [s], 0.05, 1.0)
 
         mean = sparsity.average_activation(acts)
-        delta = sparsity.penalty_gradient(mean, cfg, batch_size=2)
+        delta = sparsity.penalty_gradient(mean, 0.05, 1.0, batch_size=2)
         for i, k in np.ndindex(acts.shape):
             plus, minus = acts.copy(), acts.copy()
             plus[i, k] += h
@@ -171,10 +150,9 @@ class TestGradientInjection:
         params = random_network((4, 5, 3), seed=17)
         x = rng.normal(size=(8, 4))
         targets = np.eye(3)[rng.integers(0, 3, size=8)]
-        cfg = SparsityConfig(psi=psi)
         acts = network.forward(params, x)
         means = [sparsity.average_activation(a) for a in acts[1:-1]]
-        sgrads = [sparsity.penalty_gradient(m, cfg, 8) for m in means]
+        sgrads = [sparsity.penalty_gradient(m, 0.05, psi, 8) for m in means]
         analytic = backward(acts, params, targets, sgrads)
-        numeric = fd_gradients(params, x, targets, cfg)
+        numeric = fd_gradients(params, x, targets, 0.05, psi)
         assert_grads_close(analytic, numeric)

@@ -7,7 +7,6 @@ import pytest
 from fcdsae import dataset, network, trainer
 from fcdsae.errors import DomainError
 from fcdsae.network import LayerParams, NetworkParams
-from fcdsae.sparsity import SparsityConfig
 from fcdsae.trainer import TrainConfig, predict_batch, train
 
 from oracles import reference_train
@@ -22,7 +21,9 @@ class TestConfig:
     @pytest.mark.parametrize("kw", [dict(max_epochs=0), dict(batch_size=0),
                                     dict(lr=0.0),
                                     dict(lr=float("nan")), dict(lr=float("inf")),
-                                    dict(sparsity=SparsityConfig(psi=1e306))])
+                                    dict(psi=1e306), dict(xi=0.0), dict(xi=1.0),
+                                    dict(psi=-1.0), dict(psi=float("nan")),
+                                    dict(psi=float("inf"))])
     def test_invalid(self, kw):
         with pytest.raises(DomainError):
             TrainConfig(**kw)
@@ -31,9 +32,9 @@ class TestConfig:
         """2 * psi * 48 units * -log(CLAMP_EPS) is finite at 1.35e305, not
         at 1.4e305 (the sparsity penalty and the MSE could then overflow J);
         a bound counting fewer units would accept both."""
-        TrainConfig(sparsity=SparsityConfig(psi=1.35e305))
+        TrainConfig(psi=1.35e305)
         with pytest.raises(DomainError, match="psi too large"):
-            TrainConfig(sparsity=SparsityConfig(psi=1.4e305))
+            TrainConfig(psi=1.4e305)
 
 
 class TestTrain:
@@ -79,8 +80,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("psi", [0.0, 1e-3])
     def test_divergence_names_epoch_and_batch(self, small_data, psi):
-        cfg = TrainConfig(lr=1e300, max_epochs=2,
-                          sparsity=SparsityConfig(psi=psi))
+        cfg = TrainConfig(lr=1e300, max_epochs=2, psi=psi)
         with pytest.raises(FloatingPointError) as exc:
             with np.errstate(all="ignore"):
                 train(cfg, small_data)
@@ -125,8 +125,7 @@ class TestReferenceTrain:
     @pytest.mark.parametrize("psi", [0.0, 1e-3])
     @pytest.mark.parametrize("seed", [3, 11])
     def test_bit_equal_to_per_tensor_loop(self, small_data, psi, seed):
-        cfg = TrainConfig(batch_size=7, max_epochs=3, seed=seed,
-                          sparsity=SparsityConfig(psi=psi))
+        cfg = TrainConfig(batch_size=7, max_epochs=3, seed=seed, psi=psi)
         assert len(small_data.train) % cfg.batch_size  # a short last batch
         params, _, report = train(cfg, small_data)
         ref_layers, ref_report = reference_train(cfg, small_data)
