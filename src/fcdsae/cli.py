@@ -100,15 +100,21 @@ def _cmd_gen_data(args) -> None:
                    for c in range(metrics.N_CLASSES)))
 
 
-def _load_examples(path) -> dataset.Examples:
-    return dataset.Examples.from_matrix(dataset.parse_csv(path))
+def _load_examples(path, split_seed: int | None = None):
+    """A data CSV's examples, or their 3:1 split at `split_seed`. A value
+    that labeling or the split rejects is a data error naming the file."""
+    try:
+        examples = dataset.Examples.from_matrix(dataset.parse_csv(path))
+        return examples if split_seed is None else dataset.split(examples,
+                                                                  split_seed)
+    except DomainError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _cmd_train(args) -> None:
     cfg = TrainConfig(lr=args.lr, batch_size=args.batch, max_epochs=args.epochs,
                       seed=args.seed, xi=args.xi, psi=args.psi)
-    examples = _load_examples(args.data)
-    data = dataset.split(examples, seed=args.seed)
+    data = _load_examples(args.data, split_seed=args.seed)
     params, std, report = trainer.train(cfg, data)
     network.save_model(params, args.out_model, standardizer=std)
     if args.out_report:

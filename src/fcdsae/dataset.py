@@ -7,6 +7,7 @@ per-row `SensorRecord`, `LabeledExample`, `record_features`, `label` and
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import math
@@ -23,9 +24,8 @@ COLUMNS = ["t", "Power", "CurrD", "StaVol", "Var", "WaterTempOut",
 FEATURE_COLUMNS = COLUMNS[1:-1]
 N_FEATURES = 10
 
-# class thresholds on HFR in milliohms
-CLASS1_LOW = 89.0
-CLASS2_LOW = 91.0
+# HFR in milliohms where classes 1 and 2 begin
+CLASS_LOWS = (89.0, 91.0)
 
 # reference operating point: one bench record per feature column, used as the
 # center of the synthetic generator's +-10% uniform draws
@@ -58,20 +58,15 @@ def label_for_hfr(hfr: float) -> int:
     """Class 0: HFR < 89; class 1: 89 <= HFR < 91; class 2: HFR >= 91."""
     if not math.isfinite(hfr) or hfr <= 0:
         raise DomainError(f"HFR must be finite and positive, got {hfr}")
-    if hfr < CLASS1_LOW:
-        return 0
-    if hfr < CLASS2_LOW:
-        return 1
-    return 2
+    return bisect.bisect_right(CLASS_LOWS, hfr)
 
 
-def labels_for_hfr(hfr) -> np.ndarray:
-    """`label_for_hfr` over an array: the same classes and the same error."""
-    hfr = np.asarray(hfr, dtype=np.float64)
+def labels_for_hfr(hfr: np.ndarray) -> np.ndarray:
+    """`label_for_hfr` over a float64 array: same classes, same error."""
     bad = ~(np.isfinite(hfr) & (hfr > 0))
     if bad.any():
         raise DomainError(f"HFR must be finite and positive, got {hfr[bad][0]}")
-    return np.searchsorted([CLASS1_LOW, CLASS2_LOW], hfr, side="right")
+    return np.searchsorted(CLASS_LOWS, hfr, side="right")
 
 
 def label(record: SensorRecord) -> LabeledExample:
@@ -209,17 +204,16 @@ class Standardizer:
     std: np.ndarray
 
     @classmethod
-    def fit(cls, features) -> "Standardizer":
-        x = np.asarray(features, dtype=np.float64)
-        if not len(x):
+    def fit(cls, features: np.ndarray) -> "Standardizer":
+        if not len(features):
             raise DomainError("cannot fit a standardizer on an empty set")
-        mean = x.mean(axis=0)
-        std = x.std(axis=0)  # population std (ddof=0)
+        mean = features.mean(axis=0)
+        std = features.std(axis=0)  # population std (ddof=0)
         std = np.where(std == 0.0, 1.0, std)
         return cls(mean=mean, std=std)
 
-    def transform_matrix(self, features) -> np.ndarray:
-        return (np.asarray(features, dtype=np.float64) - self.mean) / self.std
+    def transform_matrix(self, features: np.ndarray) -> np.ndarray:
+        return (features - self.mean) / self.std
 
 
 @dataclass

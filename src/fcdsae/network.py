@@ -59,12 +59,11 @@ class NetworkParams:
         return NetworkParams(self.layers)
 
 
-def init_network(topology: tuple[int, ...] = DEFAULT_TOPOLOGY,
-                 seed: int = 0) -> NetworkParams:
-    """He-uniform initialization scaled by fan_in, biases zero."""
+def init_network(seed: int = 0) -> NetworkParams:
+    """DEFAULT_TOPOLOGY, He-uniform weights scaled by fan_in, biases zero."""
     rng = np.random.default_rng(seed)
     layers = []
-    for fan_in, fan_out in zip(topology[:-1], topology[1:]):
+    for fan_in, fan_out in zip(DEFAULT_TOPOLOGY[:-1], DEFAULT_TOPOLOGY[1:]):
         limit = np.sqrt(6.0 / fan_in)
         w = rng.uniform(-limit, limit, size=(fan_out, fan_in))
         layers.append(LayerParams(w, np.zeros(fan_out)))
@@ -72,14 +71,12 @@ def init_network(topology: tuple[int, ...] = DEFAULT_TOPOLOGY,
 
 
 def forward(params: NetworkParams, batch: np.ndarray) -> list[np.ndarray]:
-    """Run the batch through every layer. Returns `[batch, h1, ..., output]`:
-    the batch as a float64 matrix, then each layer's post-ReLU activations.
-    ReLU is applied after every layer, including the output layer."""
-    if getattr(batch, "dtype", None) != np.float64 or batch.ndim != 2:
-        batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    if batch.shape[1] != params.topology[0]:
-        raise DimensionError(f"activation width {batch.shape[1]} does not "
-                             f"match layer 0 fan_in {params.topology[0]}")
+    """Run an (N, fan_in) float64 batch through every layer. Returns
+    `[batch, h1, ..., output]`: the batch, then each layer's post-ReLU
+    activations. ReLU follows every layer, the output layer too."""
+    if batch.ndim != 2 or batch.shape[1] != params.topology[0]:
+        raise DimensionError(f"batch shape {batch.shape} does not match "
+                             f"layer 0 fan_in {params.topology[0]}")
     acts, x = [batch], batch
     for layer in params.layers:
         # max(x @ W.T + b, 0) with one temporary per layer, not three
@@ -92,8 +89,6 @@ def forward(params: NetworkParams, batch: np.ndarray) -> list[np.ndarray]:
 
 def mse_loss(output: np.ndarray, targets: np.ndarray) -> float:
     """Mean squared error over all batch entries and output components."""
-    output = np.asarray(output, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
     if output.shape != targets.shape:
         raise DimensionError(
             f"output shape {output.shape} != target shape {targets.shape}"
@@ -104,16 +99,15 @@ def mse_loss(output: np.ndarray, targets: np.ndarray) -> float:
 
 def backward(acts: list[np.ndarray], params: NetworkParams, targets: np.ndarray,
              sparsity_rows: list[np.ndarray] | None,
-             out: NetworkParams) -> NetworkParams:
+             out: NetworkParams) -> None:
     """Gradients of the total loss w.r.t. every weight and bias, written
-    into `out`, which has the layout of `params`, and returned; `acts` is
-    what `forward` returned.
+    into `out`, which has the layout of `params`; `acts` is what `forward`
+    returned.
 
     `sparsity_rows`, unless None, holds one `sparsity.penalty_gradient` row
     per hidden layer, added to every sample's post-activation delta before
     the delta is pushed through the ReLU. The ReLU subgradient at exactly 0
     is 0, so the mask `post > 0` equals `pre > 0` (NaN fails both)."""
-    targets = np.asarray(targets, dtype=np.float64)
     output = acts[-1]
     if output.shape != targets.shape:
         raise DimensionError(
@@ -130,7 +124,6 @@ def backward(acts: list[np.ndarray], params: NetworkParams, targets: np.ndarray,
         np.add.reduce(delta_pre, axis=0, out=out.layers[i].biases)
         if i > 0:
             delta_post = delta_pre @ params.layers[i].weights
-    return out
 
 
 # Adam decay rates and denominator guard (Kingma & Ba defaults)
@@ -155,7 +148,7 @@ class AdamState:
 
 
 def adam_step(params: NetworkParams, grads: NetworkParams,
-              state: AdamState) -> tuple[NetworkParams, AdamState]:
+              state: AdamState) -> None:
     """One bias-corrected Adam update of the whole parameter buffer, in
     place; elementwise, so every tensor gets its per-tensor bits. A gradient
     with a non-finite entry is rejected, naming its first such layer, and
@@ -175,7 +168,6 @@ def adam_step(params: NetworkParams, grads: NetworkParams,
     v *= BETA2
     v += (1.0 - BETA2) * (g * g)
     params.buffer -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
-    return params, state
 
 
 def _fmt(x: float) -> str:

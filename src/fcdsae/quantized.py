@@ -135,19 +135,20 @@ class QuantizedModel:
 
 @np.errstate(over="ignore")  # huge values and 1 / a subnormal std saturate
 def quantize_model(params, std, fmt: QFormat) -> QuantizedModel:
-    """Quantize every weight, bias, and standardizer constant; values beyond
-    the representable range saturate and are tallied, never rejected."""
+    """Quantize every float64 weight, bias, and standardizer constant;
+    values beyond the representable range saturate and are tallied, never
+    rejected."""
     saturated = 0
 
     def q(values, f: QFormat) -> np.ndarray:
         nonlocal saturated
         # scaling by 2^f is exact, or overflows to +-inf; NaN counts nowhere
-        scaled = np.asarray(values, np.float64) * float(1 << f.frac_bits)
+        scaled = values * float(1 << f.frac_bits)
         saturated += int(np.count_nonzero((scaled < f.raw_min)
                                           | (scaled > f.raw_max)))
         return quantize(values, f)
 
-    invstd = 1.0 / np.asarray(std.std, np.float64)
+    invstd = 1.0 / std.std
     return QuantizedModel(
         fmt=fmt, weights=[q(layer.weights, fmt) for layer in params.layers],
         biases=[q(layer.biases, fmt) for layer in params.layers],

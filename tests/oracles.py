@@ -12,20 +12,31 @@ import math
 import numpy as np
 
 from fcdsae import network, sparsity
+from fcdsae.network import LayerParams, NetworkParams
+
+
+def he_layers(topology, rng):
+    """init_network's draws for any topology: [He-uniform weights, zero
+    biases] per layer."""
+    layers = []
+    for fan_in, fan_out in zip(topology[:-1], topology[1:]):
+        limit = np.sqrt(6.0 / fan_in)
+        layers.append([rng.uniform(-limit, limit, size=(fan_out, fan_in)),
+                       np.zeros(fan_out)])
+    return layers
 
 
 def random_network(topology, seed):
-    """He-init weights plus small nonzero biases.
+    """He-init weights plus small nonzero biases, for any topology.
 
     Zero biases put samples with an all-dead hidden layer exactly on the
     ReLU kink, where central differences straddle the corner; nonzero
     biases keep every pre-activation away from 0 at the probe scale.
     """
+    layers = he_layers(topology, np.random.default_rng(seed))
     rng = np.random.default_rng(seed)
-    params = network.init_network(topology, seed=seed)
-    for layer in params.layers:
-        layer.biases += rng.uniform(0.01, 0.1, size=layer.biases.shape)
-    return params
+    return NetworkParams([LayerParams(w, b + rng.uniform(0.01, 0.1, b.shape))
+                          for w, b in layers])
 
 
 def total_loss_value(params, batch, targets, xi, psi):
@@ -63,14 +74,15 @@ def fd_gradients(params, batch, targets, xi, psi, h=1e-6):
 
 
 def backward(acts, params, targets, sparsity_rows=None):
-    """network.backward into a new gradient buffer."""
-    return network.backward(acts, params, targets, sparsity_rows,
-                            out=params.copy())
+    """network.backward into a new gradient buffer, which it returns."""
+    grads = params.copy()
+    network.backward(acts, params, targets, sparsity_rows, out=grads)
+    return grads
 
 
 def assert_grads_close(analytic, numeric, rel_tol=1e-4, abs_floor=1e-7):
     """Relative comparison with an absolute floor near zero; `analytic` is
-    what network.backward returns, `numeric` what fd_gradients returns."""
+    what backward returns, `numeric` what fd_gradients returns."""
     for layer, (nw, nb) in zip(analytic.layers, numeric):
         for a, n in [(layer.weights, nw), (layer.biases, nb)]:
             denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), abs_floor)
@@ -98,13 +110,8 @@ def reference_train(cfg, data):
     y_test = data.test.labels
     t_train = np.eye(3)[y_train]
 
-    rng = np.random.default_rng(cfg.seed)
-    layers = []
-    topology = network.DEFAULT_TOPOLOGY
-    for fan_in, fan_out in zip(topology[:-1], topology[1:]):
-        limit = np.sqrt(6.0 / fan_in)
-        layers.append([rng.uniform(-limit, limit, size=(fan_out, fan_in)),
-                       np.zeros(fan_out)])
+    layers = he_layers(network.DEFAULT_TOPOLOGY,
+                       np.random.default_rng(cfg.seed))
     tensors = [t for layer in layers for t in layer]
     first = [np.zeros_like(t) for t in tensors]
     second = [np.zeros_like(t) for t in tensors]

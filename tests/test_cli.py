@@ -11,6 +11,8 @@ from fcdsae.cli import main
 from fcdsae.dataset import Standardizer
 from fcdsae.quantized import QFormat
 
+from oracles import random_network
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -287,7 +289,7 @@ def _words(path, line):
 def _model(tmp, topology):
     path = tmp / "m.txt"
     n_in = topology[0]
-    network.save_model(network.init_network(topology, seed=1), path,
+    network.save_model(random_network(topology, seed=1), path,
                        Standardizer(mean=np.zeros(n_in), std=np.ones(n_in)))
     return str(path)
 
@@ -320,6 +322,19 @@ def _quantize_as(fmt):
 def _write(path, content):
     path.write_bytes(content)
     return str(path)
+
+
+def _first_rows(src, dst, n):
+    """Copy a data CSV keeping its header and first n rows."""
+    lines = Path(src).read_bytes().split(b"\r\n")
+    return _write(dst, b"\r\n".join(lines[:n + 1] + [b""]))
+
+
+def _first_hfr(src, dst, cell):
+    """Copy a data CSV with the first row's HFR cell set to `cell`."""
+    lines = Path(src).read_bytes().split(b"\r\n")
+    lines[1] = lines[1].rsplit(b",", 1)[0] + b"," + cell
+    return _write(dst, b"\r\n".join(lines))
 
 
 # id -> f(saved files, tmp dir) returning (argv, exit code). model.txt lines
@@ -457,6 +472,19 @@ MALFORMED = {
     "gen-data-n-beyond-numpy": lambda s, tmp: (  # a ValueError in numpy
         ["gen-data", "--n", "100000000000000000000",
          "--out", str(tmp / "d.csv")], 2),
+    # data faults found after parsing: the labels and the split
+    "csv-hfr-negative-eval-model": lambda s, tmp: (
+        ["eval", "--model", s.model,
+         "--data", _first_hfr(s.data, tmp / "d.csv", b"-1")], 2),
+    "csv-hfr-negative-eval-qmodel": lambda s, tmp: (
+        ["eval", "--qmodel", s.qmodel,
+         "--data", _first_hfr(s.data, tmp / "d.csv", b"-1")], 2),
+    "csv-hfr-negative-train": lambda s, tmp: (
+        ["train", "--data", _first_hfr(s.data, tmp / "d.csv", b"-1"),
+         "--out-model", str(tmp / "m.txt")], 2),
+    "csv-three-rows-train": lambda s, tmp: (
+        ["train", "--data", _first_rows(s.data, tmp / "d.csv", 3),
+         "--out-model", str(tmp / "m.txt")], 2),
 }
 
 
@@ -472,6 +500,14 @@ def test_malformed_input_is_a_one_line_error(case, saved, tmp_path, capsys):
     assert code == expected
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", [c for c in MALFORMED
+                                  if c.startswith(("csv-hfr-", "csv-three-"))])
+def test_data_fault_names_the_file(case, saved, tmp_path, capsys):
+    argv, _ = MALFORMED[case](saved, tmp_path)
+    _, _, err = run(capsys, *argv)
+    assert err.startswith(f"error: {argv[argv.index('--data') + 1]}: ")
 
 
 def test_huge_finite_values_saturate_silently(saved, tmp_path, capsys):

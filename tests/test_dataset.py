@@ -180,7 +180,7 @@ class TestLabel:
     ])
     def test_thresholds(self, hfr, expected):
         assert label_for_hfr(hfr) == expected
-        assert labels_for_hfr([hfr]).tolist() == [expected]
+        assert labels_for_hfr(np.array([hfr])).tolist() == [expected]
 
     @given(st.floats(0.001, 1000.0))
     def test_total_function(self, hfr):
@@ -195,7 +195,7 @@ class TestLabel:
         with pytest.raises(DomainError) as want:
             label_for_hfr(bad)
         with pytest.raises(DomainError) as got:
-            labels_for_hfr([90.0, bad, 88.0])
+            labels_for_hfr(np.array([90.0, bad, 88.0]))
         assert str(got.value) == str(want.value)
 
 
@@ -230,7 +230,7 @@ class TestStandardizer:
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
-            Standardizer.fit([])
+            Standardizer.fit(np.empty((0, 10)))
 
 
 class TestSplit:

@@ -10,10 +10,12 @@ from fcdsae.dataset import Standardizer
 from fcdsae.errors import ParseError
 from fcdsae.quantized import QFormat
 
+from oracles import random_network
+
 
 def _saved_texts():
     """model.txt and Q8.8 model.qtxt text of a small 4-3-2 network."""
-    params = network.init_network((4, 3, 2), seed=3)
+    params = random_network((4, 3, 2), seed=3)
     std = Standardizer(mean=np.array([1.0, -2.0, 30.0, 0.5]),
                        std=np.array([0.5, 2.0, 10.0, 0.25]))
     with tempfile.TemporaryDirectory() as tmp:

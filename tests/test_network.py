@@ -24,26 +24,33 @@ def random_grads(params, rng):
 class TestForward:
     def test_relu_clamps_negative(self):
         params = single_layer([[1.0, -1.0]], [0.0])
-        acts = network.forward(params, [[2.0, 3.0]])
+        acts = network.forward(params, np.array([[2.0, 3.0]]))
         npt.assert_array_equal(acts[-1], [[0.0]])
 
     def test_identity(self):
         params = single_layer(np.eye(3), [0.0, 0.0, 0.0])
-        acts = network.forward(params, [[1.0, 0.0, 2.0]])
+        acts = network.forward(params, np.array([[1.0, 0.0, 2.0]]))
         npt.assert_array_equal(acts[-1], [[1.0, 0.0, 2.0]])
 
     def test_weighted_sum_with_bias(self):
         params = single_layer([[0.5, 0.5]], [0.1])
-        acts = network.forward(params, [[1.0, 1.0]])
+        acts = network.forward(params, np.array([[1.0, 1.0]]))
         npt.assert_allclose(acts[-1], [[1.1]])
 
     def test_shape_mismatch_names_layer(self):
         params = single_layer([[1.0, 2.0]], [0.0])
         with pytest.raises(DimensionError, match="layer 0"):
-            network.forward(params, [[1.0, 2.0, 3.0]])
+            network.forward(params, np.array([[1.0, 2.0, 3.0]]))
+
+    @pytest.mark.parametrize("batch", [[1.0, 2.0], [[[1.0, 2.0]]]],
+                             ids=["1-d", "3-d"])
+    def test_not_a_matrix_rejected(self, batch):
+        params = single_layer([[1.0, 2.0]], [0.0])
+        with pytest.raises(DimensionError, match=r"batch shape \("):
+            network.forward(params, np.array(batch))
 
     def test_pure_and_bit_identical(self):
-        params = network.init_network((4, 5, 3), seed=3)
+        params = random_network((4, 5, 3), seed=3)
         x = np.random.default_rng(0).normal(size=(6, 4))
         a = network.forward(params, x)
         b = network.forward(params, x)
@@ -51,7 +58,7 @@ class TestForward:
             assert np.array_equal(pa, pb)
 
     def test_trace_relu_invariant(self):
-        params = network.init_network((4, 5, 3), seed=9)
+        params = random_network((4, 5, 3), seed=9)
         x = np.random.default_rng(1).normal(size=(8, 4))
         acts = network.forward(params, x)
         assert len(acts) == len(params.layers) + 1
@@ -67,16 +74,19 @@ class TestMseLoss:
         assert network.mse_loss(out, out) == 0.0
 
     def test_one_hot_miss(self):
-        loss = network.mse_loss([[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]])
+        loss = network.mse_loss(np.array([[1.0, 0.0, 0.0]]),
+                                np.array([[0.0, 1.0, 0.0]]))
         npt.assert_allclose(loss, 2.0 / 3.0)
 
     def test_hand_value(self):
-        loss = network.mse_loss([[0.5, 0.5, 0.0]], [[1.0, 0.0, 0.0]])
+        loss = network.mse_loss(np.array([[0.5, 0.5, 0.0]]),
+                                np.array([[1.0, 0.0, 0.0]]))
         npt.assert_allclose(loss, (0.25 + 0.25) / 3.0)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            network.mse_loss([[1.0, 0.0]], [[1.0, 0.0, 0.0]])
+            network.mse_loss(np.array([[1.0, 0.0]]),
+                             np.array([[1.0, 0.0, 0.0]]))
 
 
 class TestBackward:
@@ -92,8 +102,8 @@ class TestBackward:
     def test_scalar_linear_gradient(self):
         # (W*1 - 2)^2 at W=1: d/dW = 2*(1-2) = -2
         params = single_layer([[1.0]], [0.0])
-        acts = network.forward(params, [[1.0]])
-        grads = backward(acts, params, [[2.0]])
+        acts = network.forward(params, np.array([[1.0]]))
+        grads = backward(acts, params, np.array([[2.0]]))
         npt.assert_allclose(grads.layers[0].weights, [[-2.0]])
 
     @pytest.mark.parametrize("seed", range(5))
@@ -109,19 +119,19 @@ class TestBackward:
 
     def test_mismatched_targets(self):
         params = single_layer([[1.0]], [0.0])
-        acts = network.forward(params, [[1.0]])
+        acts = network.forward(params, np.array([[1.0]]))
         with pytest.raises(DimensionError):
-            backward(acts, params, [[1.0, 2.0]])
+            backward(acts, params, np.array([[1.0, 2.0]]))
 
 
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
-        params = network.init_network((4, 5, 3), seed=0)
+        params = random_network((4, 5, 3), seed=0)
         before = params.copy()
         state = AdamState.for_network(params, 0.001)
         zeros = params.copy()
         zeros.buffer[:] = 0.0
-        params, state = network.adam_step(params, zeros, state)
+        network.adam_step(params, zeros, state)
         assert state.step_count == 1
         for la, lb in zip(params.layers, before.layers):
             npt.assert_array_equal(la.weights, lb.weights)
@@ -131,7 +141,7 @@ class TestAdam:
         params = single_layer([[0.0]], [0.0])
         state = AdamState.for_network(params, 0.001)
         grads = single_layer([[2.0]], [0.0])
-        params, state = network.adam_step(params, grads, state)
+        network.adam_step(params, grads, state)
         npt.assert_allclose(params.layers[0].weights, [[-0.001]], atol=1e-9)
 
     def test_two_identical_steps(self):
@@ -139,17 +149,16 @@ class TestAdam:
         state = AdamState.for_network(params, 0.001)
         grads = single_layer([[2.0]], [0.0])
         for _ in range(2):
-            params, state = network.adam_step(params, grads, state)
+            network.adam_step(params, grads, state)
         npt.assert_allclose(params.layers[0].weights, [[-0.002]], atol=1e-6)
         assert state.step_count == 2
 
     def test_non_finite_gradient_rejected(self):
         # the step is rejected whole: parameters and moments stay as they were
-        params = network.init_network((4, 5, 6, 3), seed=6)
+        params = random_network((4, 5, 6, 3), seed=6)
         state = AdamState.for_network(params, 0.001)
         rng = np.random.default_rng(6)
-        params, state = network.adam_step(params, random_grads(params, rng),
-                                          state)
+        network.adam_step(params, random_grads(params, rng), state)
         before = (params.buffer.copy(), state.first_moment.copy(),
                   state.second_moment.copy())
         grads = random_grads(params, rng)
@@ -163,7 +172,7 @@ class TestAdam:
 
     def test_multi_layer_matches_per_tensor_reference(self):
         # the textbook update, one tensor at a time, with its own moments
-        params = network.init_network((4, 5, 6, 3), seed=4)
+        params = random_network((4, 5, 6, 3), seed=4)
         ref = params.copy()
         state = AdamState.for_network(params, 0.01)
         ref_tensors = [t for l in ref.layers for t in (l.weights, l.biases)]
@@ -172,7 +181,7 @@ class TestAdam:
         rng = np.random.default_rng(5)
         for t in range(1, 6):
             grads = random_grads(params, rng)
-            params, state = network.adam_step(params, grads, state)
+            network.adam_step(params, grads, state)
             flat_grads = [g for l in grads.layers for g in (l.weights, l.biases)]
             for tensor, g, m, v in zip(ref_tensors, flat_grads, ref_m, ref_v):
                 m *= 0.9
@@ -186,18 +195,17 @@ class TestAdam:
             npt.assert_array_equal(la.biases, lb.biases)
 
     def test_second_moment_nonnegative(self):
-        params = network.init_network((4, 5, 3), seed=1)
+        params = random_network((4, 5, 3), seed=1)
         state = AdamState.for_network(params, 0.001)
         rng = np.random.default_rng(2)
         for _ in range(5):
-            params, state = network.adam_step(
-                params, random_grads(params, rng), state)
+            network.adam_step(params, random_grads(params, rng), state)
         assert (state.second_moment >= 0).all()
 
 
 class TestNetworkParams:
     def test_layers_are_views_into_the_buffer(self):
-        params = network.init_network((4, 5, 3), seed=2)
+        params = random_network((4, 5, 3), seed=2)
         params.buffer[:] = np.arange(params.buffer.size)
         npt.assert_array_equal(params.layers[0].weights,
                                np.arange(20).reshape(5, 4))
@@ -207,7 +215,7 @@ class TestNetworkParams:
         npt.assert_array_equal(params.layers[1].biases, np.arange(40, 43))
 
     def test_copy_is_independent(self):
-        params = network.init_network((4, 5, 6, 3), seed=8)
+        params = random_network((4, 5, 6, 3), seed=8)
         grads = random_grads(params, np.random.default_rng(8))
         for stepped, other in [(params.copy(), params),
                                (params, params.copy())]:
@@ -244,7 +252,7 @@ class TestTopology:
             NetworkParams([good, LayerParams(weights, biases)])
 
     def test_copy_does_not_share_its_buffer(self):
-        params = network.init_network((4, 5, 3), seed=2)
+        params = random_network((4, 5, 3), seed=2)
         copied = params.copy()
         assert copied.topology == params.topology
         assert not np.shares_memory(copied.buffer, params.buffer)
@@ -257,7 +265,7 @@ class TestModelFile:
     def test_round_trip_exact(self, tmp_path):
         from fcdsae.dataset import Standardizer
 
-        params = network.init_network((4, 5, 3), seed=11)
+        params = random_network((4, 5, 3), seed=11)
         path = tmp_path / "m.txt"
         network.save_model(params, path, Standardizer(np.zeros(4), np.ones(4)))
         loaded, _ = network.load_model(path)
@@ -268,7 +276,7 @@ class TestModelFile:
     def test_round_trip_with_standardizer(self, tmp_path):
         from fcdsae.dataset import Standardizer
 
-        params = network.init_network((10, 4, 3), seed=2)
+        params = random_network((10, 4, 3), seed=2)
         std = Standardizer(mean=np.arange(10.0), std=np.arange(1.0, 11.0))
         path = tmp_path / "m.txt"
         network.save_model(params, path, standardizer=std)
