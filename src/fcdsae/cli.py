@@ -118,7 +118,7 @@ def _cmd_train(args) -> None:
     params, std, report = trainer.train(cfg, data)
     network.save_model(params, args.out_model, standardizer=std)
     if args.out_report:
-        with open(args.out_report, "w") as fh:
+        with open(args.out_report, "w", encoding="utf-8") as fh:
             fh.write(report.format_text())
             fh.write(_repro_line(args) + "\n")
     print(report.final_metrics.format_table())
@@ -126,29 +126,19 @@ def _cmd_train(args) -> None:
     print(f"model written to {args.out_model}")
 
 
-def _check_topology(path, n_inputs: int, n_outputs: int) -> None:
+def _served(path, model) -> None:
     """The loaders read any topology; the commands serve only 10->...->3."""
+    n_inputs, n_outputs = model.topology[0], model.topology[-1]
     if (n_inputs, n_outputs) != (dataset.N_FEATURES, metrics.N_CLASSES):
         raise ParseError(f"{path}: model maps {n_inputs} inputs to "
                          f"{n_outputs} outputs, not {dataset.N_FEATURES} to "
                          f"{metrics.N_CLASSES}")
 
 
-def _load_model(path):
-    params, std = network.load_model(path)
-    _check_topology(path, params.topology[0], params.topology[-1])
-    return params, std
-
-
-def _load_qmodel(path):
-    qm = quantized.load_qmodel(path)
-    _check_topology(path, qm.input_width, len(qm.biases[-1]))
-    return qm
-
-
 def _cmd_quantize(args) -> None:
     fmt = QFormat.parse(args.format)
-    params, std = _load_model(args.model)
+    params, std = network.load_model(args.model)
+    _served(args.model, params)
     qm = quantized.quantize_model(params, std, fmt)
     quantized.save_qmodel(qm, args.out)
     print(f"quantized to {fmt}; saturated values: {qm.saturation_count}")
@@ -158,19 +148,21 @@ def _cmd_quantize(args) -> None:
 def _cmd_eval(args) -> None:
     examples = _load_examples(args.data)
     if args.model:
-        params, std = _load_model(args.model)
+        params, std = network.load_model(args.model)
+        _served(args.model, params)
         preds = trainer.predict_batch(params,
                                       std.transform_matrix(examples.features))
         cm = metrics.confusion(examples.labels, preds)
         print(metrics.metric_block(cm).format_table())
     else:
-        qm = _load_qmodel(args.qmodel)
+        qm = quantized.load_qmodel(args.qmodel)
+        _served(args.qmodel, qm)
         result = quantized.evaluate_quantized(qm, examples)
         cm = result.confusion
         print(result.metrics.format_table())
         print(f"quantized accuracy: {result.metrics.accuracy:.4f}")
     if args.out_confusion:
-        with open(args.out_confusion, "w") as fh:
+        with open(args.out_confusion, "w", encoding="utf-8") as fh:
             fh.write(metrics.confusion_csv(cm))
 
 
@@ -184,7 +176,8 @@ def _cmd_infer(args) -> None:
     except ValueError:
         raise UsageError(f"--row contains a value that is not a finite "
                          f"number: {args.row!r}")
-    qm = _load_qmodel(args.qmodel)
+    qm = quantized.load_qmodel(args.qmodel)
+    _served(args.qmodel, qm)
     frame = quantized.frame_from_features(values)
     outs, pred = quantized.q_forward(qm, frame)
     print(f"class: {pred}")
@@ -213,7 +206,7 @@ def _apply_config_defaults(argv: list[str]) -> list[str]:
         return argv
     path = known.config
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             conf = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}")
@@ -245,7 +238,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ParseError, FrameError, DimensionError, OSError,
-            UnicodeDecodeError) as exc:
+            UnicodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except MemoryError as exc:  # numpy's message names the array's size

@@ -134,42 +134,32 @@ def parse_csv(path) -> np.ndarray:
                 return m
         except (ValueError, UserWarning):
             pass
-    # decoded as open(path, newline="") does, a block at a time
-    rows = _csv_rows(path, io.TextIOWrapper(io.BytesIO(raw), newline=""))
-    header = next(rows, None)
+    # decoded as open(path, encoding="utf-8", newline="") does
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8",
+                                         newline=""))
+    try:
+        return _parse_rows(path, reader)
+    except csv.Error as exc:  # such as a cell over the field size limit
+        raise ParseError(f"{path} line {reader.line_num}: {exc}") from None
+
+
+def _parse_rows(path, reader) -> np.ndarray:
+    """The row-by-row reader: the header, then csv cells through number()."""
+    header = next(reader, None)
     if header is None:
         raise ParseError(f"{path}: empty file")
     header = [h.strip() for h in header]
     if header != COLUMNS:
         missing = [c for c in COLUMNS if c not in header]
-        raise ParseError(
-            f"{path}: header mismatch; missing columns {missing}"
-            if missing else f"{path}: header order must be {COLUMNS}"
-        )
-    return _parse_rows(path, rows)
-
-
-def _csv_rows(path, text):
-    """csv.reader's rows. Its csv.Error, such as a cell over the field size
-    limit, becomes a ParseError naming the line."""
-    reader = csv.reader(text)
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise ParseError(f"{path} line {reader.line_num}: {exc}") from None
-
-
-def _parse_rows(path, reader) -> np.ndarray:
-    """The row-by-row reader: csv cells through number()."""
+        raise ParseError(f"{path}: header mismatch; missing columns {missing}"
+                         if missing else f"{path}: header order must be {COLUMNS}")
     rows = []
     for row_num, row in enumerate(reader, start=2):
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) != len(COLUMNS):
-            raise ParseError(
-                f"{path} row {row_num}: expected {len(COLUMNS)} cells, "
-                f"got {len(row)}"
-            )
+            raise ParseError(f"{path} row {row_num}: expected {len(COLUMNS)} "
+                             f"cells, got {len(row)}")
         vals = []
         for col_name, cell in zip(COLUMNS, row):
             try:
@@ -188,7 +178,7 @@ def write_csv(rows, path) -> None:
     layout: %.12g values, CRLF ends."""
     m = np.asarray(rows, dtype=np.float64)
     row = ",".join(["%.12g"] * len(COLUMNS)) + "\r\n"
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(COLUMNS) + "\r\n")
         for start in range(0, len(m), 4096):  # bounds the temporary strings
             block = m[start:start + 4096]

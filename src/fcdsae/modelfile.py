@@ -23,17 +23,18 @@ def write(path, magic: str, records, layers, fmt) -> None:
         lines.append(f"LAYER {len(rows[0])} {len(rows)}")
         lines += [" ".join(map(fmt, row)) for row in rows]
         lines += ["BIAS", " ".join(map(fmt, biases))]
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read(path, magic: str, tags, parse):
-    """Returns ({tag: values}, [(weight rows, biases)]). `tags` are the
-    header records, each required exactly once; `parse` turns a word into a
-    value or raises ValueError. Words are split on space and tab and are
-    printable ASCII without `_`, as C reads them. Grammar faults, then
-    missing records, raise ParseError."""
-    with open(path) as fh:  # universal newlines: a CRLF line ends in \n
+    """Returns ({tag: values}, [(weight rows, biases)]). `tags` maps each
+    header record, required exactly once, to its value count, None for the
+    input width (the first fan_in); `parse` turns a word into a value or
+    raises ValueError. Words are split on space and tab and are printable
+    ASCII without `_`, as C reads them. Grammar faults, then missing
+    records, then record widths raise ParseError."""
+    with open(path, encoding="utf-8") as fh:  # a CRLF line ends in \n
         lines = [(n, words) for n, ln in enumerate(fh, 1)
                  if (words := re.findall(r"[^ \t\n]+", ln))]
     if not lines or lines[0][1] != magic.split():
@@ -89,4 +90,9 @@ def read(path, magic: str, tags, parse):
     missing = [tag for tag in tags if tag not in records]
     if missing:
         raise ParseError(f"{path}: missing records {missing}")
+    for tag, count in tags.items():
+        count = len(layers[0][0][0]) if count is None else count
+        if len(records[tag]) != count:
+            raise ParseError(f"{path}: {tag} has {len(records[tag])} values, "
+                             f"expected {count}")
     return records, layers

@@ -185,14 +185,10 @@ def save_model(params: NetworkParams, path, standardizer) -> None:
 
 def load_model(path):
     """Read a model file; returns (NetworkParams, Standardizer)."""
-    records, layers = modelfile.read(path, MODEL_MAGIC, ("STDMEAN", "STDSTD"),
-                                     number)
+    records, layers = modelfile.read(path, MODEL_MAGIC,
+                                     {"STDMEAN": None, "STDSTD": None}, number)
     params = NetworkParams([LayerParams(np.array(w), np.array(b))
                             for w, b in layers])
-    for tag, vec in records.items():
-        if len(vec) != params.topology[0]:
-            raise ParseError(f"{path}: {tag} has {len(vec)} values, the input "
-                             f"width is {params.topology[0]}")
     if min(records["STDSTD"]) <= 0:
         raise ParseError(f"{path}: every STDSTD value must be > 0")
     return params, Standardizer(mean=np.array(records["STDMEAN"]),

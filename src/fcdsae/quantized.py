@@ -109,9 +109,10 @@ class QuantizedModel:
     std_invstd: np.ndarray           # SCALE_FORMAT words
     saturation_count: int = 0
 
-    @property
-    def input_width(self) -> int:
-        return self.weights[0].shape[1]
+    @cached_property
+    def topology(self) -> tuple[int, ...]:
+        """(inputs, each layer's fan_out), as NetworkParams.topology."""
+        return (self.weights[0].shape[1],) + tuple(map(len, self.biases))
 
     @cached_property
     def _layers(self):
@@ -222,7 +223,7 @@ def q_forward_batch(qm: QuantizedModel, frames) -> tuple[np.ndarray, np.ndarray]
       after; as K <= 30, both saturate every format of up to 32 bits;
     - rounding works on the magnitude and adds nothing before shifting.
     """
-    x = _frames(frames, qm.input_width)
+    x = _frames(frames, qm.topology[0])
     mean, invstd, layers = qm.std_mean, qm.std_invstd, qm._layers
     fmt, f = qm.fmt, qm.fmt.frac_bits
     # z = (x - mean) * invstd, exact product at 2^-(in_f + scale_f), then
@@ -270,14 +271,14 @@ def evaluate_quantized(qm: QuantizedModel, examples) -> QuantEvalResult:
 def dump_frames(qm: QuantizedModel, frames: list[list[int]]) -> str:
     """One line per frame: 10 input words then 3 output words, decimal.
     Byte-comparable across implementations."""
-    x = _frames(frames, qm.input_width)
+    x = _frames(frames, qm.topology[0])
     words, _ = q_forward_batch(qm, x)
     table = np.hstack([x, words])
     line = " ".join(["%d"] * table.shape[1]) + "\n"
     return (line * len(table)) % tuple(table.ravel().tolist())
 
 
-_QTAGS = ("Q", "QIN", "QSCALE", "STDMEAN", "STDINVSTD")
+_QTAGS = {"Q": 2, "QIN": 2, "QSCALE": 2, "STDMEAN": None, "STDINVSTD": None}
 
 
 def _format_words(fmt: QFormat) -> list[int]:
@@ -308,17 +309,11 @@ def load_qmodel(path) -> QuantizedModel:
             raise ParseError(f"{path}: {tag} must be {fixed.total_bits} "
                              f"{fixed.integer_bits} ({fixed}), the engine's "
                              "fixed format")
-    if len(records["Q"]) != 2:
-        raise ParseError(f"{path}: Q record must be '<total_bits> <integer_bits>'")
     try:
         fmt = QFormat(*records["Q"])
     except DomainError as exc:
         raise ParseError(f"{path}: Q record: {exc}") from None
-    width = len(layers[0][0][0])
     for tag, word_fmt in (("STDMEAN", INPUT_FORMAT), ("STDINVSTD", SCALE_FORMAT)):
-        if len(records[tag]) != width:
-            raise ParseError(f"{path}: {tag} has {len(records[tag])} words, "
-                             f"the input width is {width}")
         records[tag] = _check_words(path, tag, records[tag], word_fmt)
     weights, biases = [], []
     for i, (rows, b) in enumerate(layers):

@@ -210,7 +210,7 @@ def reader_parse_csv(path):
     from fcdsae.dataset import COLUMNS
     from fcdsae.errors import ParseError
 
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]

@@ -105,7 +105,7 @@ def test_criterion_5_golden_model_bit_exactness():
             qm, frame = random_model_and_frame(rng)
             assert quantized.q_forward(qm, frame) == scalar_q_forward(qm, frame)
             qm_last = qm
-        frames = [frame_from_features(rng.normal(0, 20, qm_last.input_width))
+        frames = [frame_from_features(rng.normal(0, 20, qm_last.topology[0]))
                   for _ in range(50)]
         assert dump_frames(qm_last, frames) == scalar_dump_frames(qm_last, frames)
 

@@ -1,4 +1,8 @@
+import codecs
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -6,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import fcdsae
 from fcdsae import dataset, network, quantized
 from fcdsae.cli import main
 from fcdsae.dataset import Standardizer
@@ -278,7 +283,7 @@ def _edited(src, dst, line, words):
     """Copy src to dst with one line replaced (None cuts the file there)."""
     lines = Path(src).read_text().splitlines()
     lines[line:] = [] if words is None else [words] + lines[line + 1:]
-    dst.write_text("\n".join(lines) + "\n")
+    dst.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(dst)
 
 
@@ -522,3 +527,97 @@ def test_huge_finite_values_saturate_silently(saved, tmp_path, capsys):
                      ["infer", "--qmodel", saved.qmodel, "--row", row]):
             code, _, err = run(capsys, *argv)
             assert (code, err) == (0, "")
+
+
+# a child interpreter that imports this fcdsae, as the tests do
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [str(Path(fcdsae.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+# the C locale with UTF-8 mode off: the locale encoding is ASCII
+C_LOCALE = dict(CHILD_ENV, PYTHONUTF8="0", LC_ALL="C")
+
+
+def _child(script, cwd, env, *flags):
+    """Run `script`, ASCII source, in a new interpreter in `cwd`."""
+    return subprocess.run([sys.executable, *flags, "-c", script], cwd=cwd,
+                          env=env, capture_output=True, encoding="utf-8",
+                          errors="backslashreplace", timeout=300)
+
+
+def _main_in_child(argv, cwd):
+    """cli.main(argv) in a child under C_LOCALE: (exit code, stderr)."""
+    done = _child("import sys; from fcdsae.cli import main; "
+                  f"sys.exit(main({ascii(argv)}))", cwd, C_LOCALE)
+    return done.returncode, done.stderr
+
+
+@pytest.fixture(scope="module")
+def c_locale(tmp_path_factory):
+    """Skips the test if a child under C_LOCALE still reports UTF-8 as its
+    locale encoding."""
+    done = _child("import locale; print(locale.getpreferredencoding(False))",
+                  tmp_path_factory.getbasetemp(), C_LOCALE)
+    if codecs.lookup(done.stdout.strip()).name == "utf-8":
+        pytest.skip("the C locale's encoding is UTF-8 on this system")
+
+
+# id -> f(saved files, tmp dir) returning (argv, exit code, end of stderr):
+# the same under the C locale as under UTF-8, since every file is read and
+# written as UTF-8, except that a path the file system's encoding cannot
+# encode is a data error
+UNENCODABLE = ("can't encode character '\\xe9' in position 0: ordinal not in "
+               "range(128)\n")
+C_LOCALE_CASES = {
+    "qmodel-arabic-indic-word": lambda s, tmp: (
+        ["infer", "--qmodel", _edited(s.qmodel, tmp / "m.qtxt", 7, " ".join(
+            ["\u0663"] + _words(s.qmodel, 7)[1:])), "--row", ROW],
+        2, "line 8: '\\u0663' is not a plain ASCII number\n"),
+    "csv-nbsp-row": lambda s, tmp: (
+        ["eval", "--model", s.model, "--data", _write(
+            tmp / "d.csv", Path(s.data).read_bytes().replace(
+                b"\r\n1,", "\r\n\u00a0\r\n1,".encode()))], 0, None),
+    "config-non-ascii-out": lambda s, tmp: (
+        ["--config", _write(tmp / "c.json", '{"out": "\u00e9.csv"}'.encode()),
+         "gen-data", "--n", "5"], 2, UNENCODABLE),
+    "out-non-ascii": lambda s, tmp: (
+        ["gen-data", "--n", "5", "--out", "\u00e9.csv"], 2, UNENCODABLE),
+}
+
+
+@pytest.mark.parametrize("case", C_LOCALE_CASES)
+def test_c_locale_reads_and_writes_utf8(case, c_locale, saved, tmp_path):
+    argv, expected, tail = C_LOCALE_CASES[case](saved, tmp_path)
+    code, err = _main_in_child(argv, tmp_path)
+    assert code == expected, err
+    if expected:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert err.endswith(tail), err
+    else:
+        assert err == "", err
+
+
+def test_no_text_file_uses_the_default_encoding(tmp_path):
+    """The five commands, with every text file the CLI opens (a config, a
+    report, a confusion CSV and a CSV the row reader decodes), under
+    EncodingWarning as an error: an open without an encoding fails."""
+    runs = [["--config", "c.json", "gen-data", "--out", "d.csv"],
+            ["train", "--data", "d.csv", "--epochs", "1", "--out-model",
+             "m.txt", "--out-report", "r.txt"],
+            ["quantize", "--model", "m.txt", "--out", "m.qtxt"],
+            ["eval", "--model", "m.txt", "--data", "nbsp.csv"],
+            ["eval", "--qmodel", "m.qtxt", "--data", "d.csv",
+             "--out-confusion", "cm.csv"],
+            ["infer", "--qmodel", "m.qtxt", "--row", ROW]]
+    (tmp_path / "c.json").write_text('{"n": 200}', encoding="utf-8")
+    script = f"""
+import sys
+from pathlib import Path
+from fcdsae.cli import main
+for argv in {runs!r}:
+    if argv[0] == "eval" and argv[-1] == "nbsp.csv":
+        Path("nbsp.csv").write_bytes(Path("d.csv").read_bytes() + b"\\xc2\\xa0\\r\\n")
+    if main(argv):
+        sys.exit(f"{{argv}} failed")
+"""
+    done = _child(script, tmp_path, CHILD_ENV, "-X", "warn_default_encoding",
+                  "-W", "error::EncodingWarning")
+    assert done.returncode == 0, done.stderr

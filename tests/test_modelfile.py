@@ -43,7 +43,7 @@ def load_and_use(text, qmodel):
         except ParseError:
             return False
     if qmodel:
-        words, _ = quantized.q_forward(qm, [0] * qm.input_width)
+        words, _ = quantized.q_forward(qm, [0] * qm.topology[0])
         assert all(qm.fmt.raw_min <= w <= qm.fmt.raw_max for w in words)
     else:
         network.forward(params, np.zeros((1, params.topology[0])))
@@ -117,6 +117,27 @@ def test_every_header_record_required(tmp_path, qmodel):
             load(path)
 
 
+@pytest.mark.parametrize("qmodel, tag, got, want", [
+    (False, "STDMEAN", 3, 4), (False, "STDSTD", 3, 4), (True, "STDMEAN", 3, 4),
+    (True, "STDINVSTD", 3, 4), (True, "Q", 3, 2), (True, "QIN", 3, 2),
+], ids=["model-stdmean", "model-stdstd", "qmodel-stdmean", "qmodel-stdinvstd",
+        "qmodel-q", "qmodel-qin"])
+def test_record_width_names_both_counts(tmp_path, qmodel, tag, got, want):
+    """A standardizer record one value short of the input width, or a
+    format record with a third value, is a ParseError naming the record,
+    its value count and the count expected."""
+    lines = (QMODEL_TEXT if qmodel else MODEL_TEXT).splitlines()
+    i = next(i for i, ln in enumerate(lines) if ln.split()[0] == tag)
+    words = lines[i].split()
+    lines[i] = " ".join(words[:-1] if got < want else words + ["0"])
+    path = tmp_path / "m"
+    path.write_text("\n".join(lines) + "\n")
+    load = quantized.load_qmodel if qmodel else network.load_model
+    with pytest.raises(ParseError) as exc:
+        load(path)
+    assert str(exc.value) == f"{path}: {tag} has {got} values, expected {want}"
+
+
 def test_word_beyond_int64_is_named(tmp_path):
     """A word no int64 holds is named like any other out-of-range word."""
     lines = QMODEL_TEXT.splitlines()
@@ -175,8 +196,8 @@ def test_crlf_and_tabs_read_the_same_words(tmp_path, qmodel):
     """CRLF ends a line as LF does, and a tab separates words as a space
     does."""
     text = QMODEL_TEXT if qmodel else MODEL_TEXT
-    tags = ["Q", "QIN", "QSCALE", "STDMEAN", "STDINVSTD"] if qmodel else [
-        "STDMEAN", "STDSTD"]
+    tags = ({"Q": 2, "QIN": 2, "QSCALE": 2, "STDMEAN": None, "STDINVSTD": None}
+            if qmodel else {"STDMEAN": None, "STDSTD": None})
     magic = text.splitlines()[0]
     plain, crlf, tabs = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     plain.write_text(text)

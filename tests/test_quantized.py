@@ -342,7 +342,7 @@ class TestFilesAndDumps:
     def test_frame_dump_deterministic(self):
         rng = np.random.default_rng(6)
         qm, _ = random_model_and_frame(rng)
-        frames = [frame_from_features(rng.normal(0, 5, qm.input_width))
+        frames = [frame_from_features(rng.normal(0, 5, qm.topology[0]))
                   for _ in range(5)]
         assert dump_frames(qm, frames) == scalar_dump_frames(qm, frames)
 
