@@ -184,13 +184,8 @@ def _cmd_infer(args) -> None:
     print("output words: " + " ".join(str(w) for w in outs))
 
 
-_COMMANDS = {
-    "gen-data": _cmd_gen_data,
-    "train": _cmd_train,
-    "quantize": _cmd_quantize,
-    "eval": _cmd_eval,
-    "infer": _cmd_infer,
-}
+_COMMANDS = {"gen-data": _cmd_gen_data, "train": _cmd_train,
+             "quantize": _cmd_quantize, "eval": _cmd_eval, "infer": _cmd_infer}
 
 
 def _apply_config_defaults(argv: list[str]) -> list[str]:
@@ -227,10 +222,8 @@ def _apply_config_defaults(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
     try:
-        argv = _apply_config_defaults(argv)
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(_apply_config_defaults(argv))
         _COMMANDS[args.command](args)
         print(_repro_line(args))
         return EXIT_OK

@@ -111,6 +111,16 @@ def number(word: str) -> float:
     return value
 
 
+def decode(path, raw: bytes) -> str:
+    """`raw`, the bytes of `path`, as UTF-8 text, or a ParseError naming a line."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path} line {line}: not UTF-8 text "
+                         f"(byte {raw[exc.start]:#04x})") from None
+
+
 def parse_csv(path) -> np.ndarray:
     """Read a canonical-header CSV into an (N, 11) float64 matrix, order
     preserved. np.loadtxt reads the body of a file in write_csv's layout;
@@ -134,9 +144,8 @@ def parse_csv(path) -> np.ndarray:
                 return m
         except (ValueError, UserWarning):
             pass
-    # decoded as open(path, encoding="utf-8", newline="") does
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8",
-                                         newline=""))
+    # lines as open(path, encoding="utf-8", newline="") splits them
+    reader = csv.reader(io.StringIO(decode(path, raw), newline=""))
     try:
         return _parse_rows(path, reader)
     except csv.Error as exc:  # such as a cell over the field size limit

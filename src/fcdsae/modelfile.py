@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import re
 
-from fcdsae.dataset import plain
+from fcdsae.dataset import decode, plain
 from fcdsae.errors import ParseError
 
 # positive layer sizes below 10^9, in ASCII digits
@@ -34,9 +34,10 @@ def read(path, magic: str, tags, parse):
     raises ValueError. Words are split on space and tab and are printable
     ASCII without `_`, as C reads them. Grammar faults, then missing
     records, then record widths raise ParseError."""
-    with open(path, encoding="utf-8") as fh:  # a CRLF line ends in \n
-        lines = [(n, words) for n, ln in enumerate(fh, 1)
-                 if (words := re.findall(r"[^ \t\n]+", ln))]
+    with open(path, "rb") as fh:  # lines end as in text mode: \r\n, \r or \n
+        text = decode(path, fh.read())
+    lines = [(n, words) for n, ln in enumerate(re.split(r"\r\n?|\n", text), 1)
+             if (words := re.findall(r"[^ \t]+", ln))]
     if not lines or lines[0][1] != magic.split():
         raise ParseError(f"{path}: missing '{magic}' header")
     pending = iter(lines[1:])

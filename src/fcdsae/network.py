@@ -90,9 +90,8 @@ def forward(params: NetworkParams, batch: np.ndarray) -> list[np.ndarray]:
 def mse_loss(output: np.ndarray, targets: np.ndarray) -> float:
     """Mean squared error over all batch entries and output components."""
     if output.shape != targets.shape:
-        raise DimensionError(
-            f"output shape {output.shape} != target shape {targets.shape}"
-        )
+        raise DimensionError(f"output shape {output.shape} != target shape "
+                             f"{targets.shape}")
     diff = output - targets
     return float(np.add.reduce(diff * diff, axis=None) / diff.size)
 
@@ -110,9 +109,8 @@ def backward(acts: list[np.ndarray], params: NetworkParams, targets: np.ndarray,
     is 0, so the mask `post > 0` equals `pre > 0` (NaN fails both)."""
     output = acts[-1]
     if output.shape != targets.shape:
-        raise DimensionError(
-            f"output shape {output.shape} != target shape {targets.shape}"
-        )
+        raise DimensionError(f"output shape {output.shape} != target shape "
+                             f"{targets.shape}")
     n_layers = len(params.layers)
     # dJ/d(post) at the output layer for mean-over-all-entries MSE
     delta_post = 2.0 * (output - targets) / output.size

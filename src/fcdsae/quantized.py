@@ -186,12 +186,19 @@ def _frames(frames, width: int) -> np.ndarray:
 
 def _requantize(acc: np.ndarray, shift: int, fmt: QFormat) -> np.ndarray:
     """Scale accumulators with |acc| < 2^63 down by 2^shift, rounding half
-    away from zero, and saturate into fmt's raw range. Rounding works on
-    the magnitude and adds nothing before shifting, so it cannot overflow;
-    shift >= 1 (38 - f or f)."""
-    m, sign = np.abs(acc), acc >> 63  # 0 or -1: (q ^ sign) - sign is +-q
-    q = (m >> shift) + ((m >> (shift - 1)) & 1)
-    return np.minimum(np.maximum((q ^ sign) - sign, fmt.raw_min), fmt.raw_max)
+    away from zero, and saturate into fmt's raw range; rewrites acc and
+    returns it. Rounding works on the magnitude and adds nothing before
+    shifting, so it cannot overflow; shift >= 1 (38 - f or f)."""
+    sign = acc >> 63  # 0 or -1, and (m ^ sign) - sign is +-m
+    np.abs(acc, out=acc)
+    half = acc >> (shift - 1)
+    half &= 1
+    acc >>= shift
+    acc += half
+    acc ^= sign
+    acc -= sign
+    np.maximum(acc, fmt.raw_min, out=acc)
+    return np.minimum(acc, fmt.raw_max, out=acc)
 
 
 _BLOCK = 1024
@@ -230,20 +237,28 @@ def q_forward_batch(qm: QuantizedModel, frames) -> tuple[np.ndarray, np.ndarray]
     # rounded into the compute format
     std_shift = INPUT_FORMAT.frac_bits + SCALE_FORMAT.frac_bits - f
     words = np.empty((len(x), len(qm.biases[-1])), np.int64)
-    # blocks keep each temporary small enough to stay in cache
+    # blocks keep temporaries cache-sized; each stage rewrites the array the
+    # one before it made rather than allocate per operation, but never x (a
+    # caller's int64 frames, uncopied) nor the model's limbs and biases
     for start in range(0, len(x), _BLOCK):
-        acts = _requantize((x[start:start + _BLOCK] - mean) * invstd,
-                           std_shift, fmt)
+        z = x[start:start + _BLOCK] - mean
+        z *= invstd
+        acts = _requantize(z, std_shift, fmt)
         for limbs, k, b_scaled in layers:
             a = acts.astype(np.float64)
-            acc, rem, low_bits = (a @ limbs[0]).astype(np.int64) + b_scaled, 0, 0
+            acc, rem, low_bits = (a @ limbs[0]).astype(np.int64), 0, 0
+            acc += b_scaled
             for limb in limbs[1:]:
                 rem += (acc & ((1 << k) - 1)) << low_bits
-                acc = (a @ limb).astype(np.int64) + (acc >> k)
+                acc >>= k
+                acc += (a @ limb).astype(np.int64)
                 low_bits += k
             bound = 1 << (62 - low_bits)
-            acc = np.minimum(np.maximum(acc, -bound), bound)
-            acts = np.maximum(_requantize((acc << low_bits) + rem, f, fmt), 0)
+            np.maximum(acc, -bound, out=acc)
+            np.minimum(acc, bound, out=acc)
+            acc <<= low_bits
+            acc += rem
+            acts = np.maximum(_requantize(acc, f, fmt), 0, out=acc)
         words[start:start + _BLOCK] = acts
     return words, np.argmax(words, axis=1)
 

@@ -515,6 +515,52 @@ def test_data_fault_names_the_file(case, saved, tmp_path, capsys):
     assert err.startswith(f"error: {argv[argv.index('--data') + 1]}: ")
 
 
+def _bad_csv(s, tmp):
+    """A CSV of one \\xff line."""
+    path = _write(tmp / "bad.csv", b"\xff\n")
+    return ["eval", "--model", s.model, "--data", path], path, 1, 0xff
+
+
+def _bad_last_cell(s, tmp):
+    """A gen-data CSV whose last cell is \\xe9."""
+    raw = Path(s.data).read_bytes()
+    path = _write(tmp / "d.csv", raw[:raw.rindex(b",") + 1] + b"\xe9\r\n")
+    return (["eval", "--qmodel", s.qmodel, "--data", path], path,
+            raw.count(b"\n"), 0xe9)
+
+
+def _bad_qmodel_line(s, tmp):
+    """A .qtxt whose second line is \\xff."""
+    lines = Path(s.qmodel).read_bytes().split(b"\n")
+    path = _write(tmp / "m.qtxt", b"\n".join([lines[0], b"\xff"] + lines[2:]))
+    return ["infer", "--qmodel", path, "--row", ROW], path, 2, 0xff
+
+
+def _bad_weight_row(s, tmp):
+    """A model.txt with \\xc3 appended to its first weight row."""
+    lines = Path(s.model).read_bytes().split(b"\n")
+    i = next(i for i, ln in enumerate(lines) if ln.startswith(b"LAYER")) + 1
+    lines[i] += b"\xc3"
+    path = _write(tmp / "m.txt", b"\n".join(lines))
+    return ["eval", "--model", path, "--data", s.data], path, i + 1, 0xc3
+
+
+# (argv, the file that is not UTF-8, its line, the first byte that is not)
+NOT_UTF8 = {"csv-one-ff-line": _bad_csv, "csv-last-cell-e9": _bad_last_cell,
+            "qmodel-line-2-ff": _bad_qmodel_line,
+            "model-weight-row-c3": _bad_weight_row}
+
+
+@pytest.mark.parametrize("case", NOT_UTF8)
+def test_file_not_utf8_names_the_file_and_line(case, saved, tmp_path, capsys):
+    """A data or model file that is not UTF-8 is exit 2 with one `error:`
+    line naming the file, the line and the byte, whichever reader meets it."""
+    argv, path, line, byte = NOT_UTF8[case](saved, tmp_path)
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (
+        2, f"error: {path} line {line}: not UTF-8 text (byte {byte:#04x})\n")
+
+
 def test_huge_finite_values_saturate_silently(saved, tmp_path, capsys):
     """A finite 1e305 in a CSV cell or in --row saturates its frame word:
     exit 0, nothing on stderr, and no numpy warning."""

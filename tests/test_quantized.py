@@ -285,9 +285,9 @@ def random_model_and_frame(rng):
     return qm, frame
 
 
-def random_model(rng, widths):
-    """Gaussian weights and standardizer quantized to a random 4..32-bit
-    format."""
+def random_model(rng, widths, fmt=None):
+    """Gaussian weights and standardizer quantized to fmt, by default a
+    random 4..32-bit format."""
     layers = []
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         layers.append(LayerParams(rng.normal(0, 2, (fan_out, fan_in)),
@@ -295,10 +295,13 @@ def random_model(rng, widths):
     params = NetworkParams(layers)
     std = Standardizer(mean=rng.normal(0, 10, widths[0]),
                        std=rng.uniform(0.05, 20, widths[0]))
-    total = int(rng.integers(4, 33))
-    integer = int(rng.integers(1, total))
-    fmt = QFormat(total, integer)
-    return quantize_model(params, std, fmt)
+    return quantize_model(params, std, fmt or random_format(rng, 4))
+
+
+def random_format(rng, min_bits=2):
+    """A format of min_bits..32 bits, with any integer bits."""
+    total = int(rng.integers(min_bits, 33))
+    return QFormat(total, int(rng.integers(1, total)))
 
 
 class TestScalarOracle:
@@ -519,3 +522,55 @@ class TestBatchEngine:
                 words, _ = q_forward_batch(qm, frames)
                 assert words.tolist() == [expected[0]]
                 assert q_forward(qm, frames[0]) == expected
+
+
+def block_frames(rng, n_in):
+    """Two full engine blocks and a partial one of Q18.14 frame words, as an
+    int64 array: mostly sensor-scale rows, some far out of range."""
+    n = 2 * quantized._BLOCK + 3
+    spread = np.where(rng.random((n, 1)) < 0.9, 20.0, 1e4)
+    return quantize(rng.normal(0, 1, (n, n_in)) * spread, INPUT_FORMAT)
+
+
+class TestBlocks:
+    def test_every_block_matches_the_oracle(self):
+        """At random 2..32-bit formats, the first and last frame of every
+        block, and a seeded sample, equal the scalar oracle's words."""
+        rng = np.random.default_rng(1023)
+        for _ in range(6):
+            qm = random_model(rng, (10, 32, 16, 3), random_format(rng))
+            frames = block_frames(rng, 10)
+            n, block = len(frames), quantized._BLOCK
+            rows = {i for s in range(0, n, block)
+                    for i in (s, min(s + block, n) - 1)}
+            rows |= set(rng.choice(n, 24, replace=False).tolist())
+            words, preds = q_forward_batch(qm, frames)
+            for i in sorted(rows):
+                want, pred = scalar_q_forward(qm, frames[i])
+                assert (words[i].tolist(), int(preds[i])) == (want, pred), \
+                    (qm.fmt, i)
+
+    @pytest.mark.parametrize("fmt", [Q88, QFormat(32, 2), QFormat(2, 1)])
+    def test_engine_writes_to_no_input(self, fmt):
+        """q_forward_batch, dump_frames and evaluate_quantized leave the
+        caller's int64 frames, the model's words and its cached limbs and
+        biases as they were, and a second call gives the same words."""
+        rng = np.random.default_rng(fmt.total_bits)
+        qm = random_model(rng, (10, 32, 16, 3), fmt)
+        frames = block_frames(rng, 10)
+        examples = Examples(frames * 2.0**-INPUT_FORMAT.frac_bits,
+                            rng.integers(0, 3, len(frames)))
+
+        def snapshot():
+            cached = [a for limbs, _, b in qm._layers for a in limbs + [b]]
+            return [a.copy() for a in [frames, examples.features]
+                    + model_words(qm) + cached]
+
+        before = snapshot()
+        runs = [(q_forward_batch(qm, frames)[0], dump_frames(qm, frames),
+                 evaluate_quantized(qm, examples).confusion) for _ in range(2)]
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(before, snapshot(), strict=True))
+        (words, dump, cm), (words2, dump2, cm2) = runs
+        assert np.array_equal(words, words2) and dump == dump2
+        assert np.array_equal(cm, cm2)
