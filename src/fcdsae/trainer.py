@@ -100,24 +100,43 @@ def one_hot(labels: np.ndarray) -> np.ndarray:
     return np.eye(metrics.N_CLASSES)[labels]
 
 
+# Rows per evaluation block, which bounds an evaluation's memory. OpenBLAS
+# gives blocks this large the bits of one product over all rows (64 did not).
+_EVAL_ROWS = 1024
+
+
+def _forward_blocks(params: NetworkParams, x: np.ndarray):
+    """network.forward per block of _EVAL_ROWS rows, the last with the rest."""
+    return (network.forward(params, block) for block in np.split(
+        x, range(_EVAL_ROWS, len(x) - _EVAL_ROWS + 1, _EVAL_ROWS)))
+
+
 def predict_batch(params: NetworkParams, std_features: np.ndarray) -> np.ndarray:
     """Argmax class per row; np.argmax already breaks ties to the lowest index."""
-    return np.argmax(network.forward(params, std_features)[-1], axis=1)
-
-
-def _hidden_means(acts):
-    return [sparsity.average_activation(a) for a in acts[1:-1]]
+    return np.concatenate([np.argmax(acts[-1], axis=1)
+                           for acts in _forward_blocks(params, std_features)])
 
 
 def evaluate_total_loss(params: NetworkParams, x: np.ndarray, targets: np.ndarray,
                         cfg: TrainConfig
                         ) -> tuple[np.ndarray, float, float, float]:
     """Argmax predictions, one-hot MSE, J_total and the unclamped mean
-    activation over every hidden unit, all from one forward pass."""
-    acts = network.forward(params, x)
-    mse = network.mse_loss(acts[-1], targets)
-    means = _hidden_means(acts)
-    return (np.argmax(acts[-1], axis=1), mse,
+    activation over every hidden unit, all from one forward pass in row
+    blocks. Each hidden layer's column sums are carried from block to block
+    in the next block's first row: np.add.reduce over axis 0 adds one row
+    after another, so they have the bits of one reduce over all rows."""
+    if len(x) < 1:
+        raise DomainError("empty batch")
+    outputs, sums = [], []
+    for acts in _forward_blocks(params, x):
+        for h, s in zip(acts[1:-1], sums):
+            h[0] += s
+        sums = [np.add.reduce(h, axis=0) for h in acts[1:-1]]
+        outputs.append(acts[-1])
+    output = np.concatenate(outputs)
+    mse = network.mse_loss(output, targets)
+    means = [s / len(x) for s in sums]
+    return (np.argmax(output, axis=1), mse,
             sparsity.total_loss(mse, means, cfg.xi, cfg.psi),
             float(np.concatenate(means).mean()))
 
@@ -138,8 +157,9 @@ def _epoch(cfg, epoch, order, x_train, t_train, params, state, grads):
         if not math.isfinite(network.mse_loss(acts[-1], tb)):
             raise FloatingPointError(f"training diverged: non-finite loss at "
                                      f"epoch {epoch + 1}, batch {start // size}")
-        rows = [sparsity.penalty_gradient(m, cfg.xi, cfg.psi, len(xb))
-                for m in _hidden_means(acts)] if cfg.psi > 0.0 else None
+        rows = [sparsity.penalty_gradient(sparsity.average_activation(h),
+                                          cfg.xi, cfg.psi, len(xb))
+                for h in acts[1:-1]] if cfg.psi > 0.0 else None
         network.backward(acts, params, tb, rows, out=grads)
         try:
             network.adam_step(params, grads, state)

@@ -1,15 +1,18 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from fcdsae import dataset, network, trainer
+from fcdsae import dataset, network, sparsity, trainer
 from fcdsae.errors import DomainError
 from fcdsae.network import LayerParams, NetworkParams
 from fcdsae.trainer import TrainConfig, predict_batch, train
 
-from oracles import reference_train
+from oracles import random_network, reference_train
+
+B = trainer._EVAL_ROWS
 
 
 def tiny_data(n=12, seed=0):
@@ -133,6 +136,84 @@ class TestReferenceTrain:
             assert layer.weights.tobytes() == w.tobytes()
             assert layer.biases.tobytes() == b.tobytes()
         assert report.format_text() == ref_report.format_text()
+
+    def test_bit_equal_over_several_eval_blocks(self):
+        """The oracle evaluates each partition in one forward pass; the
+        trainer's evaluations run in _EVAL_ROWS-row blocks."""
+        data = tiny_data(8 * B + 108, seed=5)
+        assert min(len(data.train), len(data.test)) >= 2 * B
+        cfg = TrainConfig(max_epochs=2, seed=5)
+        params, _, report = train(cfg, data)
+        ref_layers, ref_report = reference_train(cfg, data)
+        for layer, (w, b) in zip(params.layers, ref_layers):
+            assert layer.weights.tobytes() == w.tobytes()
+            assert layer.biases.tobytes() == b.tobytes()
+        assert report.format_text() == ref_report.format_text()
+        assert report.j_total == ref_report.j_total
+
+
+class TestEvalBlocks:
+    """predict_batch and evaluate_total_loss run network.forward over row
+    blocks and must give the bits of one forward pass over every row."""
+
+    def case(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, network.DEFAULT_TOPOLOGY[0]))
+        return (random_network(network.DEFAULT_TOPOLOGY, n), x,
+                trainer.one_hot(rng.integers(0, 3, n)))
+
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B - 1, 2 * B,
+                                   2 * B + 1, 5 * B + 3])
+    def test_bit_equal_to_one_forward_pass(self, n, monkeypatch):
+        params, x, targets = self.case(n)
+        cfg = TrainConfig()
+        acts = network.forward(params, x)
+        want_preds = np.argmax(acts[-1], axis=1)
+        want_mse = network.mse_loss(acts[-1], targets)
+        means = [sparsity.average_activation(h) for h in acts[1:-1]]
+
+        forward, blocks = network.forward, []
+
+        def counted(p, batch):
+            blocks.append(len(batch))
+            return forward(p, batch)
+        monkeypatch.setattr(network, "forward", counted)
+        preds, mse, j, mean = trainer.evaluate_total_loss(params, x, targets,
+                                                          cfg)
+        assert preds.tobytes() == want_preds.tobytes()
+        assert mse.hex() == want_mse.hex()
+        assert j.hex() == sparsity.total_loss(want_mse, means, cfg.xi,
+                                              cfg.psi).hex()
+        assert mean.hex() == float(np.concatenate(means).mean()).hex()
+        assert predict_batch(params, x).tobytes() == want_preds.tobytes()
+        # every block has at least B rows and the last takes the remainder
+        k = max(n // B, 1)
+        assert blocks == 2 * ([B] * (k - 1) + [n - B * (k - 1)])
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda p, x, t: trainer.evaluate_total_loss(p, x, t, TrainConfig()),
+        lambda p, x, t: predict_batch(p, x)],
+        ids=["evaluate_total_loss", "predict_batch"])
+    def test_memory_bounded_by_block(self, evaluate):
+        """Under tracemalloc, which sees numpy's buffers. One forward pass
+        over all 40,000 rows would peak at about 16 MiB."""
+        case = self.case(40_000)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            evaluate(*case)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
+
+    def test_empty_set_rejected(self):
+        params, x, targets = self.case(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="empty batch"):
+                trainer.evaluate_total_loss(params, x, targets, TrainConfig())
+            assert predict_batch(params, x).shape == (0,)
 
 
 class TestPredict:
