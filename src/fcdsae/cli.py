@@ -126,19 +126,9 @@ def _cmd_train(args) -> None:
     print(f"model written to {args.out_model}")
 
 
-def _served(path, model) -> None:
-    """The loaders read any topology; the commands serve only 10->...->3."""
-    n_inputs, n_outputs = model.topology[0], model.topology[-1]
-    if (n_inputs, n_outputs) != (dataset.N_FEATURES, metrics.N_CLASSES):
-        raise ParseError(f"{path}: model maps {n_inputs} inputs to "
-                         f"{n_outputs} outputs, not {dataset.N_FEATURES} to "
-                         f"{metrics.N_CLASSES}")
-
-
 def _cmd_quantize(args) -> None:
     fmt = QFormat.parse(args.format)
     params, std = network.load_model(args.model)
-    _served(args.model, params)
     qm = quantized.quantize_model(params, std, fmt)
     quantized.save_qmodel(qm, args.out)
     print(f"quantized to {fmt}; saturated values: {qm.saturation_count}")
@@ -149,14 +139,12 @@ def _cmd_eval(args) -> None:
     examples = _load_examples(args.data)
     if args.model:
         params, std = network.load_model(args.model)
-        _served(args.model, params)
         preds = trainer.predict_batch(params,
                                       std.transform_matrix(examples.features))
         cm = metrics.confusion(examples.labels, preds)
         print(metrics.metric_block(cm).format_table())
     else:
         qm = quantized.load_qmodel(args.qmodel)
-        _served(args.qmodel, qm)
         result = quantized.evaluate_quantized(qm, examples)
         cm = result.confusion
         print(result.metrics.format_table())
@@ -177,7 +165,6 @@ def _cmd_infer(args) -> None:
         raise UsageError(f"--row contains a value that is not a finite "
                          f"number: {args.row!r}")
     qm = quantized.load_qmodel(args.qmodel)
-    _served(args.qmodel, qm)
     frame = quantized.frame_from_features(values)
     outs, pred = quantized.q_forward(qm, frame)
     print(f"class: {pred}")

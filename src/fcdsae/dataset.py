@@ -116,7 +116,8 @@ def decode(path, raw: bytes) -> str:
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
+        # lines end at \r\n, \r or \n, as both readers split them
+        line = len((raw[:exc.start] + b".").splitlines())
         raise ParseError(f"{path} line {line}: not UTF-8 text "
                          f"(byte {raw[exc.start]:#04x})") from None
 

@@ -183,8 +183,9 @@ def save_model(params: NetworkParams, path, standardizer) -> None:
 
 def load_model(path):
     """Read a model file; returns (NetworkParams, Standardizer)."""
-    records, layers = modelfile.read(path, MODEL_MAGIC,
-                                     {"STDMEAN": None, "STDSTD": None}, number)
+    records, layers = modelfile.read(
+        path, MODEL_MAGIC, {"STDMEAN": N_FEATURES, "STDSTD": N_FEATURES},
+        DEFAULT_TOPOLOGY, number)
     params = NetworkParams([LayerParams(np.array(w), np.array(b))
                             for w, b in layers])
     if min(records["STDSTD"]) <= 0:

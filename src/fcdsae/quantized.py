@@ -20,7 +20,9 @@ from functools import cached_property
 import numpy as np
 
 from fcdsae import metrics, modelfile
+from fcdsae.dataset import N_FEATURES
 from fcdsae.errors import DimensionError, DomainError, FrameError, ParseError
+from fcdsae.network import DEFAULT_TOPOLOGY
 
 QMODEL_MAGIC = "FCDSAE-Q 1"
 
@@ -293,7 +295,8 @@ def dump_frames(qm: QuantizedModel, frames: list[list[int]]) -> str:
     return (line * len(table)) % tuple(table.ravel().tolist())
 
 
-_QTAGS = {"Q": 2, "QIN": 2, "QSCALE": 2, "STDMEAN": None, "STDINVSTD": None}
+_QTAGS = {"Q": 2, "QIN": 2, "QSCALE": 2, "STDMEAN": N_FEATURES,
+          "STDINVSTD": N_FEATURES}
 
 
 def _format_words(fmt: QFormat) -> list[int]:
@@ -318,7 +321,8 @@ def _check_words(path, what: str, words, fmt: QFormat) -> np.ndarray:
 
 
 def load_qmodel(path) -> QuantizedModel:
-    records, layers = modelfile.read(path, QMODEL_MAGIC, _QTAGS, int)
+    records, layers = modelfile.read(path, QMODEL_MAGIC, _QTAGS,
+                                     DEFAULT_TOPOLOGY, int)
     for tag, fixed in (("QIN", INPUT_FORMAT), ("QSCALE", SCALE_FORMAT)):
         if records[tag] != _format_words(fixed):
             raise ParseError(f"{path}: {tag} must be {fixed.total_bits} "

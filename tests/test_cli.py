@@ -291,19 +291,23 @@ def _words(path, line):
     return Path(path).read_text().splitlines()[line].split()
 
 
+def _std(n_in):
+    return Standardizer(mean=np.zeros(n_in), std=np.ones(n_in))
+
+
 def _model(tmp, topology):
     path = tmp / "m.txt"
-    n_in = topology[0]
     network.save_model(random_network(topology, seed=1), path,
-                       Standardizer(mean=np.zeros(n_in), std=np.ones(n_in)))
+                       _std(topology[0]))
     return str(path)
 
 
 def _qmodel(tmp, topology):
+    """The Q8.8 model.qtxt of the network `_model` writes."""
     path = tmp / "m.qtxt"
-    params, std = network.load_model(_model(tmp, topology))
-    quantized.save_qmodel(
-        quantized.quantize_model(params, std, QFormat(16, 8)), path)
+    quantized.save_qmodel(quantized.quantize_model(
+        random_network(topology, seed=1), _std(topology[0]), QFormat(16, 8)),
+        path)
     return str(path)
 
 
@@ -515,6 +519,29 @@ def test_data_fault_names_the_file(case, saved, tmp_path, capsys):
     assert err.startswith(f"error: {argv[argv.index('--data') + 1]}: ")
 
 
+# the off-shape MALFORMED cases: (the line of the first LAYER, what it reads)
+OFF_SHAPE = {"model-four-inputs": (4, "LAYER 4 4"),
+             "model-10-4-2-eval": (4, "LAYER 10 4"),
+             "model-10-4-2-quantize": (4, "LAYER 10 4"),
+             "qmodel-10-4-2-eval": (7, "LAYER 10 4"),
+             "qmodel-10-4-2-infer": (7, "LAYER 10 4"),
+             "qmodel-fan-in-32769-eval": (7, "LAYER 10 32769"),
+             "qmodel-fan-in-32769-infer": (7, "LAYER 10 32769")}
+
+
+@pytest.mark.parametrize("case", OFF_SHAPE)
+def test_off_shape_model_is_refused_by_its_loader(case, saved, tmp_path, capsys):
+    """A model file of another topology than 10-32-16-3 is exit 2 from its
+    loader, naming the file, the line, the LAYER line expected there and
+    the one read."""
+    argv, _ = MALFORMED[case](saved, tmp_path)
+    path = argv[argv.index("--qmodel" if "--qmodel" in argv else "--model") + 1]
+    line, read = OFF_SHAPE[case]
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (2, f"error: {path} line {line}: expected "
+                              f"'LAYER 10 32', read '{read}'\n")
+
+
 def _bad_csv(s, tmp):
     """A CSV of one \\xff line."""
     path = _write(tmp / "bad.csv", b"\xff\n")
@@ -545,10 +572,28 @@ def _bad_weight_row(s, tmp):
     return ["eval", "--model", path, "--data", s.data], path, i + 1, 0xc3
 
 
+def _cr_only_csv(s, tmp):
+    """A gen-data CSV with CR line ends and \\xff opening line 3."""
+    lines = Path(s.data).read_bytes().split(b"\r\n")
+    lines[2] = b"\xff" + lines[2]
+    path = _write(tmp / "d.csv", b"\r".join(lines))
+    return ["eval", "--model", s.model, "--data", path], path, 3, 0xff
+
+
+def _cr_only_model(s, tmp):
+    """A model.txt with CR line ends and \\xff opening line 3."""
+    lines = Path(s.model).read_bytes().split(b"\n")
+    lines[2] = b"\xff" + lines[2]
+    path = _write(tmp / "m.txt", b"\r".join(lines))
+    return ["eval", "--model", path, "--data", s.data], path, 3, 0xff
+
+
 # (argv, the file that is not UTF-8, its line, the first byte that is not)
 NOT_UTF8 = {"csv-one-ff-line": _bad_csv, "csv-last-cell-e9": _bad_last_cell,
             "qmodel-line-2-ff": _bad_qmodel_line,
-            "model-weight-row-c3": _bad_weight_row}
+            "model-weight-row-c3": _bad_weight_row,
+            "csv-cr-only-line-3-ff": _cr_only_csv,
+            "model-cr-only-line-3-ff": _cr_only_model}
 
 
 @pytest.mark.parametrize("case", NOT_UTF8)

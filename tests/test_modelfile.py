@@ -6,18 +6,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fcdsae import modelfile, network, quantized
-from fcdsae.dataset import Standardizer
+from fcdsae.dataset import N_FEATURES, Standardizer
 from fcdsae.errors import ParseError
+from fcdsae.network import DEFAULT_TOPOLOGY
 from fcdsae.quantized import QFormat
 
 from oracles import random_network
 
 
-def _saved_texts():
-    """model.txt and Q8.8 model.qtxt text of a small 4-3-2 network."""
-    params = random_network((4, 3, 2), seed=3)
-    std = Standardizer(mean=np.array([1.0, -2.0, 30.0, 0.5]),
-                       std=np.array([0.5, 2.0, 10.0, 0.25]))
+def _saved_texts(topology=DEFAULT_TOPOLOGY):
+    """model.txt and Q8.8 model.qtxt text of a network of `topology`."""
+    params = random_network(topology, seed=3)
+    std = Standardizer(mean=np.linspace(-2.0, 30.0, topology[0]),
+                       std=np.linspace(0.25, 10.0, topology[0]))
     with tempfile.TemporaryDirectory() as tmp:
         model, qmodel = Path(tmp, "m.txt"), Path(tmp, "m.qtxt")
         network.save_model(params, model, standardizer=std)
@@ -53,17 +54,18 @@ def load_and_use(text, qmodel):
 
 @pytest.mark.parametrize("qmodel", [False, True], ids=["model", "qmodel"])
 def test_truncated_at_every_line(qmodel):
+    """Only the complete file loads: a file cut anywhere else, right after
+    a bias row included, is a ParseError."""
     lines = (QMODEL_TEXT if qmodel else MODEL_TEXT).splitlines()
     for cut in range(len(lines) + 1):
-        # a file cut right after a bias row is a valid, shallower model
-        ends_layer = cut >= 2 and lines[cut - 2] == "BIAS"
-        assert load_and_use("\n".join(lines[:cut]) + "\n", qmodel) == ends_layer
+        complete = cut == len(lines)
+        assert load_and_use("\n".join(lines[:cut]) + "\n", qmodel) == complete
 
 
 TOKENS = st.sampled_from(["", "0", "-1", "1.5", "nan", "inf", "-inf", "1e999",
                           "1e-320", "99999999999", "99999999999999999999",
                           "abc", "LAYER", "BIAS", "STDMEAN", "STDSTD", "Q",
-                          "QIN", "2 3", "4"])
+                          "QIN", "32 16", "10"])
 
 
 @pytest.mark.parametrize("qmodel", [False, True], ids=["model", "qmodel"])
@@ -81,11 +83,13 @@ def test_one_mutated_token_loads_or_raises_parse_error(qmodel, data):
 
 
 @pytest.mark.parametrize("old,new,match", [
-    ("LAYER 3 2", "LAYER 4 2", "line 10: fan_in 4 does not match"),
-    ("LAYER 3 2", "LAYER 3 0", "line 10: expected 'LAYER"),
+    ("LAYER 32 16", "LAYER 4 16",
+     "line 39: expected 'LAYER 32 16', read 'LAYER 4 16'"),
+    ("LAYER 16 3", "LAYER 16 0",
+     "line 58: expected 'LAYER 16 3', read 'LAYER 16 0'"),
     ("STDSTD", "STDMEAN", "line 3: unknown or duplicate record 'STDMEAN'"),
     ("STDSTD", "STDDEV", "line 3: unknown or duplicate record 'STDDEV'"),
-    ("\nBIAS\n", "\nBIAS\n1\n", "line 9: expected 3 values, got 1"),
+    ("\nBIAS\n", "\nBIAS\n1\n", "line 38: expected 32 values, got 1"),
 ], ids=["fan-in-mismatch", "fan-out-zero", "duplicate-record", "unknown-record",
         "short-bias-row"])
 def test_grammar_fault_names_the_line(tmp_path, old, new, match):
@@ -94,6 +98,36 @@ def test_grammar_fault_names_the_line(tmp_path, old, new, match):
     path.write_text(MODEL_TEXT.replace(old, new, 1))
     with pytest.raises(ParseError, match=match):
         network.load_model(path)
+
+
+END = "the end of the file after the last layer ('LAYER 16 3')"
+# id -> (topology of the saved network, lines appended to its file, the
+# line read where the loader expects another, what it expects there)
+WRONG_TOPOLOGY = {
+    "shallower": ((10, 32, 3), "", "LAYER 32 3", "'LAYER 32 16'"),
+    "deeper": (DEFAULT_TOPOLOGY, "LAYER 3 3\n1 0 0\n0 1 0\n0 0 1\nBIAS\n0 0 0\n",
+               "LAYER 3 3", END),
+    "swapped-widths": ((10, 16, 32, 3), "", "LAYER 10 16", "'LAYER 10 32'"),
+    "four-inputs": ((4, 32, 16, 3), "", "LAYER 4 32", "'LAYER 10 32'"),
+    "words-after-last-bias-row": (DEFAULT_TOPOLOGY, "0 1\n", "0 1", END),
+}
+
+
+@pytest.mark.parametrize("qmodel", [False, True], ids=["model", "qmodel"])
+@pytest.mark.parametrize("case", WRONG_TOPOLOGY)
+def test_wrong_topology_names_the_expected_layer(tmp_path, case, qmodel):
+    """Both loaders read only 10-32-16-3: a file of any other topology is a
+    ParseError naming the line, what the loader expected there and what
+    it read."""
+    topology, extra, read, expected = WRONG_TOPOLOGY[case]
+    text = _saved_texts(topology)[qmodel] + extra
+    path = tmp_path / "m"
+    path.write_text(text)
+    line = text.splitlines().index(read) + 1
+    load = quantized.load_qmodel if qmodel else network.load_model
+    with pytest.raises(ParseError) as exc:
+        load(path)
+    assert str(exc.value) == f"{path} line {line}: expected {expected}, read {read!r}"
 
 
 @pytest.mark.parametrize("qmodel", [False, True], ids=["model", "qmodel"])
@@ -113,13 +147,13 @@ def test_every_header_record_required(tmp_path, qmodel):
         with pytest.raises(ParseError, match=rf"missing records \['{tag}'\]"):
             load(path)
         path.write_text("\n".join(kept[:-1] + ["1"]) + "\n")
-        with pytest.raises(ParseError, match="expected 2 values, got 1"):
+        with pytest.raises(ParseError, match="expected 3 values, got 1"):
             load(path)
 
 
 @pytest.mark.parametrize("qmodel, tag, got, want", [
-    (False, "STDMEAN", 3, 4), (False, "STDSTD", 3, 4), (True, "STDMEAN", 3, 4),
-    (True, "STDINVSTD", 3, 4), (True, "Q", 3, 2), (True, "QIN", 3, 2),
+    (False, "STDMEAN", 9, 10), (False, "STDSTD", 9, 10), (True, "STDMEAN", 9, 10),
+    (True, "STDINVSTD", 9, 10), (True, "Q", 3, 2), (True, "QIN", 3, 2),
 ], ids=["model-stdmean", "model-stdstd", "qmodel-stdmean", "qmodel-stdinvstd",
         "qmodel-q", "qmodel-qin"])
 def test_record_width_names_both_counts(tmp_path, qmodel, tag, got, want):
@@ -141,7 +175,7 @@ def test_record_width_names_both_counts(tmp_path, qmodel, tag, got, want):
 def test_word_beyond_int64_is_named(tmp_path):
     """A word no int64 holds is named like any other out-of-range word."""
     lines = QMODEL_TEXT.splitlines()
-    row = lines.index("LAYER 4 3") + 1
+    row = lines.index("LAYER 10 32") + 1
     lines[row] = " ".join(["-99999999999999999999"] + lines[row].split()[1:])
     path = tmp_path / "m.qtxt"
     path.write_text("\n".join(lines) + "\n")
@@ -158,7 +192,7 @@ def test_non_ascii_or_underscore_word_rejected(tmp_path, qmodel, word):
     as 10.5, where C's strtol reads 1_0 as 1: both loaders refuse such a
     word, naming its line."""
     lines = (QMODEL_TEXT if qmodel else MODEL_TEXT).splitlines()
-    row = lines.index("LAYER 4 3") + 1
+    row = lines.index("LAYER 10 32") + 1
     lines[row] = " ".join([word] + lines[row].split()[1:])
     path = tmp_path / "m"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -169,8 +203,8 @@ def test_non_ascii_or_underscore_word_rejected(tmp_path, qmodel, word):
 
 
 @pytest.mark.parametrize("qmodel, separator, error", [
-    (True, "\x1f", "expected 4 values, got 3"),
-    (False, "\u2003", "expected 4 values, got 3"),
+    (True, "\x1f", "expected 10 values, got 9"),
+    (False, "\u2003", "expected 10 values, got 9"),
     (True, "\x0b ", r"'[^']+\\x0b' is not printable ASCII"),
     (False, "\x0c ", r"'[^']+\\x0c' is not printable ASCII"),
 ], ids=["qmodel-unit-separator", "model-em-space", "qmodel-vertical-tab",
@@ -182,7 +216,7 @@ def test_only_space_and_tab_separate_words(tmp_path, qmodel, separator, error):
     strip a vertical tab or form feed glued to a word, where C's strtol and
     strtod stop at it: such a word is refused, named by its line."""
     lines = (QMODEL_TEXT if qmodel else MODEL_TEXT).splitlines()
-    row = lines.index("LAYER 4 3") + 1
+    row = lines.index("LAYER 10 32") + 1
     lines[row] = lines[row].replace(" ", separator, 1)
     path = tmp_path / "m"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -196,16 +230,17 @@ def test_crlf_and_tabs_read_the_same_words(tmp_path, qmodel):
     """CRLF ends a line as LF does, and a tab separates words as a space
     does."""
     text = QMODEL_TEXT if qmodel else MODEL_TEXT
-    tags = ({"Q": 2, "QIN": 2, "QSCALE": 2, "STDMEAN": None, "STDINVSTD": None}
-            if qmodel else {"STDMEAN": None, "STDSTD": None})
+    tags = ({"Q": 2, "QIN": 2, "QSCALE": 2, "STDMEAN": N_FEATURES,
+             "STDINVSTD": N_FEATURES}
+            if qmodel else {"STDMEAN": N_FEATURES, "STDSTD": N_FEATURES})
     magic = text.splitlines()[0]
     plain, crlf, tabs = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     plain.write_text(text)
     crlf.write_bytes(text.replace("\n", "\r\n").encode())
     tabs.write_text(text.replace(" ", "\t"))
-    want = modelfile.read(plain, magic, tags, str)
+    want = modelfile.read(plain, magic, tags, DEFAULT_TOPOLOGY, str)
     for path in (crlf, tabs):
-        assert modelfile.read(path, magic, tags, str) == want
+        assert modelfile.read(path, magic, tags, DEFAULT_TOPOLOGY, str) == want
         assert load_and_use(path.read_text(), qmodel)
 
 

@@ -265,9 +265,9 @@ class TestModelFile:
     def test_round_trip_exact(self, tmp_path):
         from fcdsae.dataset import Standardizer
 
-        params = random_network((4, 5, 3), seed=11)
+        params = random_network(network.DEFAULT_TOPOLOGY, seed=11)
         path = tmp_path / "m.txt"
-        network.save_model(params, path, Standardizer(np.zeros(4), np.ones(4)))
+        network.save_model(params, path, Standardizer(np.zeros(10), np.ones(10)))
         loaded, _ = network.load_model(path)
         for la, lb in zip(params.layers, loaded.layers):
             npt.assert_array_equal(la.weights, lb.weights)
@@ -276,7 +276,7 @@ class TestModelFile:
     def test_round_trip_with_standardizer(self, tmp_path):
         from fcdsae.dataset import Standardizer
 
-        params = random_network((10, 4, 3), seed=2)
+        params = random_network(network.DEFAULT_TOPOLOGY, seed=2)
         std = Standardizer(mean=np.arange(10.0), std=np.arange(1.0, 11.0))
         path = tmp_path / "m.txt"
         network.save_model(params, path, standardizer=std)

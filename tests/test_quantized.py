@@ -334,7 +334,7 @@ class TestWideningError:
 class TestFilesAndDumps:
     def test_qmodel_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
-        qm, _ = random_model_and_frame(rng)
+        qm = random_model(rng, network.DEFAULT_TOPOLOGY)
         path = tmp_path / "m.qtxt"
         save_qmodel(qm, path)
         back = load_qmodel(path)
