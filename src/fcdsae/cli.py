@@ -142,16 +142,17 @@ def _cmd_eval(args) -> None:
         preds = trainer.predict_batch(params,
                                       std.transform_matrix(examples.features))
         cm = metrics.confusion(examples.labels, preds)
-        print(metrics.metric_block(cm).format_table())
+        block = metrics.metric_block(cm)
     else:
         qm = quantized.load_qmodel(args.qmodel)
         result = quantized.evaluate_quantized(qm, examples)
-        cm = result.confusion
-        print(result.metrics.format_table())
-        print(f"quantized accuracy: {result.metrics.accuracy:.4f}")
-    if args.out_confusion:
+        cm, block = result.confusion, result.metrics
+    if args.out_confusion:  # first, so a failed write prints no result
         with open(args.out_confusion, "w", encoding="utf-8") as fh:
             fh.write(metrics.confusion_csv(cm))
+    print(block.format_table())
+    if args.qmodel:
+        print(f"quantized accuracy: {block.accuracy:.4f}")
 
 
 def _cmd_infer(args) -> None:

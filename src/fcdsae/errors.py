@@ -14,4 +14,4 @@ class ParseError(ValueError):
 
 
 class FrameError(ValueError):
-    """Malformed streaming frame (wrong word count)."""
+    """Malformed frames: ragged, wrong width, non-integer or out-of-range."""

@@ -55,29 +55,20 @@ def confusion_csv(counts: np.ndarray) -> str:
 
 
 def metric_block(counts: np.ndarray) -> MetricBlock:
-    """Aggregate the confusion matrix with support-weighted averaging.
-
-    A class with zero predicted support contributes precision 0; a class
-    with zero true support is skipped (weight 0 either way).
-    """
+    """Support-weighted precision, recall and F1 of the confusion matrix.
+    A class never predicted has precision 0, one with no support weight 0.
+    Each (w * x).sum() adds the 3 classes in order, as the loop in
+    tests/oracles.recount_metrics does; w @ x may reorder or fuse adds."""
     total = int(counts.sum())
     if total == 0:
         raise DomainError("empty confusion matrix")
     accuracy = float(np.trace(counts)) / total
-
-    supports = counts.sum(axis=1)
-    predicted = counts.sum(axis=0)
-    precision_sum = recall_sum = f1_sum = 0.0
-    for c in range(N_CLASSES):
-        if supports[c] == 0:
-            continue
-        tp = float(counts[c, c])
-        prec = tp / predicted[c] if predicted[c] > 0 else 0.0
-        rec = tp / supports[c]
-        f1 = 2.0 * prec * rec / (prec + rec) if (prec + rec) > 0 else 0.0
-        w = supports[c] / total
-        precision_sum += w * prec
-        recall_sum += w * rec
-        f1_sum += w * f1
-    return MetricBlock(accuracy=accuracy, precision=precision_sum,
-                       recall=recall_sum, f1=f1_sum, mse=1.0 - accuracy)
+    supports, predicted = counts.sum(axis=1), counts.sum(axis=0)
+    tp, z = np.diagonal(counts), np.zeros(N_CLASSES)
+    prec = np.divide(tp, predicted, out=z.copy(), where=predicted > 0)
+    rec = np.divide(tp, supports, out=z.copy(), where=supports > 0)
+    f1 = np.divide(2.0 * prec * rec, prec + rec, out=z, where=prec + rec > 0)
+    w = supports / total
+    precision, recall, f1 = ((w * x).sum() for x in (prec, rec, f1))
+    return MetricBlock(accuracy=accuracy, precision=precision, recall=recall,
+                       f1=f1, mse=1.0 - accuracy)

@@ -112,11 +112,6 @@ class QuantizedModel:
     saturation_count: int = 0
 
     @cached_property
-    def topology(self) -> tuple[int, ...]:
-        """(inputs, each layer's fan_out), as NetworkParams.topology."""
-        return (self.weights[0].shape[1],) + tuple(map(len, self.biases))
-
-    @cached_property
     def _layers(self):
         """Per layer the float64 weight limbs (fan_in x fan_out, lowest
         first), their width and the int64 bias at the accumulator scale.
@@ -232,7 +227,7 @@ def q_forward_batch(qm: QuantizedModel, frames) -> tuple[np.ndarray, np.ndarray]
       after; as K <= 30, both saturate every format of up to 32 bits;
     - rounding works on the magnitude and adds nothing before shifting.
     """
-    x = _frames(frames, qm.topology[0])
+    x = _frames(frames, qm.weights[0].shape[1])
     mean, invstd, layers = qm.std_mean, qm.std_invstd, qm._layers
     fmt, f = qm.fmt, qm.fmt.frac_bits
     # z = (x - mean) * invstd, exact product at 2^-(in_f + scale_f), then
@@ -288,7 +283,7 @@ def evaluate_quantized(qm: QuantizedModel, examples) -> QuantEvalResult:
 def dump_frames(qm: QuantizedModel, frames: list[list[int]]) -> str:
     """One line per frame: 10 input words then 3 output words, decimal.
     Byte-comparable across implementations."""
-    x = _frames(frames, qm.topology[0])
+    x = _frames(frames, qm.weights[0].shape[1])
     words, _ = q_forward_batch(qm, x)
     table = np.hstack([x, words])
     line = " ".join(["%d"] * table.shape[1]) + "\n"

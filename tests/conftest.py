@@ -11,11 +11,16 @@ REFERENCE_N = 36363
 REFERENCE_SEED = 42
 
 
+def _split_synthetic(n, seed):
+    """The 3:1 split at `seed` of `synthetic_matrix(n, seed)`, built with
+    the array API the commands use."""
+    examples = dataset.Examples.from_matrix(dataset.synthetic_matrix(n, seed))
+    return dataset.split(examples, seed=seed)
+
+
 @pytest.fixture(scope="session")
 def reference_data():
-    records = dataset.generate_synthetic(REFERENCE_N, REFERENCE_SEED)
-    examples = [dataset.label(r) for r in records]
-    return dataset.split(examples, seed=REFERENCE_SEED)
+    return _split_synthetic(REFERENCE_N, REFERENCE_SEED)
 
 
 @pytest.fixture(scope="session")
@@ -34,6 +39,4 @@ def reference_run_no_sparsity(reference_data):
 @pytest.fixture(scope="session")
 def small_data():
     """Quick 600-record dataset for trainer unit tests."""
-    records = dataset.generate_synthetic(600, 7)
-    examples = [dataset.label(r) for r in records]
-    return dataset.split(examples, seed=7)
+    return _split_synthetic(600, 7)

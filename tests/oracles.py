@@ -257,7 +257,7 @@ def synthetic_hfr(z_power, z_airflow, z_watertemp, z_h2press, noise=0.0):
 
 
 def synthetic_draws(seed, n, noise_sigma):
-    """generate_synthetic's random draws, redone here: one uniform column
+    """synthetic_matrix's random draws, redone here: one uniform column
     per feature in FEATURE_COLUMNS order, then the normal noise. Returns the
     (n, 9) feature matrix, the noiseless HFR signal and the unclipped HFR."""
     from fcdsae.dataset import BASE_VALUES, FEATURE_COLUMNS
@@ -277,7 +277,7 @@ def synthetic_draws(seed, n, noise_sigma):
 
 def bayes_accuracy(seed, n, noise_sigma, indices):
     """Accuracy of the Bayes rule on the rows `indices` (0-based, so row
-    t - 1) of generate_synthetic(n, seed, noise_sigma), noise_sigma > 0.
+    t - 1) of synthetic_matrix(n, seed), its HFR noise at sigma noise_sigma > 0.
 
     The rule picks the class most likely given the noiseless signal; no
     classifier of the features beats it in expectation. HFR = signal +

@@ -163,6 +163,19 @@ class TestEval:
         assert code == 0
         assert "quantized accuracy" in stdout
 
+    @pytest.mark.parametrize("flag", ["--model", "--qmodel"])
+    def test_unwritable_confusion_path_prints_no_result(self, flag, saved,
+                                                        capsys):
+        """The confusion CSV is written before the metric table is
+        printed, so an output path that cannot be opened leaves stdout
+        empty: the exit code and stdout never disagree."""
+        path = saved.model if flag == "--model" else saved.qmodel
+        code, stdout, err = run(capsys, "eval", flag, path, "--data",
+                                saved.data, "--out-confusion",
+                                "/nonexistent/dir/cm.csv")
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bad_feature_count(self, tmp_path, trained_model, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("t,Power,HFR\n1,2,88\n")

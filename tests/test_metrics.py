@@ -1,7 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fcdsae.errors import DomainError
 from fcdsae.metrics import confusion, confusion_csv, metric_block
@@ -85,7 +85,7 @@ class TestMetricBlock:
             return
         block = metric_block(confusion(trues, preds))
         assert block.recall == pytest.approx(block.accuracy, abs=1e-12)
-        assert block.mse == pytest.approx(1.0 - block.accuracy, abs=1e-12)
+        assert block.mse == 1.0 - block.accuracy
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 1000))
@@ -94,11 +94,28 @@ class TestMetricBlock:
         trues = rng.integers(0, 3, size=n).tolist()
         preds = rng.integers(0, 3, size=n).tolist()
         block = metric_block(confusion(trues, preds))
-        acc, prec, rec, f1 = recount_metrics(trues, preds)
-        assert block.accuracy == pytest.approx(acc, abs=1e-12)
-        assert block.precision == pytest.approx(prec, abs=1e-12)
-        assert block.recall == pytest.approx(rec, abs=1e-12)
-        assert block.f1 == pytest.approx(f1, abs=1e-12)
+        assert (block.accuracy, block.precision, block.recall,
+                block.f1) == recount_metrics(trues, preds)
+        assert block.mse == 1.0 - block.accuracy
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 60), min_size=9, max_size=9),
+           st.sets(st.integers(0, 2), max_size=2),
+           st.sets(st.integers(0, 2), max_size=2))
+    def test_count_matrix_matches_recount(self, values, zero_rows, zero_cols):
+        """Any (3, 3) counts, classes of zero support (an all-zero row) or
+        zero predicted (an all-zero column) included, give the recount's
+        bits: the floats behind the frozen report and eval digests."""
+        counts = np.array(values, np.int64).reshape(3, 3)
+        counts[sorted(zero_rows), :] = 0
+        counts[:, sorted(zero_cols)] = 0
+        assume(counts.sum() > 0)
+        trues = np.repeat(np.arange(9) // 3, counts.ravel()).tolist()
+        preds = np.repeat(np.arange(9) % 3, counts.ravel()).tolist()
+        block = metric_block(counts)
+        assert (block.accuracy, block.precision, block.recall,
+                block.f1) == recount_metrics(trues, preds)
+        assert block.mse == 1.0 - block.accuracy
 
     def test_order_invariance(self):
         rng = np.random.default_rng(1)

@@ -44,7 +44,7 @@ def load_and_use(text, qmodel):
         except ParseError:
             return False
     if qmodel:
-        words, _ = quantized.q_forward(qm, [0] * qm.topology[0])
+        words, _ = quantized.q_forward(qm, [0] * qm.weights[0].shape[1])
         assert all(qm.fmt.raw_min <= w <= qm.fmt.raw_max for w in words)
     else:
         network.forward(params, np.zeros((1, params.topology[0])))

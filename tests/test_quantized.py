@@ -345,7 +345,7 @@ class TestFilesAndDumps:
     def test_frame_dump_deterministic(self):
         rng = np.random.default_rng(6)
         qm, _ = random_model_and_frame(rng)
-        frames = [frame_from_features(rng.normal(0, 5, qm.topology[0]))
+        frames = [frame_from_features(rng.normal(0, 5, qm.weights[0].shape[1]))
                   for _ in range(5)]
         assert dump_frames(qm, frames) == scalar_dump_frames(qm, frames)
 

@@ -16,8 +16,8 @@ B = trainer._EVAL_ROWS
 
 
 def tiny_data(n=12, seed=0):
-    records = dataset.generate_synthetic(n, seed)
-    return dataset.split([dataset.label(r) for r in records], seed=seed)
+    examples = dataset.Examples.from_matrix(dataset.synthetic_matrix(n, seed))
+    return dataset.split(examples, seed=seed)
 
 
 class TestConfig:
@@ -77,8 +77,7 @@ class TestTrain:
         network.save_model(params, path, standardizer=std)
         loaded, std2 = network.load_model(path)
         x = std2.transform_matrix(small_data.test.features)
-        y = np.array([e.class_label for e in small_data.test])
-        acc = float(np.mean(predict_batch(loaded, x) == y))
+        acc = float(np.mean(predict_batch(loaded, x) == small_data.test.labels))
         assert acc == report.final_metrics.accuracy
 
     @pytest.mark.parametrize("psi", [0.0, 1e-3])
