@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -117,10 +118,13 @@ def _cmd_train(args) -> None:
     data = _load_examples(args.data, split_seed=args.seed)
     params, std, report = trainer.train(cfg, data)
     network.save_model(params, args.out_model, standardizer=std)
-    if args.out_report:
-        with open(args.out_report, "w", encoding="utf-8") as fh:
-            fh.write(report.format_text())
-            fh.write(_repro_line(args) + "\n")
+    try:
+        if args.out_report:
+            with open(args.out_report, "w", encoding="utf-8") as fh:
+                fh.write(report.format_text() + _repro_line(args) + "\n")
+    except BaseException:  # a train that fails leaves no model behind
+        os.remove(args.out_model)
+        raise
     print(report.final_metrics.format_table())
     print(f"best epoch: {report.best_epoch + 1} of {report.epochs_run}")
     print(f"model written to {args.out_model}")
@@ -166,8 +170,7 @@ def _cmd_infer(args) -> None:
         raise UsageError(f"--row contains a value that is not a finite "
                          f"number: {args.row!r}")
     qm = quantized.load_qmodel(args.qmodel)
-    frame = quantized.frame_from_features(values)
-    outs, pred = quantized.q_forward(qm, frame)
+    outs, pred = quantized.q_forward(qm, quantized.frame_from_features(values))
     print(f"class: {pred}")
     print("output words: " + " ".join(str(w) for w in outs))
 

@@ -14,6 +14,7 @@ import math
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -70,8 +71,7 @@ def labels_for_hfr(hfr: np.ndarray) -> np.ndarray:
 
 
 def label(record: SensorRecord) -> LabeledExample:
-    return LabeledExample(features=record_features(record),
-                          class_label=label_for_hfr(record.hfr))
+    return LabeledExample(record_features(record), label_for_hfr(record.hfr))
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,7 +185,13 @@ def _parse_rows(path, reader) -> np.ndarray:
 
 def write_csv(rows, path) -> None:
     """Write an (N, 11) matrix, or SensorRecords, in the canonical CSV
-    layout: %.12g values, CRLF ends."""
+    layout: %.12g values, CRLF ends. A record of other than 11 values is a
+    ValueError, raised before the file is opened."""
+    if not isinstance(rows, np.ndarray):  # one pass, no per-record arrays
+        if bad := {len(r) for r in rows} - {len(COLUMNS)}:
+            raise ValueError(f"a record has {min(bad)} values, not {len(COLUMNS)}")
+        rows = np.fromiter(chain.from_iterable(rows), np.float64,
+                           len(rows) * len(COLUMNS)).reshape(-1, len(COLUMNS))
     m = np.asarray(rows, dtype=np.float64)
     row = ",".join(["%.12g"] * len(COLUMNS)) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -231,7 +237,7 @@ def split(examples, seed: int) -> SplitDataset:
     if n < 4:
         raise DomainError(f"need at least 4 examples to split 3:1, got {n}")
     if not isinstance(examples, Examples):
-        examples = Examples(np.stack([e.features for e in examples]),
+        examples = Examples(np.array([e.features for e in examples]),
                             np.array([e.class_label for e in examples]))
     order = np.random.default_rng(seed).permutation(n)
     x, y = examples.features, examples.labels
@@ -278,4 +284,4 @@ def synthetic_matrix(n: int, seed: int) -> np.ndarray:
 
 def generate_synthetic(n: int, seed: int) -> list[SensorRecord]:
     """`synthetic_matrix` as SensorRecords (adapter)."""
-    return [SensorRecord(*row) for row in synthetic_matrix(n, seed).tolist()]
+    return [SensorRecord._make(row.tolist()) for row in synthetic_matrix(n, seed)]

@@ -107,6 +107,29 @@ class TestTrain:
             "lr: 0.001  batch_size: 64  max_epochs: 15  seed: 42",
             "sparsity: xi=0.05 psi=0.001 clamp_eps=1e-06"]
 
+    @pytest.mark.parametrize("report", ["/nonexistent/dir/r.txt",
+                                        "\ud800.txt"],
+                             ids=["missing-dir", "unencodable"])
+    def test_unwritable_report_leaves_no_model(self, tmp_path, small_csv,
+                                               capsys, report):
+        model = tmp_path / "m.txt"
+        code, stdout, err = run(capsys, "train", "--data", str(small_csv),
+                                "--epochs", "1", "--out-model", str(model),
+                                "--out-report", str(tmp_path / report))
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not model.exists()
+
+    def test_unwritable_model_leaves_no_report(self, tmp_path, small_csv,
+                                               capsys):
+        report = tmp_path / "r.txt"
+        code, stdout, _ = run(capsys, "train", "--data", str(small_csv),
+                              "--epochs", "1", "--out-model",
+                              "/nonexistent/dir/m.txt", "--out-report",
+                              str(report))
+        assert (code, stdout) == (2, "")
+        assert not report.exists()
+
     def test_missing_data_file(self, tmp_path, capsys):
         code, _, _ = run(capsys, "train", "--data", str(tmp_path / "no.csv"),
                          "--out-model", str(tmp_path / "m.txt"))
