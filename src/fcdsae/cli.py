@@ -115,6 +115,9 @@ def _load_examples(path, split_seed: int | None = None):
 def _cmd_train(args) -> None:
     cfg = TrainConfig(lr=args.lr, batch_size=args.batch, max_epochs=args.epochs,
                       seed=args.seed, xi=args.xi, psi=args.psi)
+    if args.out_report and (os.path.realpath(args.out_report)
+                            == os.path.realpath(args.out_model)):
+        raise UsageError("--out-report and --out-model name the same file")
     data = _load_examples(args.data, split_seed=args.seed)
     params, std, report = trainer.train(cfg, data)
     network.save_model(params, args.out_model, standardizer=std)

@@ -185,14 +185,16 @@ def _parse_rows(path, reader) -> np.ndarray:
 
 def write_csv(rows, path) -> None:
     """Write an (N, 11) matrix, or SensorRecords, in the canonical CSV
-    layout: %.12g values, CRLF ends. A record of other than 11 values is a
-    ValueError, raised before the file is opened."""
+    layout: %.12g values, CRLF ends. Any other shape, or a record of other
+    than 11 values, is a ValueError, raised before the file is opened."""
     if not isinstance(rows, np.ndarray):  # one pass, no per-record arrays
         if bad := {len(r) for r in rows} - {len(COLUMNS)}:
             raise ValueError(f"a record has {min(bad)} values, not {len(COLUMNS)}")
         rows = np.fromiter(chain.from_iterable(rows), np.float64,
                            len(rows) * len(COLUMNS)).reshape(-1, len(COLUMNS))
     m = np.asarray(rows, dtype=np.float64)
+    if m.ndim != 2 or m.shape[1] != len(COLUMNS):
+        raise ValueError(f"a matrix has shape {m.shape}, not (N, {len(COLUMNS)})")
     row = ",".join(["%.12g"] * len(COLUMNS)) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(COLUMNS) + "\r\n")

@@ -183,7 +183,7 @@ def train(cfg: TrainConfig, data: SplitDataset
     y_train = data.train.labels
     x_test = std.transform_matrix(data.test.features)
     y_test = data.test.labels
-    t_train = one_hot(y_train)
+    t_train, t_test = one_hot(y_train), one_hot(y_test)
 
     params = network.init_network(seed=cfg.seed)  # DEFAULT_TOPOLOGY
     state = AdamState.for_network(params, cfg.lr)
@@ -191,26 +191,25 @@ def train(cfg: TrainConfig, data: SplitDataset
     shuffle_rng = np.random.default_rng(cfg.seed + 1)
 
     hist_train_acc, hist_val_acc, hist_j, hist_mse = [], [], [], []
-    best_epoch, best_val, best_params = 0, -1.0, None
+    best_epoch, best_val, best_params, best_eval = 0, -1.0, None, None
 
     for epoch in range(cfg.max_epochs):
         _epoch(cfg, epoch, shuffle_rng.permutation(len(y_train)), x_train,
                t_train, params, state, grads)
         train_preds, mse_full, j_full, _ = evaluate_total_loss(
             params, x_train, t_train, cfg)
+        test_eval = evaluate_total_loss(params, x_test, t_test, cfg)
         train_acc = float(np.mean(train_preds == y_train))
-        val_acc = float(np.mean(predict_batch(params, x_test) == y_test))
+        val_acc = float(np.mean(test_eval[0] == y_test))
         hist_train_acc.append(train_acc)
         hist_val_acc.append(val_acc)
         hist_j.append(j_full)
         hist_mse.append(mse_full)
         if val_acc > best_val:
-            best_val, best_epoch = val_acc, epoch
+            best_val, best_epoch, best_eval = val_acc, epoch, test_eval
             best_params = params.copy()
 
-    params = best_params
-    test_preds, final_mse, _, mean_activation = evaluate_total_loss(
-        params, x_test, one_hot(y_test), cfg)
+    test_preds, final_mse, _, mean_activation = best_eval
     cm = confusion(y_test, test_preds)
     block = metric_block(cm)
     report = TrainReport(
@@ -220,4 +219,4 @@ def train(cfg: TrainConfig, data: SplitDataset
         mean_hidden_activation=mean_activation,
         config=cfg, wall_time_s=time.perf_counter() - t0,
     )
-    return params, std, report
+    return best_params, std, report

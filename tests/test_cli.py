@@ -130,6 +130,17 @@ class TestTrain:
         assert (code, stdout) == (2, "")
         assert not report.exists()
 
+    @pytest.mark.parametrize("report", ["m.txt", "./m.txt"])
+    def test_report_naming_the_model_is_a_usage_error(
+            self, tmp_path, small_csv, capsys, monkeypatch, report):
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = run(capsys, "train", "--data", str(small_csv),
+                                "--epochs", "1", "--out-model", "m.txt",
+                                "--out-report", report)
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "m.txt").exists()
+
     def test_missing_data_file(self, tmp_path, capsys):
         code, _, _ = run(capsys, "train", "--data", str(tmp_path / "no.csv"),
                          "--out-model", str(tmp_path / "m.txt"))

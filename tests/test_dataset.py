@@ -197,10 +197,14 @@ class TestWriteCsv:
         assert (tmp_path / "r.csv").read_bytes() == \
             (tmp_path / "m.csv").read_bytes()
 
-    @pytest.mark.parametrize("widths", [[10], [12], [10, 12], [11, 12, 11]])
+    @pytest.mark.parametrize("widths", [[10], [12], [10, 12], [11, 12, 11],
+                                        (3, 10), (11,), (2, 12)])
     def test_wrong_width_fails_before_the_file_opens(self, tmp_path, widths):
-        rows = [list(range(widths[i % len(widths)])) for i in range(30)]
-        with pytest.raises(ValueError, match="values, not 11"):
+        """A list gives 30 records cycling through its widths; a tuple is
+        the shape of a matrix."""
+        rows = np.zeros(widths) if isinstance(widths, tuple) else [
+            list(range(widths[i % len(widths)])) for i in range(30)]
+        with pytest.raises(ValueError, match=r"not (\(N, )?11"):
             write_csv(rows, tmp_path / "d.csv")
         assert not (tmp_path / "d.csv").exists()
 

@@ -115,6 +115,27 @@ class TestTrain:
             "training diverged at epoch 1, batch 2: non-finite gradient in "
             "layer 1; update rejected")
 
+    def test_scores_each_epoch_once(self, monkeypatch):
+        """Each epoch evaluates both partitions, one network.forward per
+        row block, and the report is the best epoch's own evaluation: no
+        pass over the test rows follows the loop."""
+        data = tiny_data(9000, seed=9)
+        cfg = TrainConfig(max_epochs=3, batch_size=256, seed=9)
+        forward, calls = network.forward, []
+
+        def counted(p, batch):
+            calls.append(len(batch))
+            return forward(p, batch)
+        monkeypatch.setattr(network, "forward", counted)
+        _, _, report = train(cfg, data)
+        n_train, n_test = len(data.train), len(data.test)
+        assert n_test >= 2 * B
+        steps = len(range(0, n_train, cfg.batch_size))
+        blocks = n_train // B + n_test // B
+        assert len(calls) == cfg.max_epochs * (steps + blocks)
+        assert report.final_metrics.accuracy == \
+            report.val_accuracy[report.best_epoch]
+
     def test_empty_partition_rejected(self):
         data = tiny_data()
         with pytest.raises(DomainError):
