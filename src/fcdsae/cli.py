@@ -3,8 +3,6 @@
 Exit codes: 0 success, 1 usage/validation error, 2 I/O or data error.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os
@@ -14,7 +12,6 @@ import numpy as np
 
 from fcdsae import dataset, metrics, network, quantized, trainer
 from fcdsae.errors import DimensionError, DomainError, FrameError, ParseError
-from fcdsae.quantized import QFormat
 from fcdsae.trainer import TrainConfig
 
 EXIT_OK = 0
@@ -115,9 +112,6 @@ def _load_examples(path, split_seed: int | None = None):
 def _cmd_train(args) -> None:
     cfg = TrainConfig(lr=args.lr, batch_size=args.batch, max_epochs=args.epochs,
                       seed=args.seed, xi=args.xi, psi=args.psi)
-    if args.out_report and (os.path.realpath(args.out_report)
-                            == os.path.realpath(args.out_model)):
-        raise UsageError("--out-report and --out-model name the same file")
     data = _load_examples(args.data, split_seed=args.seed)
     params, std, report = trainer.train(cfg, data)
     network.save_model(params, args.out_model, standardizer=std)
@@ -134,7 +128,7 @@ def _cmd_train(args) -> None:
 
 
 def _cmd_quantize(args) -> None:
-    fmt = QFormat.parse(args.format)
+    fmt = quantized.QFormat.parse(args.format)
     params, std = network.load_model(args.model)
     qm = quantized.quantize_model(params, std, fmt)
     quantized.save_qmodel(qm, args.out)
@@ -178,6 +172,17 @@ def _cmd_infer(args) -> None:
     print("output words: " + " ".join(str(w) for w in outs))
 
 
+def _check_paths(args) -> None:
+    """A usage error if an output flag names an input or another output."""
+    flags = [f for f in ("out", "out_model", "out_report", "out_confusion",
+                         "data", "model", "qmodel") if getattr(args, f, None)]
+    paths = [os.path.realpath(getattr(args, f)) for f in flags]
+    for i, f in enumerate(flags):  # outputs first: each meets every later one
+        if f.startswith("out") and paths[i] in paths[i + 1:]:
+            g = flags[paths.index(paths[i], i + 1)]
+            raise UsageError(f"--{f} and --{g} name the same file".replace("_", "-"))
+
+
 _COMMANDS = {"gen-data": _cmd_gen_data, "train": _cmd_train,
              "quantize": _cmd_quantize, "eval": _cmd_eval, "infer": _cmd_infer}
 
@@ -218,6 +223,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         args = build_parser().parse_args(_apply_config_defaults(argv))
+        _check_paths(args)
         _COMMANDS[args.command](args)
         print(_repro_line(args))
         return EXIT_OK

@@ -5,13 +5,10 @@ Data moves as arrays: an (N, 11) CSV-order matrix, then `Examples`. The
 per-row `SensorRecord`, `LabeledExample`, `record_features`, `label` and
 `generate_synthetic` are adapters kept for the benchmark's workloads."""
 
-from __future__ import annotations
-
 import bisect
 import csv
 import io
 import math
-import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import chain
@@ -131,19 +128,18 @@ def parse_csv(path) -> np.ndarray:
     with open(path, "rb") as fh:
         raw = fh.read()
     # loadtxt reads only where csv and float() read the same: write_csv's
-    # header line, ASCII (loadtxt reads a lone \xa0 byte as latin-1 NBSP),
-    # no U+001C-U+001F (loadtxt strips them, float() rejects them)
+    # header line then a row (loadtxt warns on a blank body), ASCII (it reads
+    # a lone \xa0 byte as latin-1 NBSP), no U+001C-U+001F (it strips them)
     head = ",".join(COLUMNS).encode()
     if (raw.startswith((head + b"\r\n", head + b"\n")) and raw.isascii()
-            and not any(c in raw for c in b"\x1c\x1d\x1e\x1f")):
+            and not any(c in raw for c in b"\x1c\x1d\x1e\x1f")
+            and raw[len(head):len(head) + 3].strip()):  # never copies the body
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # "input contained no data"
-                m = np.loadtxt(io.BytesIO(raw), delimiter=",", ndmin=2,
-                               comments=None, quotechar='"', skiprows=1)
+            m = np.loadtxt(io.BytesIO(raw), delimiter=",", ndmin=2,
+                           comments=None, quotechar='"', skiprows=1)
             if m.shape[1] == len(COLUMNS) and np.isfinite(m).all():
                 return m
-        except (ValueError, UserWarning):
+        except ValueError:
             pass
     # lines as open(path, encoding="utf-8", newline="") splits them
     reader = csv.reader(io.StringIO(decode(path, raw), newline=""))

@@ -1,8 +1,6 @@
 """Confusion matrix and the aggregated metric block (support-weighted
 precision/recall/F1; the reported "MSE" is the misclassification rate)."""
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np

@@ -4,8 +4,6 @@ records (`TAG v1 v2 ...`), then for each layer of the reader's topology
 then the end of the file. Blank lines are ignored. Callers pass the value
 formatter or parser and check the meaning of what they read."""
 
-from __future__ import annotations
-
 import re
 
 from fcdsae.dataset import decode, plain

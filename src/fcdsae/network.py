@@ -1,8 +1,6 @@
 """Dense feed-forward network in float64: forward pass, MSE loss,
 backpropagation and Adam updates, plus the plain-text model file format."""
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np

@@ -11,8 +11,6 @@ docstring gives the bounds that keep it exact. The readable spec it is
 tested against is the scalar interpreter in tests/oracles.py.
 """
 
-from __future__ import annotations
-
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -70,9 +68,9 @@ class QFormat:
         return cls(total_bits=i + f, integer_bits=i)
 
 
-# sensor words and standardization means ride a fixed wide input format so
-# raw bench values (hundreds of volts/kPa, timestamps in the tens of
-# thousands) never saturate regardless of the compute format under study
+# sensor words and standardization means ride a fixed wide Q18.14 format,
+# whatever the compute format; its largest word is 131,071.99994, so gen-data's
+# t saturates from row 131,072 on (README "Fixed-point semantics")
 INPUT_FORMAT = QFormat(total_bits=32, integer_bits=18)
 # inverse-std scale factors span ~1e-4 .. ~40, so they get more fraction
 SCALE_FORMAT = QFormat(total_bits=32, integer_bits=8)

@@ -1,8 +1,6 @@
 """KL-divergence sparsity penalty on hidden-layer batch-mean activations,
 and its analytic gradient for injection into backpropagation."""
 
-from __future__ import annotations
-
 import numpy as np
 
 from fcdsae.errors import DomainError

@@ -1,8 +1,6 @@
 """Training loop: standardize, iterate mini-batch epochs of total-loss
 backprop with Adam, snapshot the best-validation epoch, report metrics."""
 
-from __future__ import annotations
-
 import math
 import time
 from dataclasses import dataclass

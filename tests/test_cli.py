@@ -307,6 +307,31 @@ class TestConfigFile:
         assert code == 1
 
 
+@pytest.mark.parametrize("argv,flags", [
+    (["train", "--data", "{data}", "--epochs", "1", "--out-model", "{data}"],
+     ("--out-model", "--data")),
+    (["train", "--data", "{data}", "--epochs", "1", "--out-model", "{new}",
+      "--out-report", "{data}"], ("--out-report", "--data")),
+    (["quantize", "--model", "{model}", "--out", "{model}"],
+     ("--out", "--model")),
+    (["eval", "--model", "{model}", "--data", "{data}",
+      "--out-confusion", "{data}"], ("--out-confusion", "--data")),
+    (["eval", "--model", "{model}", "--data", "{data}",
+      "--out-confusion", "{model}"], ("--out-confusion", "--model")),
+], ids=["train-model-data", "train-report-data", "quantize-out-model",
+        "eval-confusion-data", "eval-confusion-model"])
+def test_output_naming_an_input_is_a_usage_error(argv, flags, tmp_path, small_csv,
+                                                 trained_model, capsys):
+    inputs = {"data": small_csv, "model": trained_model}
+    before = {k: p.read_bytes() for k, p in inputs.items()}
+    new = tmp_path / "new.txt"
+    code, stdout, err = run(capsys, *[a.format(new=new, **inputs) for a in argv])
+    assert (code, stdout) == (1, "")
+    assert err == f"error: {flags[0]} and {flags[1]} name the same file\n"
+    assert {k: p.read_bytes() for k, p in inputs.items()} == before
+    assert not new.exists()
+
+
 ROW = "1,24.2,222.4,363.8,83,68.5,165.5,0.44,145.6,28.6"
 
 

@@ -86,14 +86,16 @@ class TestParseCsv:
             parse_csv(path)
 
     def test_header_only(self, tmp_path):
+        """The header alone, then blank lines, then whitespace-only lines."""
         path = tmp_path / "d.csv"
-        path.write_text(HEADER + "\n")
-        # loadtxt warns on an empty body; parse_csv must not pass that on
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(ParseError, match="no data rows"):
-                parse_csv(path)
-        assert caught == []
+        for body in ["", "\r\n\n", "  \n\t\r\n \n"]:
+            path.write_text(HEADER + "\n" + body)
+            # loadtxt warns on a blank body; parse_csv must not pass that on
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(ParseError, match="no data rows"):
+                    parse_csv(path)
+            assert caught == [], body
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -123,6 +125,7 @@ class TestParseCsv:
     @example(f"{HEADER}\n" + f"{TABLE_ROW_1},1\n" * 3)
     @example(f"{HEADER}\n")
     @example(f"{HEADER}\r\n\r\n")
+    @example(f"{HEADER}\r\n\r\n{TABLE_ROW_1}\r\n")
     @example(HEADER + "\n" + _row(c1="\u00a024.2", c3="363.8\u2003") + "\n")
     @example(HEADER + "\n" + _row(c10="88.5\u00a0") + "\n" + TABLE_ROW_1 + "\n")
     @example(QUOTED_NEWLINE_HEADER + "\r\n" + TABLE_ROW_1 + "\r\n")
