@@ -7,6 +7,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import combinations
 
 import numpy as np
 
@@ -173,13 +174,16 @@ def _cmd_infer(args) -> None:
 
 
 def _check_paths(args) -> None:
-    """A usage error if an output flag names an input or another output."""
+    """A usage error if an output flag names an input or another output:
+    one existing file (a hard link too), or one path once links resolve."""
     flags = [f for f in ("out", "out_model", "out_report", "out_confusion",
-                         "data", "model", "qmodel") if getattr(args, f, None)]
-    paths = [os.path.realpath(getattr(args, f)) for f in flags]
-    for i, f in enumerate(flags):  # outputs first: each meets every later one
-        if f.startswith("out") and paths[i] in paths[i + 1:]:
-            g = flags[paths.index(paths[i], i + 1)]
+                         "data", "model", "qmodel", "config")
+             if getattr(args, f, None)]
+    for f, g in combinations(flags, 2):  # outputs first: if either is one, f is
+        a, b = getattr(args, f), getattr(args, g)
+        if f.startswith("out") and (
+                os.path.samefile(a, b) if os.path.exists(a) and os.path.exists(b)
+                else os.path.realpath(a) == os.path.realpath(b)):
             raise UsageError(f"--{f} and --{g} name the same file".replace("_", "-"))
 
 
@@ -211,7 +215,7 @@ def _apply_config_defaults(argv: list[str]) -> list[str]:
     for key, value in conf.items():
         if value is None or isinstance(value, (bool, list, dict)):
             raise UsageError(f"config {path}: {key!r} is not a number or string")
-    out = unknown + known.rest
+    out = [f"--config={path}"] + unknown + known.rest  # kept for _check_paths
     k = next((j for j, a in enumerate(out) if a in _COMMANDS), len(out)) + 1
     # one `--key=value` word, so a value may start with `-`
     out[k:k] = [f"--{str(key).replace('_', '-')}={value}"

@@ -191,10 +191,10 @@ def write_csv(rows, path) -> None:
     m = np.asarray(rows, dtype=np.float64)
     if m.ndim != 2 or m.shape[1] != len(COLUMNS):
         raise ValueError(f"a matrix has shape {m.shape}, not (N, {len(COLUMNS)})")
-    row = ",".join(["%.12g"] * len(COLUMNS)) + "\r\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(COLUMNS) + "\r\n")
-        for start in range(0, len(m), 4096):  # bounds the temporary strings
+    row = b",".join([b"%.12g"] * len(COLUMNS)) + b"\r\n"
+    with open(path, "wb") as fh:
+        fh.write(",".join(COLUMNS).encode("ascii") + b"\r\n")
+        for start in range(0, len(m), 4096):  # bounds the temporary bytes
             block = m[start:start + 4096]
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 

@@ -284,8 +284,8 @@ def dump_frames(qm: QuantizedModel, frames: list[list[int]]) -> str:
     x = _frames(frames, qm.weights[0].shape[1])
     words, _ = q_forward_batch(qm, x)
     table = np.hstack([x, words])
-    line = " ".join(["%d"] * table.shape[1]) + "\n"
-    return (line * len(table)) % tuple(table.ravel().tolist())
+    line = b" ".join([b"%d"] * table.shape[1]) + b"\n"
+    return ((line * len(table)) % tuple(table.ravel().tolist())).decode("ascii")
 
 
 _QTAGS = {"Q": 2, "QIN": 2, "QSCALE": 2, "STDMEAN": N_FEATURES,

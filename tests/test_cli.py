@@ -332,6 +332,33 @@ def test_output_naming_an_input_is_a_usage_error(argv, flags, tmp_path, small_cs
     assert not new.exists()
 
 
+def test_output_naming_the_config_is_a_usage_error(tmp_path, capsys):
+    """The config is read before argparse runs, and its path still reaches
+    the output check, in any spelling of --config."""
+    conf = tmp_path / "c.json"
+    conf.write_bytes(b'{"n": 8}')
+    for spelling in (["--config", str(conf)], [f"--config={conf}"],
+                     ["--conf", str(conf)]):
+        code, stdout, err = run(capsys, *spelling, "gen-data", "--out", str(conf))
+        assert (code, stdout) == (1, "")
+        assert err == "error: --out and --config name the same file\n"
+        assert conf.read_bytes() == b'{"n": 8}'
+
+
+def test_output_hard_linked_to_an_input_is_a_usage_error(tmp_path, small_csv,
+                                                          trained_model, capsys):
+    """A hard link is another path to the same file: no symlink resolves
+    it, so the check compares the files themselves."""
+    link = tmp_path / "h.csv"
+    os.link(small_csv, link)
+    before = small_csv.read_bytes()
+    code, stdout, err = run(capsys, "eval", "--model", str(trained_model),
+                            "--data", str(small_csv), "--out-confusion", str(link))
+    assert (code, stdout) == (1, "")
+    assert err == "error: --out-confusion and --data name the same file\n"
+    assert small_csv.read_bytes() == before
+
+
 ROW = "1,24.2,222.4,363.8,83,68.5,165.5,0.44,145.6,28.6"
 
 

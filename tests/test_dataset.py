@@ -20,6 +20,12 @@ from oracles import reader_parse_csv, synthetic_draws, synthetic_hfr
 TABLE_ROW_1 = "1,24.2,222.4,363.8,83,68.5,165.5,0.44,145.6,28.6,88.5"
 HEADER = ",".join(dataset.COLUMNS)
 QUOTED_NEWLINE_HEADER = HEADER[:-len("HFR")] + '"HFR\n"'
+# subnormals, signed zeros, integers, extremes, and both sides of each
+# switch between `%.12g`'s fixed and exponent notations (1e-5 and 1e12)
+SPECIAL_FLOATS = [5e-324, -5e-324, 1.1e-308, 0.0, -0.0, 1.0, -7.0, 88.0,
+                  2.0 ** 53, 1e300, -1e300, 1e-300, 1e-5, -1e-5, 9.99999999999e-6,
+                  9.999999999995e-6, 1e12, -1e12, 999999999999.0, 999999999999.5,
+                  1e12 - 0.25, 0.1, 1 / 3]
 
 
 def _traced(f):
@@ -210,6 +216,19 @@ class TestWriteCsv:
         with pytest.raises(ValueError, match=r"not (\(N, )?11"):
             write_csv(rows, tmp_path / "d.csv")
         assert not (tmp_path / "d.csv").exists()
+
+    @settings(max_examples=30, deadline=None)
+    @given(pool=st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(), min_size=1),
+           n=st.sampled_from([0, 1, 4095, 4096, 4097, 8193]), seed=st.integers(0))
+    def test_bytes_are_the_str_spec(self, pool, n, seed):
+        """Formatting as bytes gives the bytes of the str template: `%.12g`
+        per value, CRLF per row, encoded as ASCII, across block ends."""
+        m = np.random.default_rng(seed).choice(pool, size=(n, len(dataset.COLUMNS)))
+        row = ",".join(["%.12g"] * len(dataset.COLUMNS)) + "\r\n"
+        spec = HEADER + "\r\n" + (row * n) % tuple(m.ravel().tolist())
+        with tempfile.TemporaryDirectory() as tmp:
+            write_csv(m, Path(tmp) / "d.csv")
+            assert (Path(tmp) / "d.csv").read_bytes() == spec.encode("ascii")
 
     def test_records_convert_without_a_coercion_cache(self, tmp_path):
         """36,363 records: np.asarray over them peaked at 9.9 MB, 6.7 of

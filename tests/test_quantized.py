@@ -352,6 +352,7 @@ class TestFilesAndDumps:
     def test_frame_dump_shape(self):
         qm = identity_model()
         text = dump_frames(qm, [frame_from_features([1.0, 2.0, 3.0])])
+        assert type(text) is str and type(dump_frames(qm, [])) is str
         words = text.strip().split()
         assert len(words) == 6
         assert all(w.lstrip("-").isdigit() for w in words)
