@@ -124,7 +124,7 @@ def _cmd_train(args) -> None:
         os.remove(args.out_model)
         raise
     print(report.final_metrics.format_table())
-    print(f"best epoch: {report.best_epoch + 1} of {report.epochs_run}")
+    print(f"best epoch: {report.best_epoch + 1} of {report.config.max_epochs}")
     print(f"model written to {args.out_model}")
 
 
@@ -208,13 +208,14 @@ def _apply_config_defaults(argv: list[str]) -> list[str]:
             conf = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}")
-    except ValueError as exc:  # not JSON, or not UTF-8
+    except (ValueError, RecursionError) as exc:  # not JSON or UTF-8, too deep
         raise UsageError(f"bad config file {path}: {exc}")
     if not isinstance(conf, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
-    for key, value in conf.items():
-        if value is None or isinstance(value, (bool, list, dict)):
-            raise UsageError(f"config {path}: {key!r} is not a number or string")
+    for key, value in conf.items():  # no flag or path can hold a NUL byte
+        if (value is None or isinstance(value, (bool, list, dict))
+                or "\0" in f"{key}{value}"):
+            raise UsageError(f"config {path}: {key!r} is not a number or NUL-free string")
     out = [f"--config={path}"] + unknown + known.rest  # kept for _check_paths
     k = next((j for j, a in enumerate(out) if a in _COMMANDS), len(out)) + 1
     # one `--key=value` word, so a value may start with `-`

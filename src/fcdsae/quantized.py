@@ -122,7 +122,7 @@ class QuantizedModel:
                 raise DimensionError(f"layer {i} has fan_in {len(w)}; the "
                                      f"engine is exact up to {_MAX_FAN_IN}")
             k = 53 - (bits - 1) - (len(w) - 1).bit_length()  # ceil(log2 fan_in)
-            top = 0 if k >= bits else k * (-(-bits // k) - 1)
+            top = k * ((bits - 1) // k)  # K: the largest multiple of k below B
             limbs = [(w >> s) & ((1 << k) - 1) for s in range(0, top, k)]
             layers.append(([limb.astype(np.float64) for limb in limbs + [w >> top]],
                            k, b << self.fmt.frac_bits))
@@ -212,9 +212,9 @@ def q_forward_batch(qm: QuantizedModel, frames) -> tuple[np.ndarray, np.ndarray]
     - frame words and means are Q18.14 and scales Q8.24, so
       |x - mean| * |invstd| <= (2^32 - 1) * 2^31 < 2^63 in int64;
     - a layer of fan_in n <= 2^15 in a B-bit format splits each weight into
-      limbs of k = 53 - (B - 1) - ceil(log2 n) >= 7 bits: one limb if k >= B,
-      else L = ceil(B / k), the low ones (w >> kj) & (2^k - 1), the top one
-      the signed w >> K, K = k(L - 1). With |a| <= 2^(B-1) and |limb| < 2^k,
+      L = ceil(B / k) limbs of k = 53 - (B - 1) - ceil(log2 n) >= 7 bits:
+      the low ones (w >> kj) & (2^k - 1), the top one the signed w >> K,
+      K = k(L - 1). With |a| <= 2^(B-1) and |limb| < 2^k,
       every partial sum of a float64 a @ limb is an integer below
       n * 2^(B-1) * (2^k - 1) < 2^53, exact in any order, FMA or not;
     - in int64, the lowest sum takes the bias at the accumulator scale

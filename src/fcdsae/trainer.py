@@ -57,15 +57,11 @@ class TrainReport:
     config: TrainConfig
     wall_time_s: float = 0.0
 
-    @property
-    def epochs_run(self) -> int:
-        return len(self.train_accuracy)
-
     def epochs_csv(self) -> str:
         lines = ["epoch,train_acc,val_acc,mse"]
-        for e in range(self.epochs_run):
-            lines.append(f"{e + 1},{self.train_accuracy[e]:.6f},"
-                         f"{self.val_accuracy[e]:.6f},{self.mse[e]:.10g}")
+        rows = zip(self.train_accuracy, self.val_accuracy, self.mse)
+        for e, (t, v, m) in enumerate(rows, 1):
+            lines.append(f"{e},{t:.6f},{v:.6f},{m:.10g}")
         return "\n".join(lines) + "\n"
 
     def format_text(self) -> str:

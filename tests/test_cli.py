@@ -491,6 +491,12 @@ MALFORMED = {
     "qmodel-qin-16-8": lambda s, tmp: (
         ["infer", "--qmodel", _edited(s.qmodel, tmp / "m.qtxt", 2, "QIN 16 8"),
          "--row", ROW], 2),
+    "qmodel-q-40-8": lambda s, tmp: (  # wider than 32 bits
+        ["eval", "--qmodel", _edited(s.qmodel, tmp / "m.qtxt", 1, "Q 40 8"),
+         "--data", s.data], 2),
+    "qmodel-q-8-8": lambda s, tmp: (  # no fractional bit
+        ["eval", "--qmodel", _edited(s.qmodel, tmp / "m.qtxt", 1, "Q 8 8"),
+         "--data", s.data], 2),
     "qmodel-word-out-of-range": lambda s, tmp: (
         ["eval", "--qmodel", _edited(s.qmodel, tmp / "m.qtxt", 7, " ".join(
             ["99999999999"] + _words(s.qmodel, 7)[1:])),
@@ -561,6 +567,25 @@ MALFORMED = {
     "config-null-value": lambda s, tmp: (
         ["--config", _write(tmp / "c.json", b'{"out": null}'), "gen-data",
          "--n", "5"], 1),
+    "config-nul-in-out": lambda s, tmp: (
+        ["--config", _write(tmp / "c.json", b'{"n": 5, "out": "a\\u0000b"}'),
+         "gen-data"], 1),
+    "config-nul-in-data": lambda s, tmp: (
+        ["--config", _write(tmp / "c.json", b'{"data": "a\\u0000b"}'), "eval",
+         "--model", s.model], 1),
+    "config-nul-in-key": lambda s, tmp: (  # the word would be --out=a\0b=1
+        ["--config", _write(tmp / "c.json", b'{"n": 5, "out=a\\u0000b": 1}'),
+         "gen-data"], 1),
+    "config-nested-100000": lambda s, tmp: (
+        ["--config", _write(tmp / "c.json",
+                            b'{"n": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"),
+         "gen-data", "--out", str(tmp / "d.csv")], 1),
+    "config-not-json": lambda s, tmp: (
+        ["--config", _write(tmp / "c.json", b"{n: 5}"), "gen-data",
+         "--out", str(tmp / "d.csv")], 1),
+    "config-not-utf8": lambda s, tmp: (
+        ["--config", _write(tmp / "c.json", b'{"n": 5, "out": "\xff"}'),
+         "gen-data"], 1),
     "config-negative-seed": lambda s, tmp: (
         ["--config", _write(tmp / "c.json", b'{"seed": -3}'), "gen-data",
          "--n", "5", "--out", str(tmp / "d.csv")], 1),
@@ -616,6 +641,33 @@ def test_data_fault_names_the_file(case, saved, tmp_path, capsys):
     argv, _ = MALFORMED[case](saved, tmp_path)
     _, _, err = run(capsys, *argv)
     assert err.startswith(f"error: {argv[argv.index('--data') + 1]}: ")
+
+
+# config MALFORMED cases -> what their message says
+CONFIG_FAULTS = {"config-nul-in-out": "'out' is not a number or NUL-free string",
+                 "config-nul-in-data": "'data' is not a number or NUL-free string",
+                 "config-nul-in-key": "'out=a\\x00b' is not a number",
+                 "config-nested-100000": "bad config file",
+                 "config-not-json": "bad config file",
+                 "config-not-utf8": "bad config file"}
+
+
+@pytest.mark.parametrize("case", CONFIG_FAULTS)
+def test_config_fault_names_the_file(case, saved, tmp_path, capsys):
+    """A config value no flag can take, and a file json cannot read, are
+    usage errors naming the config file; the NUL ones name their key."""
+    argv, _ = MALFORMED[case](saved, tmp_path)
+    _, _, err = run(capsys, *argv)
+    assert err.startswith("error: ") and argv[1] in err
+    assert CONFIG_FAULTS[case] in err
+
+
+@pytest.mark.parametrize("case", ["qmodel-q-40-8", "qmodel-q-8-8"])
+def test_bad_q_record_names_the_file(case, saved, tmp_path, capsys):
+    argv, _ = MALFORMED[case](saved, tmp_path)
+    _, _, err = run(capsys, *argv)
+    assert err.startswith(f"error: {argv[argv.index('--qmodel') + 1]}: "
+                          "Q record: ")
 
 
 # the off-shape MALFORMED cases: (the line of the first LAYER, what it reads)

@@ -44,14 +44,14 @@ class TestTrain:
     def test_single_epoch_report_length(self):
         cfg = TrainConfig(max_epochs=1, batch_size=4, seed=1)
         _, _, report = train(cfg, tiny_data())
-        assert report.epochs_run == 1
+        assert len(report.train_accuracy) == 1
         assert len(report.val_accuracy) == 1
         assert len(report.j_total) == 1
 
     def test_runs_exactly_max_epochs(self, small_data):
         cfg = TrainConfig(max_epochs=5, seed=2)
         _, _, report = train(cfg, small_data)
-        assert report.epochs_run == 5
+        assert len(report.train_accuracy) == 5
 
     def test_best_epoch_indexes_max_val_accuracy(self, small_data):
         cfg = TrainConfig(max_epochs=6, seed=3)
