@@ -118,8 +118,8 @@ def _cmd_train(args) -> None:
     network.save_model(params, args.out_model, standardizer=std)
     try:
         if args.out_report:
-            with open(args.out_report, "w", encoding="utf-8") as fh:
-                fh.write(report.format_text() + _repro_line(args) + "\n")
+            text = report.format_text() + _repro_line(args) + "\n"
+            dataset.write_file(args.out_report, [text.encode()])
     except BaseException:  # a train that fails leaves no model behind
         os.remove(args.out_model)
         raise
@@ -150,8 +150,7 @@ def _cmd_eval(args) -> None:
         result = quantized.evaluate_quantized(qm, examples)
         cm, block = result.confusion, result.metrics
     if args.out_confusion:  # first, so a failed write prints no result
-        with open(args.out_confusion, "w", encoding="utf-8") as fh:
-            fh.write(metrics.confusion_csv(cm))
+        dataset.write_file(args.out_confusion, [metrics.confusion_csv(cm).encode()])
     print(block.format_table())
     if args.qmodel:
         print(f"quantized accuracy: {block.accuracy:.4f}")

@@ -9,6 +9,7 @@ import bisect
 import csv
 import io
 import math
+import os
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import chain
@@ -192,11 +193,22 @@ def write_csv(rows, path) -> None:
     if m.ndim != 2 or m.shape[1] != len(COLUMNS):
         raise ValueError(f"a matrix has shape {m.shape}, not (N, {len(COLUMNS)})")
     row = b",".join([b"%.12g"] * len(COLUMNS)) + b"\r\n"
-    with open(path, "wb") as fh:
-        fh.write(",".join(COLUMNS).encode("ascii") + b"\r\n")
-        for start in range(0, len(m), 4096):  # bounds the temporary bytes
-            block = m[start:start + 4096]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+    blocks = (m[i:i + 4096] for i in range(0, len(m), 4096))  # bounds the bytes
+    write_file(path, chain([",".join(COLUMNS).encode("ascii") + b"\r\n"], (
+        (row * len(b)) % tuple(b.ravel().tolist()) for b in blocks)))
+
+
+def write_file(path, chunks) -> None:
+    """Write the bytes `chunks` yields to `path`: the package's one write
+    open. A write or final flush that fails removes the file, then raises."""
+    fh = open(path, "wb")  # a failed open has written nothing
+    try:
+        with fh:
+            fh.writelines(chunks)
+    except BaseException:
+        if os.path.isfile(path):  # never a device or a FIFO; through a symlink
+            os.remove(os.path.realpath(path))
+        raise
 
 
 @dataclass

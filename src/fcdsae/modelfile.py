@@ -6,7 +6,7 @@ formatter or parser and check the meaning of what they read."""
 
 import re
 
-from fcdsae.dataset import decode, plain
+from fcdsae.dataset import decode, plain, write_file
 from fcdsae.errors import ParseError
 
 
@@ -19,8 +19,7 @@ def write(path, magic: str, records, layers, fmt) -> None:
         lines.append(f"LAYER {len(rows[0])} {len(rows)}")
         lines += [" ".join(map(fmt, row)) for row in rows]
         lines += ["BIAS", " ".join(map(fmt, biases))]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_file(path, ["\n".join(lines).encode() + b"\n"])
 
 
 def read(path, magic: str, tags, topology, parse):

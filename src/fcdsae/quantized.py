@@ -327,6 +327,8 @@ def load_qmodel(path) -> QuantizedModel:
         raise ParseError(f"{path}: Q record: {exc}") from None
     for tag, word_fmt in (("STDMEAN", INPUT_FORMAT), ("STDINVSTD", SCALE_FORMAT)):
         records[tag] = _check_words(path, tag, records[tag], word_fmt)
+    if (invstd := records["STDINVSTD"]).min() < 0:  # 1 / std, and std > 0
+        raise ParseError(f"{path}: STDINVSTD word {invstd.min()} is negative")
     weights, biases = [], []
     for i, (rows, b) in enumerate(layers):
         weights.append(_check_words(path, f"layer {i} weight", rows, fmt))

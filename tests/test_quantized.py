@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from fcdsae import network, quantized
 from fcdsae.cli import build_parser
 from fcdsae.dataset import Examples, Standardizer
-from fcdsae.errors import DimensionError, DomainError, FrameError
+from fcdsae.errors import DimensionError, DomainError, FrameError, ParseError
 from fcdsae.metrics import confusion
 from fcdsae.network import LayerParams, NetworkParams
 from fcdsae.quantized import (INPUT_FORMAT, SCALE_FORMAT, QFormat,
@@ -341,6 +343,22 @@ class TestFilesAndDumps:
         assert back.fmt == qm.fmt
         for got, want in zip(model_words(back), model_words(qm), strict=True):
             assert got.dtype == np.int64 and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("word", [0, -1, SCALE_FORMAT.raw_min])
+    def test_stdinvstd_word_is_not_negative(self, tmp_path, word):
+        """quantize_model writes 1 / std, std > 0: a 0 word (std >= 2^25)
+        loads, a negative one is refused, naming the record and the word."""
+        qm = random_model(np.random.default_rng(5), network.DEFAULT_TOPOLOGY)
+        invstd = qm.std_invstd.copy()
+        invstd[3] = word
+        path = tmp_path / "m.qtxt"
+        save_qmodel(dataclasses.replace(qm, std_invstd=invstd), path)
+        if word == 0:
+            assert load_qmodel(path).std_invstd.tolist() == invstd.tolist()
+            return
+        with pytest.raises(ParseError, match=re.escape(
+                f"{path}: STDINVSTD word {word} is negative")):
+            load_qmodel(path)
 
     def test_frame_dump_deterministic(self):
         rng = np.random.default_rng(6)
