@@ -115,14 +115,11 @@ def _cmd_train(args) -> None:
                       seed=args.seed, xi=args.xi, psi=args.psi)
     data = _load_examples(args.data, split_seed=args.seed)
     params, std, report = trainer.train(cfg, data)
-    network.save_model(params, args.out_model, standardizer=std)
-    try:
-        if args.out_report:
-            text = report.format_text() + _repro_line(args) + "\n"
-            dataset.write_file(args.out_report, [text.encode()])
-    except BaseException:  # a train that fails leaves no model behind
-        os.remove(args.out_model)
-        raise
+    outputs = [(args.out_model, [network.model_bytes(params, std)])]
+    if args.out_report:
+        text = report.format_text() + _repro_line(args) + "\n"
+        outputs.append((args.out_report, [text.encode()]))
+    dataset.write_files(outputs)  # a train that fails leaves no model behind
     print(report.final_metrics.format_table())
     print(f"best epoch: {report.best_epoch + 1} of {report.config.max_epochs}")
     print(f"model written to {args.out_model}")
@@ -150,7 +147,8 @@ def _cmd_eval(args) -> None:
         result = quantized.evaluate_quantized(qm, examples)
         cm, block = result.confusion, result.metrics
     if args.out_confusion:  # first, so a failed write prints no result
-        dataset.write_file(args.out_confusion, [metrics.confusion_csv(cm).encode()])
+        dataset.write_files([(args.out_confusion,
+                              [metrics.confusion_csv(cm).encode()])])
     print(block.format_table())
     if args.qmodel:
         print(f"quantized accuracy: {block.accuracy:.4f}")

@@ -194,20 +194,23 @@ def write_csv(rows, path) -> None:
         raise ValueError(f"a matrix has shape {m.shape}, not (N, {len(COLUMNS)})")
     row = b",".join([b"%.12g"] * len(COLUMNS)) + b"\r\n"
     blocks = (m[i:i + 4096] for i in range(0, len(m), 4096))  # bounds the bytes
-    write_file(path, chain([",".join(COLUMNS).encode("ascii") + b"\r\n"], (
-        (row * len(b)) % tuple(b.ravel().tolist()) for b in blocks)))
+    write_files([(path, chain([",".join(COLUMNS).encode("ascii") + b"\r\n"], (
+        (row * len(b)) % tuple(b.ravel().tolist()) for b in blocks)))])
 
 
-def write_file(path, chunks) -> None:
-    """Write the bytes `chunks` yields to `path`: the package's one write
-    open. A write or final flush that fails removes the file, then raises."""
-    fh = open(path, "wb")  # a failed open has written nothing
+def write_files(outputs) -> None:
+    """Write each (path, chunks) pair in order: the package's one write open.
+    An error removes every file opened so far, complete ones too, and raises."""
+    opened = []
     try:
-        with fh:
-            fh.writelines(chunks)
+        for path, chunks in outputs:
+            with open(path, "wb") as fh:  # a path that fails to open is kept
+                opened.append(path)
+                fh.writelines(chunks)
     except BaseException:
-        if os.path.isfile(path):  # never a device or a FIFO; through a symlink
-            os.remove(os.path.realpath(path))
+        for path in opened:
+            if os.path.isfile(path):  # never a device or a FIFO; through a symlink
+                os.remove(os.path.realpath(path))
         raise
 
 

@@ -6,20 +6,20 @@ formatter or parser and check the meaning of what they read."""
 
 import re
 
-from fcdsae.dataset import decode, plain, write_file
+from fcdsae.dataset import decode, plain
 from fcdsae.errors import ParseError
 
 
-def write(path, magic: str, records, layers, fmt) -> None:
-    """Write `records` ((tag, values) pairs, in order) and `layers` ((weight
-    rows, biases) pairs), each value rendered by `fmt`."""
+def encode(magic: str, records, layers, fmt) -> bytes:
+    """The file of `records` ((tag, values) pairs, in order) and `layers`
+    ((weight rows, biases) pairs), each value rendered by `fmt`."""
     lines = [magic]
     lines += [" ".join([tag, *map(fmt, values)]) for tag, values in records]
     for rows, biases in layers:
         lines.append(f"LAYER {len(rows[0])} {len(rows)}")
         lines += [" ".join(map(fmt, row)) for row in rows]
         lines += ["BIAS", " ".join(map(fmt, biases))]
-    write_file(path, ["\n".join(lines).encode() + b"\n"])
+    return "\n".join(lines).encode() + b"\n"
 
 
 def read(path, magic: str, tags, topology, parse):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fcdsae import modelfile
-from fcdsae.dataset import N_FEATURES, Standardizer, number
+from fcdsae.dataset import N_FEATURES, Standardizer, number, write_files
 from fcdsae.errors import DimensionError, ParseError
 from fcdsae.metrics import N_CLASSES
 
@@ -170,13 +170,16 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def save_model(params: NetworkParams, path, standardizer) -> None:
-    """Write the versioned plain-text model file, with the frozen
-    standardization statistics as STDMEAN/STDSTD records, so a saved model
-    is directly usable for evaluation."""
+def model_bytes(params: NetworkParams, standardizer) -> bytes:
+    """The versioned plain-text model file, with the frozen standardization
+    statistics as STDMEAN/STDSTD records, so a model file evaluates as is."""
     records = [("STDMEAN", standardizer.mean), ("STDSTD", standardizer.std)]
-    modelfile.write(path, MODEL_MAGIC, records,
-                    [(l.weights, l.biases) for l in params.layers], _fmt)
+    return modelfile.encode(MODEL_MAGIC, records,
+                            [(l.weights, l.biases) for l in params.layers], _fmt)
+
+
+def save_model(params: NetworkParams, path, standardizer) -> None:
+    write_files([(path, [model_bytes(params, standardizer)])])
 
 
 def load_model(path):

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from fcdsae import metrics, modelfile
-from fcdsae.dataset import N_FEATURES
+from fcdsae.dataset import N_FEATURES, write_files
 from fcdsae.errors import DimensionError, DomainError, FrameError, ParseError
 from fcdsae.network import DEFAULT_TOPOLOGY
 
@@ -300,7 +300,8 @@ def save_qmodel(qm: QuantizedModel, path) -> None:
     records = [("Q", _format_words(qm.fmt)), ("QIN", _format_words(INPUT_FORMAT)),
                ("QSCALE", _format_words(SCALE_FORMAT)),
                ("STDMEAN", qm.std_mean), ("STDINVSTD", qm.std_invstd)]
-    modelfile.write(path, QMODEL_MAGIC, records, zip(qm.weights, qm.biases), str)
+    write_files([(path, [modelfile.encode(QMODEL_MAGIC, records,
+                                          zip(qm.weights, qm.biases), str)])])
 
 
 def _check_words(path, what: str, words, fmt: QFormat) -> np.ndarray:

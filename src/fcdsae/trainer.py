@@ -55,13 +55,6 @@ class TrainReport:
     mean_hidden_activation: float
     config: TrainConfig
 
-    def epochs_csv(self) -> str:
-        lines = ["epoch,train_acc,val_acc,mse"]
-        rows = zip(self.train_accuracy, self.val_accuracy, self.mse)
-        for e, (t, v, m) in enumerate(rows, 1):
-            lines.append(f"{e},{t:.6f},{v:.6f},{m:.10g}")
-        return "\n".join(lines) + "\n"
-
     def format_text(self) -> str:
         """Deterministic structured report: identical runs, identical bytes."""
         cfg = self.config
@@ -82,8 +75,10 @@ class TrainReport:
             metrics.confusion_csv(self.final_confusion).rstrip("\n"),
             "",
             "epoch trajectory",
-            self.epochs_csv().rstrip("\n"),
+            "epoch,train_acc,val_acc,mse",
         ]
+        lines += [f"{e},{t:.6f},{v:.6f},{m:.10g}" for e, (t, v, m) in enumerate(
+            zip(self.train_accuracy, self.val_accuracy, self.mse), 1)]
         return "\n".join(lines) + "\n"
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -119,6 +120,24 @@ class TestTrain:
         assert (code, stdout) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not model.exists()
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="os.mkfifo is POSIX")
+    def test_unwritable_report_leaves_a_fifo_model(self, tmp_path, small_csv,
+                                                   trained_model, capsys):
+        """A FIFO as --out-model gets the whole model and is not removed
+        when the report cannot be written."""
+        fifo, got = tmp_path / "m.fifo", []
+        os.mkfifo(fifo)
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        code, stdout, err = run(capsys, "train", "--data", str(small_csv),
+                                "--epochs", "2", "--out-model", str(fifo),
+                                "--out-report", str(tmp_path / "missing" / "r.txt"))
+        reader.join(timeout=60)
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert got == [trained_model.read_bytes()] and fifo.is_fifo()
 
     def test_unwritable_model_leaves_no_report(self, tmp_path, small_csv,
                                                capsys):

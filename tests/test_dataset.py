@@ -249,19 +249,27 @@ def _failing(n):
     raise OSError(27, "File too large")
 
 
-class TestWriteFile:
+def _fifo_reader(fifo, got):
+    """A started thread that appends everything read from `fifo` to `got`."""
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    return reader
+
+
+class TestWriteFiles:
     def test_failed_write_removes_the_file(self, tmp_path):
         path = tmp_path / "f"
         path.write_bytes(b"old")
         with pytest.raises(OSError, match="File too large"):
-            dataset.write_file(path, _failing(3))
+            dataset.write_files([(path, _failing(3))])
         assert not path.exists()
 
     def test_symlink_loses_the_file_it_names(self, tmp_path):
         target, link = tmp_path / "t", tmp_path / "l"
         link.symlink_to(target)
         with pytest.raises(OSError, match="File too large"):
-            dataset.write_file(link, _failing(3))
+            dataset.write_files([(link, _failing(3))])
         assert link.is_symlink() and not target.exists()
 
     @pytest.mark.skipif(sys.platform == "win32", reason="os.mkfifo is POSIX")
@@ -270,13 +278,37 @@ class TestWriteFile:
         the error, and the FIFO stays."""
         fifo, got = tmp_path / "p", []
         os.mkfifo(fifo)
-        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
-                                  daemon=True)
-        reader.start()
+        reader = _fifo_reader(fifo, got)
         with pytest.raises(OSError, match="File too large"):
-            dataset.write_file(fifo, _failing(2))
+            dataset.write_files([(fifo, _failing(2))])
         reader.join(timeout=60)
         assert got == [b"x" * 20] and stat.S_ISFIFO(fifo.stat().st_mode)
+
+    def test_failed_open_removes_the_outputs_before_it(self, tmp_path):
+        """The first output is complete when the second fails to open; it
+        goes, and the path that failed to open is left as it was."""
+        first, second = tmp_path / "a", tmp_path / "d"
+        second.mkdir()
+        with pytest.raises(OSError):  # IsADirectoryError, on Windows PermissionError
+            dataset.write_files([(first, [b"done"]), (second, [b"never"])])
+        assert not first.exists() and second.is_dir()
+
+    def test_failed_write_removes_every_output(self, tmp_path):
+        first, second = tmp_path / "a", tmp_path / "b"
+        with pytest.raises(OSError, match="File too large"):
+            dataset.write_files([(first, [b"done"]), (second, _failing(2))])
+        assert not first.exists() and not second.exists()
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="os.mkfifo is POSIX")
+    def test_fifo_before_a_failed_output_is_left(self, tmp_path):
+        fifo, got = tmp_path / "p", []
+        os.mkfifo(fifo)
+        reader = _fifo_reader(fifo, got)
+        with pytest.raises(FileNotFoundError):
+            dataset.write_files([(fifo, [b"done"]),
+                                 (tmp_path / "missing" / "b", [b"never"])])
+        reader.join(timeout=60)
+        assert got == [b"done"] and stat.S_ISFIFO(fifo.stat().st_mode)
 
 
 class TestLabel:

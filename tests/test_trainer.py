@@ -259,7 +259,7 @@ class TestReportFormat:
     def test_epochs_csv_shape(self, small_data):
         cfg = TrainConfig(max_epochs=2, seed=6)
         _, _, report = train(cfg, small_data)
-        lines = report.epochs_csv().strip().splitlines()
+        lines = report.format_text().split("epoch trajectory\n")[1].splitlines()
         assert lines[0] == "epoch,train_acc,val_acc,mse"
         assert len(lines) == 3
 
