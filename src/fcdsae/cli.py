@@ -7,6 +7,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from itertools import combinations
 
 import numpy as np
@@ -99,13 +100,12 @@ def _cmd_gen_data(args) -> None:
                    for c in range(metrics.N_CLASSES)))
 
 
-def _load_examples(path, split_seed: int | None = None):
-    """A data CSV's examples, or their 3:1 split at `split_seed`. A value
-    that labeling or the split rejects is a data error naming the file."""
+@contextmanager
+def _data_errors(path):
+    """A DomainError inside, a value the data cannot take (an HFR, the split,
+    the standardizer, an output), is a data error naming `path`."""
     try:
-        examples = dataset.Examples.from_matrix(dataset.parse_csv(path))
-        return examples if split_seed is None else dataset.split(examples,
-                                                                  split_seed)
+        yield
     except DomainError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
@@ -113,8 +113,9 @@ def _load_examples(path, split_seed: int | None = None):
 def _cmd_train(args) -> None:
     cfg = TrainConfig(lr=args.lr, batch_size=args.batch, max_epochs=args.epochs,
                       seed=args.seed, xi=args.xi, psi=args.psi)
-    data = _load_examples(args.data, split_seed=args.seed)
-    params, std, report = trainer.train(cfg, data)
+    with _data_errors(args.data):
+        examples = dataset.Examples.from_matrix(dataset.parse_csv(args.data))
+        params, std, report = trainer.train(cfg, dataset.split(examples, args.seed))
     outputs = [(args.out_model, [network.model_bytes(params, std)])]
     if args.out_report:
         text = report.format_text() + _repro_line(args) + "\n"
@@ -135,11 +136,13 @@ def _cmd_quantize(args) -> None:
 
 
 def _cmd_eval(args) -> None:
-    examples = _load_examples(args.data)
+    with _data_errors(args.data):
+        examples = dataset.Examples.from_matrix(dataset.parse_csv(args.data))
     if args.model:
         params, std = network.load_model(args.model)
-        preds = trainer.predict_batch(params,
-                                      std.transform_matrix(examples.features))
+        with _data_errors(f"{args.model} on {args.data}"), np.errstate(all="ignore"):
+            preds = trainer.predict_batch(params,
+                                          std.transform_matrix(examples.features))
         cm = metrics.confusion(examples.labels, preds)
         block = metrics.metric_block(cm)
     else:

@@ -228,6 +228,9 @@ class Standardizer:
             raise DomainError("cannot fit a standardizer on an empty set")
         mean = features.mean(axis=0)
         std = features.std(axis=0)  # population std (ddof=0)
+        if (bad := ~(np.isfinite(mean) & np.isfinite(std))).any():  # near 1e308
+            raise DomainError(f"column {COLUMNS[bad.argmax()]!r}: mean or std "
+                              "overflows float64")
         std = np.where(std == 0.0, 1.0, std)
         return cls(mean=mean, std=std)
 

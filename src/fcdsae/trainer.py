@@ -98,9 +98,12 @@ def _forward_blocks(params: NetworkParams, x: np.ndarray):
 
 
 def predict_batch(params: NetworkParams, std_features: np.ndarray) -> np.ndarray:
-    """Argmax class per row; np.argmax already breaks ties to the lowest index."""
-    return np.concatenate([np.argmax(acts[-1], axis=1)
-                           for acts in _forward_blocks(params, std_features)])
+    """Argmax class per row; np.argmax already breaks ties to the lowest
+    index. A row with a non-finite output has no class: a DomainError."""
+    out = np.concatenate([a[-1] for a in _forward_blocks(params, std_features)])
+    if bad := int((~np.isfinite(out)).any(axis=1).sum()):
+        raise DomainError(f"non-finite output on {bad} of {len(out)} rows")
+    return np.argmax(out, axis=1)
 
 
 def evaluate_total_loss(params: NetworkParams, x: np.ndarray, targets: np.ndarray,
