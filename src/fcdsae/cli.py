@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from fcdsae import dataset, metrics, network, quantized, trainer
-from fcdsae.errors import DimensionError, DomainError, FrameError, ParseError
+from fcdsae.errors import DomainError, ParseError
 from fcdsae.trainer import TrainConfig
 
 EXIT_OK = 0
@@ -21,13 +21,9 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
-        raise UsageError(message)
+        raise DomainError(message)
 
 
 def integer(text: str) -> int:
@@ -140,7 +136,7 @@ def _cmd_eval(args) -> None:
         examples = dataset.Examples.from_matrix(dataset.parse_csv(args.data))
     if args.model:
         params, std = network.load_model(args.model)
-        with _data_errors(f"{args.model} on {args.data}"), np.errstate(all="ignore"):
+        with _data_errors(f"{args.model} on {args.data}"):
             preds = trainer.predict_batch(params,
                                           std.transform_matrix(examples.features))
         cm = metrics.confusion(examples.labels, preds)
@@ -160,13 +156,13 @@ def _cmd_eval(args) -> None:
 def _cmd_infer(args) -> None:
     parts = args.row.split(",")
     if len(parts) != dataset.N_FEATURES:
-        raise UsageError(f"--row needs exactly {dataset.N_FEATURES} values, "
-                         f"got {len(parts)}")
+        raise DomainError(f"--row needs exactly {dataset.N_FEATURES} values, "
+                          f"got {len(parts)}")
     try:
         values = [dataset.number(p) for p in parts]
     except ValueError:
-        raise UsageError(f"--row contains a value that is not a finite "
-                         f"number: {args.row!r}")
+        raise DomainError(f"--row contains a value that is not a finite "
+                          f"number: {args.row!r}")
     qm = quantized.load_qmodel(args.qmodel)
     outs, pred = quantized.q_forward(qm, quantized.frame_from_features(values))
     print(f"class: {pred}")
@@ -184,7 +180,7 @@ def _check_paths(args) -> None:
         if f.startswith("out") and (
                 os.path.samefile(a, b) if os.path.exists(a) and os.path.exists(b)
                 else os.path.realpath(a) == os.path.realpath(b)):
-            raise UsageError(f"--{f} and --{g} name the same file".replace("_", "-"))
+            raise DomainError(f"--{f} and --{g} name the same file".replace("_", "-"))
 
 
 _COMMANDS = {"gen-data": _cmd_gen_data, "train": _cmd_train,
@@ -207,15 +203,15 @@ def _apply_config_defaults(argv: list[str]) -> list[str]:
         with open(path, encoding="utf-8") as fh:
             conf = json.load(fh)
     except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}")
+        raise DomainError(f"cannot read config file: {exc}")
     except (ValueError, RecursionError) as exc:  # not JSON or UTF-8, too deep
-        raise UsageError(f"bad config file {path}: {exc}")
+        raise DomainError(f"bad config file {path}: {exc}")
     if not isinstance(conf, dict):
-        raise UsageError(f"config file {path} must hold a JSON object")
+        raise DomainError(f"config file {path} must hold a JSON object")
     for key, value in conf.items():  # no flag or path can hold a NUL byte
         if (value is None or isinstance(value, (bool, list, dict))
                 or "\0" in f"{key}{value}"):
-            raise UsageError(f"config {path}: {key!r} is not a number or NUL-free string")
+            raise DomainError(f"config {path}: {key!r} is not a number or NUL-free string")
     out = [f"--config={path}"] + unknown + known.rest  # kept for _check_paths
     k = next((j for j, a in enumerate(out) if a in _COMMANDS), len(out)) + 1
     # one `--key=value` word, so a value may start with `-`
@@ -232,11 +228,10 @@ def main(argv: list[str] | None = None) -> int:
         _COMMANDS[args.command](args)
         print(_repro_line(args))
         return EXIT_OK
-    except (UsageError, DomainError, FloatingPointError) as exc:
+    except (DomainError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, FrameError, DimensionError, OSError,
-            UnicodeError) as exc:
+    except (ParseError, OSError, UnicodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except MemoryError as exc:  # numpy's message names the array's size

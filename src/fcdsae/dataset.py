@@ -234,6 +234,7 @@ class Standardizer:
         std = np.where(std == 0.0, 1.0, std)
         return cls(mean=mean, std=std)
 
+    @np.errstate(over="ignore")  # past float64 is inf, which evaluations refuse
     def transform_matrix(self, features: np.ndarray) -> np.ndarray:
         return (features - self.mean) / self.std
 

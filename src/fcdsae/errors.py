@@ -1,17 +1,9 @@
-"""Exception types shared across the package."""
-
-
-class DimensionError(ValueError):
-    """Array shapes do not match the network or data layout."""
+"""The package's two error types, one per CLI exit code."""
 
 
 class DomainError(ValueError):
-    """Scalar argument outside its mathematical domain."""
+    """A value a flag, a config entry or a function does not take (exit 1)."""
 
 
 class ParseError(ValueError):
-    """Malformed CSV or model file; message carries the location."""
-
-
-class FrameError(ValueError):
-    """Malformed frames: ragged, wrong width, non-integer or out-of-range."""
+    """Input data that cannot be read; the message says where (exit 2)."""

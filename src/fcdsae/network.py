@@ -7,7 +7,7 @@ import numpy as np
 
 from fcdsae import modelfile
 from fcdsae.dataset import N_FEATURES, Standardizer, number, write_files
-from fcdsae.errors import DimensionError, ParseError
+from fcdsae.errors import DomainError, ParseError
 from fcdsae.metrics import N_CLASSES
 
 DEFAULT_TOPOLOGY = (N_FEATURES, 32, 16, N_CLASSES)
@@ -35,13 +35,13 @@ class NetworkParams:
         shapes = [(np.shape(l.weights), np.shape(l.biases)) for l in layers]
         for i, (w, b) in enumerate(shapes):
             if len(w) != 2:
-                raise DimensionError(f"layer {i} weights must be a 2-D matrix")
+                raise DomainError(f"layer {i} weights must be a 2-D matrix")
             if b != w[:1]:
-                raise DimensionError(f"layer {i} bias shape {b} does not match "
-                                     f"fan_out {w[0]}")
+                raise DomainError(f"layer {i} bias shape {b} does not match "
+                                  f"fan_out {w[0]}")
             if i and w[1] != shapes[i - 1][0][0]:
-                raise DimensionError(f"layer {i} fan_in {w[1]} != layer "
-                                     f"{i - 1} fan_out {shapes[i - 1][0][0]}")
+                raise DomainError(f"layer {i} fan_in {w[1]} != layer "
+                                  f"{i - 1} fan_out {shapes[i - 1][0][0]}")
         self.topology = (shapes[0][0][1],) + tuple(w[0] for w, _ in shapes)
         self.buffer = np.concatenate([np.ravel(t) for l in layers
                                       for t in (l.weights, l.biases)],
@@ -73,8 +73,8 @@ def forward(params: NetworkParams, batch: np.ndarray) -> list[np.ndarray]:
     `[batch, h1, ..., output]`: the batch, then each layer's post-ReLU
     activations. ReLU follows every layer, the output layer too."""
     if batch.ndim != 2 or batch.shape[1] != params.topology[0]:
-        raise DimensionError(f"batch shape {batch.shape} does not match "
-                             f"layer 0 fan_in {params.topology[0]}")
+        raise DomainError(f"batch shape {batch.shape} does not match "
+                          f"layer 0 fan_in {params.topology[0]}")
     acts, x = [batch], batch
     for layer in params.layers:
         # max(x @ W.T + b, 0) with one temporary per layer, not three
@@ -88,8 +88,8 @@ def forward(params: NetworkParams, batch: np.ndarray) -> list[np.ndarray]:
 def mse_loss(output: np.ndarray, targets: np.ndarray) -> float:
     """Mean squared error over all batch entries and output components."""
     if output.shape != targets.shape:
-        raise DimensionError(f"output shape {output.shape} != target shape "
-                             f"{targets.shape}")
+        raise DomainError(f"output shape {output.shape} != target shape "
+                          f"{targets.shape}")
     diff = output - targets
     return float(np.add.reduce(diff * diff, axis=None) / diff.size)
 
@@ -107,8 +107,8 @@ def backward(acts: list[np.ndarray], params: NetworkParams, targets: np.ndarray,
     is 0, so the mask `post > 0` equals `pre > 0` (NaN fails both)."""
     output = acts[-1]
     if output.shape != targets.shape:
-        raise DimensionError(f"output shape {output.shape} != target shape "
-                             f"{targets.shape}")
+        raise DomainError(f"output shape {output.shape} != target shape "
+                          f"{targets.shape}")
     n_layers = len(params.layers)
     # dJ/d(post) at the output layer for mean-over-all-entries MSE
     delta_post = 2.0 * (output - targets) / output.size

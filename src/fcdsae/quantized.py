@@ -19,7 +19,7 @@ import numpy as np
 
 from fcdsae import metrics, modelfile
 from fcdsae.dataset import N_FEATURES, write_files
-from fcdsae.errors import DimensionError, DomainError, FrameError, ParseError
+from fcdsae.errors import DomainError, ParseError
 from fcdsae.network import DEFAULT_TOPOLOGY
 
 QMODEL_MAGIC = "FCDSAE-Q 1"
@@ -113,14 +113,14 @@ class QuantizedModel:
     def _layers(self):
         """Per layer the float64 weight limbs (fan_in x fan_out, lowest
         first), their width and the int64 bias at the accumulator scale.
-        DimensionError past the fan_in bound."""
+        DomainError past the fan_in bound."""
         bits = self.fmt.total_bits
         layers = []
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             w = w.T
             if len(w) > _MAX_FAN_IN:
-                raise DimensionError(f"layer {i} has fan_in {len(w)}; the "
-                                     f"engine is exact up to {_MAX_FAN_IN}")
+                raise DomainError(f"layer {i} has fan_in {len(w)}; the "
+                                  f"engine is exact up to {_MAX_FAN_IN}")
             k = 53 - (bits - 1) - (len(w) - 1).bit_length()  # ceil(log2 fan_in)
             top = k * ((bits - 1) // k)  # K: the largest multiple of k below B
             limbs = [(w >> s) & ((1 << k) - 1) for s in range(0, top, k)]
@@ -159,23 +159,23 @@ def frame_from_features(features) -> list[int]:
 
 
 def _frames(frames, width: int) -> np.ndarray:
-    """frames as an (N, width) int64 array of Q18.14 words; FrameError for
+    """frames as an (N, width) int64 array of Q18.14 words; DomainError for
     anything else, floats (integral ones included) and strings too."""
     try:
         x = np.asarray(frames)
     except ValueError as exc:  # ragged rows
-        raise FrameError(f"frames are not equal-length rows: {exc}") from None
+        raise DomainError(f"frames are not equal-length rows: {exc}") from None
     if len(x) and x.shape[1:] != (width,):
-        raise FrameError(f"frames of shape {x.shape}, model expects {width} "
-                         "words per frame")
+        raise DomainError(f"frames of shape {x.shape}, model expects {width} "
+                          "words per frame")
     x = x.reshape(len(x), width)
     if x.size:
         if x.dtype.kind not in "iu":
-            raise FrameError(f"frame words must be {INPUT_FORMAT} integers, "
-                             f"got {x.dtype} values")
+            raise DomainError(f"frame words must be {INPUT_FORMAT} integers, "
+                              f"got {x.dtype} values")
         if x.min() < INPUT_FORMAT.raw_min or x.max() > INPUT_FORMAT.raw_max:
-            raise FrameError(f"frame word outside the {INPUT_FORMAT} range "
-                             f"[{INPUT_FORMAT.raw_min}, {INPUT_FORMAT.raw_max}]")
+            raise DomainError(f"frame word outside the {INPUT_FORMAT} range "
+                              f"[{INPUT_FORMAT.raw_min}, {INPUT_FORMAT.raw_max}]")
     return x.astype(np.int64, copy=False)
 
 

@@ -91,38 +91,45 @@ def one_hot(labels: np.ndarray) -> np.ndarray:
 _EVAL_ROWS = 1024
 
 
-def _forward_blocks(params: NetworkParams, x: np.ndarray):
-    """network.forward per block of _EVAL_ROWS rows, the last with the rest."""
-    return (network.forward(params, block) for block in np.split(
-        x, range(_EVAL_ROWS, len(x) - _EVAL_ROWS + 1, _EVAL_ROWS)))
+@np.errstate(all="ignore")  # an overflow or a NaN is counted, not warned
+def _walk(params: NetworkParams, x: np.ndarray) -> tuple[np.ndarray, list]:
+    """The outputs of network.forward per block of _EVAL_ROWS rows, the last
+    with the rest, and each hidden layer's column sums, carried in the next
+    block's first row: np.add.reduce over axis 0 adds one row after another,
+    so the sums have the bits of one reduce over all rows. A DomainError if
+    a row is not finite in some layer; as activations are >= 0 or NaN, rows
+    are counted only in a block whose sums are not finite."""
+    outputs, sums, bad = [], [], 0
+    for block in np.split(x, range(_EVAL_ROWS, len(x) - _EVAL_ROWS + 1,
+                                   _EVAL_ROWS)):
+        *hidden, out = network.forward(params, block)[1:]
+        heads = np.hstack([out[:1], *(h[:1] for h in hidden)])  # pre-carry
+        for h, s in zip(hidden, sums):
+            h[0] += s
+        sums = [np.add.reduce(h, axis=0) for h in hidden]
+        if not math.isfinite(out.sum() + sum(s.sum() for s in sums)):
+            rows = np.vstack([heads, np.hstack([out, *hidden])[1:]])
+            bad += int((~np.isfinite(rows)).any(axis=1).sum())
+        outputs.append(out)
+    if bad:
+        raise DomainError(f"non-finite output on {bad} of {len(x)} rows")
+    return np.concatenate(outputs), sums
 
 
 def predict_batch(params: NetworkParams, std_features: np.ndarray) -> np.ndarray:
     """Argmax class per row; np.argmax already breaks ties to the lowest
-    index. A row with a non-finite output has no class: a DomainError."""
-    out = np.concatenate([a[-1] for a in _forward_blocks(params, std_features)])
-    if bad := int((~np.isfinite(out)).any(axis=1).sum()):
-        raise DomainError(f"non-finite output on {bad} of {len(out)} rows")
-    return np.argmax(out, axis=1)
+    index. _walk refuses a row with a non-finite value."""
+    return np.argmax(_walk(params, std_features)[0], axis=1)
 
 
 def evaluate_total_loss(params: NetworkParams, x: np.ndarray, targets: np.ndarray,
                         cfg: TrainConfig
                         ) -> tuple[np.ndarray, float, float, float]:
     """Argmax predictions, one-hot MSE, J_total and the unclamped mean
-    activation over every hidden unit, all from one forward pass in row
-    blocks. Each hidden layer's column sums are carried from block to block
-    in the next block's first row: np.add.reduce over axis 0 adds one row
-    after another, so they have the bits of one reduce over all rows."""
+    activation over every hidden unit, all from one _walk over the rows."""
     if len(x) < 1:
         raise DomainError("empty batch")
-    outputs, sums = [], []
-    for acts in _forward_blocks(params, x):
-        for h, s in zip(acts[1:-1], sums):
-            h[0] += s
-        sums = [np.add.reduce(h, axis=0) for h in acts[1:-1]]
-        outputs.append(acts[-1])
-    output = np.concatenate(outputs)
+    output, sums = _walk(params, x)
     mse = network.mse_loss(output, targets)
     means = [s / len(x) for s in sums]
     return (np.argmax(output, axis=1), mse,
@@ -184,8 +191,12 @@ def train(cfg: TrainConfig, data: SplitDataset
     for epoch in range(cfg.max_epochs):
         _epoch(cfg, epoch, shuffle_rng.permutation(len(y_train)), x_train,
                t_train, params, state, grads)
-        train_preds, mse_full, j_full, _ = evaluate_total_loss(
-            params, x_train, t_train, cfg)
+        try:  # the rows the model trained on: a non-finite one is divergence
+            train_preds, mse_full, j_full, _ = evaluate_total_loss(
+                params, x_train, t_train, cfg)
+        except DomainError as exc:
+            raise FloatingPointError(f"training diverged at epoch {epoch + 1}: "
+                                     f"{exc}") from None
         test_eval = evaluate_total_loss(params, x_test, t_test, cfg)
         train_acc = float(np.mean(train_preds == y_train))
         val_acc = float(np.mean(test_eval[0] == y_test))

@@ -420,12 +420,13 @@ def _first_rows(src, dst, n):
     return _write(dst, b"\r\n".join(lines[:n + 1] + [b""]))
 
 
-def _first_row(src, dst, column, cell):
-    """Copy a data CSV with the first row's `column` cell set to `cell`."""
+def _first_row(src, dst, column, cell, row=1):
+    """Copy a data CSV with the first (or the `row`th) data row's `column`
+    cell set to `cell`."""
     lines = Path(src).read_bytes().split(b"\r\n")
-    cells = lines[1].split(b",")
+    cells = lines[row].split(b",")
     cells[dataset.COLUMNS.index(column)] = cell
-    lines[1] = b",".join(cells)
+    lines[row] = b",".join(cells)
     return _write(dst, b"\r\n".join(lines))
 
 
@@ -639,6 +640,18 @@ MALFORMED = {
     "csv-hcppower-1e308-eval-model": lambda s, tmp: (
         ["eval", "--model", s.model,
          "--data", _first_row(s.data, tmp / "d.csv", "HCPPower", b"1e308")], 2),
+    # the second row is in the test partition: train's std is finite, and
+    # the row's standardized value overflows in the per-epoch evaluation
+    "csv-hcppower-1e308-test-partition": lambda s, tmp: (
+        ["train", "--data",
+         _first_row(s.data, tmp / "d.csv", "HCPPower", b"1e308", row=2),
+         "--epochs", "1", "--out-model", str(tmp / "m.txt"),
+         "--out-report", str(tmp / "r.txt")], 2),
+    # one Adam step at this rate, then the training rows evaluate to inf/NaN
+    "train-last-step-diverges": lambda s, tmp: (
+        ["train", "--data", s.data, "--epochs", "1", "--lr", "1e300",
+         "--out-model", str(tmp / "m.txt"),
+         "--out-report", str(tmp / "r.txt")], 1),
 }
 
 # MALFORMED cases -> what their message says
@@ -648,6 +661,9 @@ MESSAGES = {
     "csv-hcppower-1e308-train":
         ": column 'HCPPower': mean or std overflows float64\n",
     "csv-hcppower-1e308-eval-model": ": non-finite output on 1 of 20 rows\n",
+    "csv-hcppower-1e308-test-partition": ": non-finite output on 1 of 5 rows\n",
+    "train-last-step-diverges":
+        "training diverged at epoch 1: non-finite output on 15 of 15 rows",
 }
 
 
@@ -670,7 +686,8 @@ def test_malformed_input_is_a_one_line_error(case, saved, tmp_path, capsys):
 
 @pytest.mark.parametrize("case", [c for c in MALFORMED
                                   if c.startswith(("csv-hfr-", "csv-three-"))
-                                  or c == "csv-hcppower-1e308-train"])
+                                  or c in ("csv-hcppower-1e308-train",
+                                           "csv-hcppower-1e308-test-partition")])
 def test_data_fault_names_the_file(case, saved, tmp_path, capsys):
     argv, _ = MALFORMED[case](saved, tmp_path)
     _, _, err = run(capsys, *argv)

@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from fcdsae import network
-from fcdsae.errors import DimensionError, ParseError
+from fcdsae.errors import DomainError, ParseError
 from fcdsae.network import AdamState, LayerParams, NetworkParams
 
 from oracles import assert_grads_close, backward, fd_gradients, random_network
@@ -39,14 +39,14 @@ class TestForward:
 
     def test_shape_mismatch_names_layer(self):
         params = single_layer([[1.0, 2.0]], [0.0])
-        with pytest.raises(DimensionError, match="layer 0"):
+        with pytest.raises(DomainError, match="layer 0"):
             network.forward(params, np.array([[1.0, 2.0, 3.0]]))
 
     @pytest.mark.parametrize("batch", [[1.0, 2.0], [[[1.0, 2.0]]]],
                              ids=["1-d", "3-d"])
     def test_not_a_matrix_rejected(self, batch):
         params = single_layer([[1.0, 2.0]], [0.0])
-        with pytest.raises(DimensionError, match=r"batch shape \("):
+        with pytest.raises(DomainError, match=r"batch shape \("):
             network.forward(params, np.array(batch))
 
     def test_pure_and_bit_identical(self):
@@ -84,7 +84,7 @@ class TestMseLoss:
         npt.assert_allclose(loss, (0.25 + 0.25) / 3.0)
 
     def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DomainError):
             network.mse_loss(np.array([[1.0, 0.0]]),
                              np.array([[1.0, 0.0, 0.0]]))
 
@@ -120,7 +120,7 @@ class TestBackward:
     def test_mismatched_targets(self):
         params = single_layer([[1.0]], [0.0])
         acts = network.forward(params, np.array([[1.0]]))
-        with pytest.raises(DimensionError):
+        with pytest.raises(DomainError):
             backward(acts, params, np.array([[1.0, 2.0]]))
 
 
@@ -237,7 +237,7 @@ class TestTopology:
     def test_chain_mismatch_rejected(self):
         good = LayerParams(np.zeros((5, 4)), np.zeros(5))
         bad = LayerParams(np.zeros((3, 6)), np.zeros(3))
-        with pytest.raises(DimensionError):
+        with pytest.raises(DomainError):
             NetworkParams([good, bad])
 
     @pytest.mark.parametrize("weights, biases, match", [
@@ -248,7 +248,7 @@ class TestTopology:
     ], ids=["1-d-weights", "3-d-weights", "bias-not-fan-out", "2-d-bias"])
     def test_bad_layer_shape_rejected(self, weights, biases, match):
         good = LayerParams(np.zeros((5, 4)), np.zeros(5))
-        with pytest.raises(DimensionError, match="layer 1 " + match):
+        with pytest.raises(DomainError, match="layer 1 " + match):
             NetworkParams([good, LayerParams(weights, biases)])
 
     def test_copy_does_not_share_its_buffer(self):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from fcdsae import network, quantized
 from fcdsae.cli import build_parser
 from fcdsae.dataset import Examples, Standardizer
-from fcdsae.errors import DimensionError, DomainError, FrameError, ParseError
+from fcdsae.errors import DomainError, ParseError
 from fcdsae.metrics import confusion
 from fcdsae.network import LayerParams, NetworkParams
 from fcdsae.quantized import (INPUT_FORMAT, SCALE_FORMAT, QFormat,
@@ -257,16 +257,16 @@ class TestQForward:
 
     def test_bad_frame_length(self):
         """Wrong word counts, ragged batches, words outside Q18.14 and words
-        that are not integers (integral floats included) raise FrameError
+        that are not integers (integral floats included) raise DomainError
         through both the one-frame and the batch entry points."""
         qm = identity_model()
         lo, hi = INPUT_FORMAT.raw_min, INPUT_FORMAT.raw_max
         for frame in ([0, 0], [0, 0, 0, 0], [0, hi + 1, 0], [0, 0, lo - 1],
                       [2**70, 0, 0], [0, -2**70, 0], [8192.7, 0, 0],
                       [8192.0, 0, 0], ["8192", "0", "0"]):
-            with pytest.raises(FrameError):
+            with pytest.raises(DomainError):
                 q_forward(qm, frame)
-            with pytest.raises(FrameError):
+            with pytest.raises(DomainError):
                 dump_frames(qm, [[0, 0, 0], frame])
 
     def test_saturation_is_total(self, reference_run):
@@ -532,9 +532,9 @@ class TestBatchEngine:
                                 std_invstd=np.full(fan_in, SCALE_FORMAT.raw_max))
             frames = [[INPUT_FORMAT.raw_min] * fan_in]
             if fan_in > 1 << 15:
-                with pytest.raises(DimensionError):
+                with pytest.raises(DomainError):
                     q_forward_batch(qm, frames)
-                with pytest.raises(DimensionError):
+                with pytest.raises(DomainError):
                     q_forward(qm, frames[0])
             else:
                 expected = scalar_q_forward(qm, frames[0])

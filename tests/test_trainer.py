@@ -227,6 +227,32 @@ class TestEvalBlocks:
             tracemalloc.stop()
         assert peak < 6e6
 
+    @pytest.mark.parametrize("case", ["hidden-inf-output-finite",
+                                      "nan-in-first-block", "nan-in-last-block"])
+    def test_non_finite_row_refused_alike(self, case):
+        """A row with a non-finite value in any layer has no class, and both
+        evaluations count it. In the 10-2-2-3 network 10 * 1e308 is inf in
+        the first hidden layer, the -1 weights make it -inf, and ReLU makes
+        that 0, so its outputs are finite. A NaN in the first block is also
+        in the column sums carried into the next block."""
+        if case == "hidden-inf-output-finite":
+            params = NetworkParams([
+                LayerParams(np.full((2, 10), 10.0), np.zeros(2)),
+                LayerParams(np.full((2, 2), -1.0), np.zeros(2)),
+                LayerParams(np.ones((3, 2)), np.zeros(3))])
+            x = np.zeros((1, 10))
+            x[0, 0] = 1e308
+        else:
+            params, x, _ = self.case(2 * B + 1)
+            x[0 if case == "nan-in-first-block" else -1, 3] = np.nan
+        targets = trainer.one_hot(np.zeros(len(x), dtype=int))
+        with pytest.raises(DomainError) as by_predict:
+            predict_batch(params, x)
+        with pytest.raises(DomainError) as by_loss:
+            trainer.evaluate_total_loss(params, x, targets, TrainConfig())
+        assert str(by_predict.value) == str(by_loss.value) == \
+            f"non-finite output on 1 of {len(x)} rows"
+
     def test_empty_set_rejected(self):
         params, x, targets = self.case(0)
         with warnings.catch_warnings():
