@@ -12,8 +12,8 @@ from itertools import combinations
 
 import numpy as np
 
-from fcdsae import dataset, metrics, network, quantized, trainer
-from fcdsae.errors import DomainError, ParseError
+from fcdsae import (DomainError, ParseError, dataset, metrics, network,
+                    quantized, trainer)
 from fcdsae.trainer import TrainConfig
 
 EXIT_OK = 0

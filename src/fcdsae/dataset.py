@@ -16,7 +16,7 @@ from itertools import chain
 
 import numpy as np
 
-from fcdsae.errors import DomainError, ParseError
+from fcdsae import DomainError, ParseError
 
 COLUMNS = ["t", "Power", "CurrD", "StaVol", "Var", "WaterTempOut",
            "H2PressIn", "HCPPower", "AirPressIn", "AirFlow", "HFR"]
@@ -94,18 +94,18 @@ class Examples:
 
 
 def plain(word: str) -> str:
-    """`word` if it is ASCII without `_`, else a ValueError: Python reads
+    """`word` if it is ASCII without `_`, else a DomainError: Python reads
     `1_0` as 10 and `\u0663` as 3, where C's strtod reads `1_0` as 1."""
     if "_" in word or not word.isascii():
-        raise ValueError(f"{word!r} is not a plain ASCII number")
+        raise DomainError(f"{word!r} is not a plain ASCII number")
     return word
 
 
 def number(word: str) -> float:
-    """`float(plain(word))`, or a ValueError unless that is finite."""
+    """`float(plain(word))`, or a DomainError unless that is finite."""
     value = float(plain(word))
     if not math.isfinite(value):
-        raise ValueError(f"non-finite value {word!r}")
+        raise DomainError(f"non-finite value {word!r}")
     return value
 
 
@@ -183,15 +183,15 @@ def _parse_rows(path, reader) -> np.ndarray:
 def write_csv(rows, path) -> None:
     """Write an (N, 11) matrix, or SensorRecords, in the canonical CSV
     layout: %.12g values, CRLF ends. Any other shape, or a record of other
-    than 11 values, is a ValueError, raised before the file is opened."""
+    than 11 values, is a DomainError, raised before the file is opened."""
     if not isinstance(rows, np.ndarray):  # one pass, no per-record arrays
         if bad := {len(r) for r in rows} - {len(COLUMNS)}:
-            raise ValueError(f"a record has {min(bad)} values, not {len(COLUMNS)}")
+            raise DomainError(f"a record has {min(bad)} values, not {len(COLUMNS)}")
         rows = np.fromiter(chain.from_iterable(rows), np.float64,
                            len(rows) * len(COLUMNS)).reshape(-1, len(COLUMNS))
     m = np.asarray(rows, dtype=np.float64)
     if m.ndim != 2 or m.shape[1] != len(COLUMNS):
-        raise ValueError(f"a matrix has shape {m.shape}, not (N, {len(COLUMNS)})")
+        raise DomainError(f"a matrix has shape {m.shape}, not (N, {len(COLUMNS)})")
     row = b",".join([b"%.12g"] * len(COLUMNS)) + b"\r\n"
     blocks = (m[i:i + 4096] for i in range(0, len(m), 4096))  # bounds the bytes
     write_files([(path, chain([",".join(COLUMNS).encode("ascii") + b"\r\n"], (

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fcdsae.errors import DomainError
+from fcdsae import DomainError
 
 N_CLASSES = 3
 

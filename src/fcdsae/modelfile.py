@@ -6,8 +6,8 @@ formatter or parser and check the meaning of what they read."""
 
 import re
 
+from fcdsae import ParseError
 from fcdsae.dataset import decode, plain
-from fcdsae.errors import ParseError
 
 
 def encode(magic: str, records, layers, fmt) -> bytes:

@@ -5,9 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fcdsae import modelfile
+from fcdsae import DomainError, ParseError, modelfile
 from fcdsae.dataset import N_FEATURES, Standardizer, number, write_files
-from fcdsae.errors import DomainError, ParseError
 from fcdsae.metrics import N_CLASSES
 
 DEFAULT_TOPOLOGY = (N_FEATURES, 32, 16, N_CLASSES)
@@ -153,7 +152,7 @@ def adam_step(params: NetworkParams, grads: NetworkParams,
     if not np.isfinite(g).all():
         bad = next(i for i, l in enumerate(grads.layers)
                    if not np.isfinite(np.append(l.weights, l.biases)).all())
-        raise ValueError(f"non-finite gradient in layer {bad}; update rejected")
+        raise DomainError(f"non-finite gradient in layer {bad}; update rejected")
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - BETA1 ** t

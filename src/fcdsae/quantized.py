@@ -17,9 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from fcdsae import metrics, modelfile
+from fcdsae import DomainError, ParseError, metrics, modelfile
 from fcdsae.dataset import N_FEATURES, write_files
-from fcdsae.errors import DomainError, ParseError
 from fcdsae.network import DEFAULT_TOPOLOGY
 
 QMODEL_MAGIC = "FCDSAE-Q 1"
@@ -266,7 +265,7 @@ def q_forward(qm: QuantizedModel, frame) -> tuple[list[int], int]:
 
 @dataclass
 class QuantEvalResult:
-    metrics: "MetricBlock"
+    metrics: metrics.MetricBlock
     confusion: np.ndarray  # (3, 3) counts, true class by row
 
 

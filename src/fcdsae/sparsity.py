@@ -3,7 +3,7 @@ and its analytic gradient for injection into backpropagation."""
 
 import numpy as np
 
-from fcdsae.errors import DomainError
+from fcdsae import DomainError
 
 # batch-mean activations are clamped into [CLAMP_EPS, 1 - CLAMP_EPS], which
 # keeps the KL terms defined for unbounded ReLU activations

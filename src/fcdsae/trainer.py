@@ -6,9 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fcdsae import metrics, network, sparsity
+from fcdsae import DomainError, metrics, network, sparsity
 from fcdsae.dataset import SplitDataset, Standardizer
-from fcdsae.errors import DomainError
 from fcdsae.metrics import MetricBlock, confusion, metric_block
 from fcdsae.network import AdamState, NetworkParams
 
@@ -97,18 +96,17 @@ def _walk(params: NetworkParams, x: np.ndarray) -> tuple[np.ndarray, list]:
     with the rest, and each hidden layer's column sums, carried in the next
     block's first row: np.add.reduce over axis 0 adds one row after another,
     so the sums have the bits of one reduce over all rows. A DomainError if
-    a row is not finite in some layer; as activations are >= 0 or NaN, rows
-    are counted only in a block whose sums are not finite."""
+    a row is not finite in some layer; as activations are >= 0 or NaN, a
+    block whose sums are not finite counts its rows on a fresh forward."""
     outputs, sums, bad = [], [], 0
     for block in np.split(x, range(_EVAL_ROWS, len(x) - _EVAL_ROWS + 1,
                                    _EVAL_ROWS)):
         *hidden, out = network.forward(params, block)[1:]
-        heads = np.hstack([out[:1], *(h[:1] for h in hidden)])  # pre-carry
         for h, s in zip(hidden, sums):
             h[0] += s
         sums = [np.add.reduce(h, axis=0) for h in hidden]
         if not math.isfinite(out.sum() + sum(s.sum() for s in sums)):
-            rows = np.vstack([heads, np.hstack([out, *hidden])[1:]])
+            rows = np.hstack(network.forward(params, block)[1:])
             bad += int((~np.isfinite(rows)).any(axis=1).sum())
         outputs.append(out)
     if bad:
@@ -159,7 +157,7 @@ def _epoch(cfg, epoch, order, x_train, t_train, params, state, grads):
         network.backward(acts, params, tb, rows, out=grads)
         try:
             network.adam_step(params, grads, state)
-        except ValueError as exc:  # a non-finite gradient
+        except DomainError as exc:  # a non-finite gradient
             raise FloatingPointError(f"training diverged at epoch {epoch + 1}, "
                                      f"batch {start // size}: {exc}") from None
 

@@ -207,8 +207,8 @@ def reader_parse_csv(path):
     raises the ParseError parse_csv must raise."""
     import csv
 
+    from fcdsae import ParseError
     from fcdsae.dataset import COLUMNS
-    from fcdsae.errors import ParseError
 
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)

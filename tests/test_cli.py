@@ -430,6 +430,45 @@ def _first_row(src, dst, column, cell, row=1):
     return _write(dst, b"\r\n".join(lines))
 
 
+def _bad_last_cell(s, tmp):
+    """A gen-data CSV whose last cell is \\xe9."""
+    raw = Path(s.data).read_bytes()
+    path = _write(tmp / "d.csv", raw[:raw.rindex(b",") + 1] + b"\xe9\r\n")
+    return ["eval", "--qmodel", s.qmodel, "--data", path], 2
+
+
+def _bad_qmodel_line(s, tmp):
+    """A .qtxt whose second line is \\xff."""
+    lines = Path(s.qmodel).read_bytes().split(b"\n")
+    path = _write(tmp / "m.qtxt", b"\n".join([lines[0], b"\xff"] + lines[2:]))
+    return ["infer", "--qmodel", path, "--row", ROW], 2
+
+
+def _bad_weight_row(s, tmp):
+    """A model.txt with \\xc3 appended to its first weight row."""
+    lines = Path(s.model).read_bytes().split(b"\n")
+    i = next(i for i, ln in enumerate(lines) if ln.startswith(b"LAYER")) + 1
+    lines[i] += b"\xc3"
+    path = _write(tmp / "m.txt", b"\n".join(lines))
+    return ["eval", "--model", path, "--data", s.data], 2
+
+
+def _cr_only_csv(s, tmp):
+    """A gen-data CSV with CR line ends and \\xff opening line 3."""
+    lines = Path(s.data).read_bytes().split(b"\r\n")
+    lines[2] = b"\xff" + lines[2]
+    path = _write(tmp / "d.csv", b"\r".join(lines))
+    return ["eval", "--model", s.model, "--data", path], 2
+
+
+def _cr_only_model(s, tmp):
+    """A model.txt with CR line ends and \\xff opening line 3."""
+    lines = Path(s.model).read_bytes().split(b"\n")
+    lines[2] = b"\xff" + lines[2]
+    path = _write(tmp / "m.txt", b"\r".join(lines))
+    return ["eval", "--model", path, "--data", s.data], 2
+
+
 # id -> f(saved files, tmp dir) returning (argv, exit code). model.txt lines
 # are: magic, STDMEAN, STDSTD, LAYER 10 32, weight rows...; model.qtxt lines
 # are: magic, Q, QIN, QSCALE, STDMEAN, STDINVSTD, LAYER 10 32, weight rows...
@@ -532,6 +571,11 @@ MALFORMED = {
     "csv-not-utf8": lambda s, tmp: (
         ["eval", "--model", s.model, "--data", _write(tmp / "d.csv", b"\xff\n")],
         2),
+    "csv-last-cell-e9": _bad_last_cell,
+    "qmodel-line-2-ff": _bad_qmodel_line,
+    "model-weight-row-c3": _bad_weight_row,
+    "csv-cr-only-line-3-ff": _cr_only_csv,
+    "model-cr-only-line-3-ff": _cr_only_model,
     "csv-body-byte-a0": lambda s, tmp: (  # NBSP in latin-1, not UTF-8
         ["eval", "--model", s.model, "--data", _write(
             tmp / "d.csv",
@@ -744,65 +788,23 @@ def test_off_shape_model_is_refused_by_its_loader(case, saved, tmp_path, capsys)
                               f"'LAYER 10 32', read '{read}'\n")
 
 
-def _bad_csv(s, tmp):
-    """A CSV of one \\xff line."""
-    path = _write(tmp / "bad.csv", b"\xff\n")
-    return ["eval", "--model", s.model, "--data", path], path, 1, 0xff
-
-
-def _bad_last_cell(s, tmp):
-    """A gen-data CSV whose last cell is \\xe9."""
-    raw = Path(s.data).read_bytes()
-    path = _write(tmp / "d.csv", raw[:raw.rindex(b",") + 1] + b"\xe9\r\n")
-    return (["eval", "--qmodel", s.qmodel, "--data", path], path,
-            raw.count(b"\n"), 0xe9)
-
-
-def _bad_qmodel_line(s, tmp):
-    """A .qtxt whose second line is \\xff."""
-    lines = Path(s.qmodel).read_bytes().split(b"\n")
-    path = _write(tmp / "m.qtxt", b"\n".join([lines[0], b"\xff"] + lines[2:]))
-    return ["infer", "--qmodel", path, "--row", ROW], path, 2, 0xff
-
-
-def _bad_weight_row(s, tmp):
-    """A model.txt with \\xc3 appended to its first weight row."""
-    lines = Path(s.model).read_bytes().split(b"\n")
-    i = next(i for i, ln in enumerate(lines) if ln.startswith(b"LAYER")) + 1
-    lines[i] += b"\xc3"
-    path = _write(tmp / "m.txt", b"\n".join(lines))
-    return ["eval", "--model", path, "--data", s.data], path, i + 1, 0xc3
-
-
-def _cr_only_csv(s, tmp):
-    """A gen-data CSV with CR line ends and \\xff opening line 3."""
-    lines = Path(s.data).read_bytes().split(b"\r\n")
-    lines[2] = b"\xff" + lines[2]
-    path = _write(tmp / "d.csv", b"\r".join(lines))
-    return ["eval", "--model", s.model, "--data", path], path, 3, 0xff
-
-
-def _cr_only_model(s, tmp):
-    """A model.txt with CR line ends and \\xff opening line 3."""
-    lines = Path(s.model).read_bytes().split(b"\n")
-    lines[2] = b"\xff" + lines[2]
-    path = _write(tmp / "m.txt", b"\r".join(lines))
-    return ["eval", "--model", path, "--data", s.data], path, 3, 0xff
-
-
-# (argv, the file that is not UTF-8, its line, the first byte that is not)
-NOT_UTF8 = {"csv-one-ff-line": _bad_csv, "csv-last-cell-e9": _bad_last_cell,
-            "qmodel-line-2-ff": _bad_qmodel_line,
-            "model-weight-row-c3": _bad_weight_row,
-            "csv-cr-only-line-3-ff": _cr_only_csv,
-            "model-cr-only-line-3-ff": _cr_only_model}
+# the not-UTF-8 MALFORMED cases: (the flag naming the file that is not
+# UTF-8, its line, the first byte that is not)
+NOT_UTF8 = {"csv-not-utf8": ("--data", 1, 0xff),
+            "csv-last-cell-e9": ("--data", 21, 0xe9),  # header + 20 rows
+            "qmodel-line-2-ff": ("--qmodel", 2, 0xff),
+            "model-weight-row-c3": ("--model", 5, 0xc3),
+            "csv-cr-only-line-3-ff": ("--data", 3, 0xff),
+            "model-cr-only-line-3-ff": ("--model", 3, 0xff)}
 
 
 @pytest.mark.parametrize("case", NOT_UTF8)
 def test_file_not_utf8_names_the_file_and_line(case, saved, tmp_path, capsys):
     """A data or model file that is not UTF-8 is exit 2 with one `error:`
     line naming the file, the line and the byte, whichever reader meets it."""
-    argv, path, line, byte = NOT_UTF8[case](saved, tmp_path)
+    argv, _ = MALFORMED[case](saved, tmp_path)
+    flag, line, byte = NOT_UTF8[case]
+    path = argv[argv.index(flag) + 1]
     code, _, err = run(capsys, *argv)
     assert (code, err) == (
         2, f"error: {path} line {line}: not UTF-8 text (byte {byte:#04x})\n")

@@ -13,11 +13,10 @@ import numpy.testing as npt
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fcdsae import dataset
+from fcdsae import DomainError, ParseError, dataset
 from fcdsae.dataset import (Examples, LabeledExample, SensorRecord,
                             Standardizer, generate_synthetic, label_for_hfr,
                             labels_for_hfr, parse_csv, split, write_csv)
-from fcdsae.errors import DomainError, ParseError
 
 from oracles import reader_parse_csv, synthetic_draws, synthetic_hfr
 
@@ -217,7 +216,7 @@ class TestWriteCsv:
         the shape of a matrix."""
         rows = np.zeros(widths) if isinstance(widths, tuple) else [
             list(range(widths[i % len(widths)])) for i in range(30)]
-        with pytest.raises(ValueError, match=r"not (\(N, )?11"):
+        with pytest.raises(DomainError, match=r"not (\(N, )?11"):
             write_csv(rows, tmp_path / "d.csv")
         assert not (tmp_path / "d.csv").exists()
 

@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fcdsae.errors import DomainError
+from fcdsae import DomainError
 from fcdsae.metrics import confusion, confusion_csv, metric_block
 
 from oracles import recount_metrics

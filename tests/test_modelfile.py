@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fcdsae import modelfile, network, quantized
+from fcdsae import ParseError, modelfile, network, quantized
 from fcdsae.dataset import N_FEATURES, Standardizer
-from fcdsae.errors import ParseError
 from fcdsae.network import DEFAULT_TOPOLOGY
 from fcdsae.quantized import QFormat
 

@@ -2,8 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from fcdsae import network
-from fcdsae.errors import DomainError, ParseError
+from fcdsae import DomainError, ParseError, network
 from fcdsae.network import AdamState, LayerParams, NetworkParams
 
 from oracles import assert_grads_close, backward, fd_gradients, random_network
@@ -163,7 +162,7 @@ class TestAdam:
                   state.second_moment.copy())
         grads = random_grads(params, rng)
         grads.layers[2].biases[1] = np.nan
-        with pytest.raises(ValueError, match="layer 2"):
+        with pytest.raises(DomainError, match="layer 2"):
             network.adam_step(params, grads, state)
         for got, want in zip((params.buffer, state.first_moment,
                               state.second_moment), before):

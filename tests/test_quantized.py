@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fcdsae import network, quantized
+from fcdsae import DomainError, ParseError, network, quantized
 from fcdsae.cli import build_parser
 from fcdsae.dataset import Examples, Standardizer
-from fcdsae.errors import DomainError, ParseError
 from fcdsae.metrics import confusion
 from fcdsae.network import LayerParams, NetworkParams
 from fcdsae.quantized import (INPUT_FORMAT, SCALE_FORMAT, QFormat,

@@ -5,8 +5,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import example, given, strategies as st
 
-from fcdsae import network, sparsity
-from fcdsae.errors import DomainError
+from fcdsae import DomainError, network, sparsity
 
 from oracles import assert_grads_close, backward, fd_gradients, random_network
 

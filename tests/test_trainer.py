@@ -5,8 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from fcdsae import dataset, network, sparsity, trainer
-from fcdsae.errors import DomainError
+from fcdsae import DomainError, dataset, network, sparsity, trainer
 from fcdsae.network import LayerParams, NetworkParams
 from fcdsae.trainer import TrainConfig, predict_batch, train
 
