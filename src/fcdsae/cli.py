@@ -113,7 +113,7 @@ def _cmd_train(args) -> None:
         examples = dataset.Examples.from_matrix(dataset.parse_csv(args.data))
         params, std, report = trainer.train(cfg, dataset.split(examples, args.seed))
     outputs = [(args.out_model, [network.model_bytes(params, std)])]
-    if args.out_report:
+    if args.out_report is not None:
         text = report.format_text() + _repro_line(args) + "\n"
         outputs.append((args.out_report, [text.encode()]))
     dataset.write_files(outputs)  # a train that fails leaves no model behind
@@ -134,7 +134,7 @@ def _cmd_quantize(args) -> None:
 def _cmd_eval(args) -> None:
     with _data_errors(args.data):
         examples = dataset.Examples.from_matrix(dataset.parse_csv(args.data))
-    if args.model:
+    if args.model is not None:
         params, std = network.load_model(args.model)
         with _data_errors(f"{args.model} on {args.data}"):
             preds = trainer.predict_batch(params,
@@ -145,11 +145,11 @@ def _cmd_eval(args) -> None:
         qm = quantized.load_qmodel(args.qmodel)
         result = quantized.evaluate_quantized(qm, examples)
         cm, block = result.confusion, result.metrics
-    if args.out_confusion:  # first, so a failed write prints no result
+    if args.out_confusion is not None:  # first, so a failed write prints no result
         dataset.write_files([(args.out_confusion,
                               [metrics.confusion_csv(cm).encode()])])
     print(block.format_table())
-    if args.qmodel:
+    if args.qmodel is not None:
         print(f"quantized accuracy: {block.accuracy:.4f}")
 
 
