@@ -518,6 +518,10 @@ MALFORMED = {
         ["train", "--data", s.data, "--psi", "inf",
          "--out-model", str(tmp / "m.txt")], 1,
         "argument --psi: invalid number value: 'inf'\n"),
+    "train-lr-1e300": lambda s, tmp: (  # diverges at the default epochs
+        ["train", "--data", s.data, "--lr", "1e300",
+         "--out-model", str(tmp / "m.txt")], 1,
+        "training diverged at epoch 1: non-finite output on 15 of 15 rows\n"),
     # the report is written after the model: a report that cannot be
     # written takes the model with it, and a model that cannot be written
     # stops before the report
@@ -761,6 +765,62 @@ def test_malformed_input_is_a_one_line_error(case, saved, tmp_path, capsys,
     assert err[:len(want)] == want
     assert err.count("\n") == 1 and err.endswith("\n")  # so err is the line
     assert _tree(tmp_path, Path(saved.data).parent) == before
+
+
+def _refusal(case, saved, tmp_path, capsys):
+    """Run MALFORMED[case]: its exit code, stderr and the path it passes
+    after the flag its id opens with (csv-: --data, config-: --config)."""
+    flag = {"csv": "--data", "config": "--config", "model": "--model",
+            "qmodel": "--qmodel"}[case.split("-")[0]]
+    argv, _, _ = MALFORMED[case](saved, tmp_path)
+    code, _, err = run(capsys, *argv)
+    return code, err, argv[argv.index(flag) + 1]
+
+
+# The tests below check, for a family of MALFORMED rows, that the pinned
+# line is built from the command line: it names the file the row passes.
+
+@pytest.mark.parametrize("case", [
+    "csv-hfr-negative-eval-model", "csv-hfr-negative-eval-qmodel",
+    "csv-hfr-negative-train", "csv-three-rows-train",
+    "csv-hcppower-1e308-train", "csv-hcppower-1e308-test-partition"])
+def test_data_fault_names_the_file(case, saved, tmp_path, capsys):
+    code, err, path = _refusal(case, saved, tmp_path, capsys)
+    assert code == 2 and err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("case", [
+    "config-nul-in-out", "config-nul-in-data", "config-nul-in-key",
+    "config-nested-100000", "config-not-json", "config-not-utf8"])
+def test_config_fault_names_the_file(case, saved, tmp_path, capsys):
+    code, err, path = _refusal(case, saved, tmp_path, capsys)
+    assert code == 1 and err.startswith((f"error: config {path}: ",
+                                         f"error: bad config file {path}: "))
+
+
+@pytest.mark.parametrize("case", ["qmodel-q-40-8", "qmodel-q-8-8"])
+def test_bad_q_record_names_the_file(case, saved, tmp_path, capsys):
+    code, err, path = _refusal(case, saved, tmp_path, capsys)
+    assert code == 2 and err.startswith(f"error: {path}: Q record: ")
+
+
+@pytest.mark.parametrize("case", [
+    "model-four-inputs", "model-10-4-2-eval", "model-10-4-2-quantize",
+    "qmodel-10-4-2-eval", "qmodel-10-4-2-infer",
+    "qmodel-fan-in-32769-eval", "qmodel-fan-in-32769-infer"])
+def test_off_shape_model_is_refused_by_its_loader(case, saved, tmp_path, capsys):
+    code, err, path = _refusal(case, saved, tmp_path, capsys)
+    assert code == 2 and err.startswith(f"error: {path} line ")
+    assert ": expected 'LAYER 10 32', read 'LAYER " in err
+
+
+@pytest.mark.parametrize("case", [
+    "csv-not-utf8", "csv-last-cell-e9", "qmodel-line-2-ff",
+    "model-weight-row-c3", "csv-cr-only-line-3-ff", "model-cr-only-line-3-ff"])
+def test_file_not_utf8_names_the_file_and_line(case, saved, tmp_path, capsys):
+    code, err, path = _refusal(case, saved, tmp_path, capsys)
+    assert code == 2 and err.startswith(f"error: {path} line ")
+    assert ": not UTF-8 text (byte 0x" in err
 
 
 def test_huge_finite_values_saturate_silently(saved, tmp_path, capsys):
