@@ -1,17 +1,27 @@
-"""Independent reference implementations used only by the tests.
+"""What the tests check the package against, in three parts:
 
-These deliberately avoid the library's computation paths: losses are
-re-evaluated for finite differences, metrics are recounted brute-force from
-raw label lists, training is a straight per-tensor loop, and the fixed-point
-interpreter is a straight-line scalar re-implementation with its own
-rounding code.
+- oracles, independent reference implementations that avoid the library's
+  computation paths: losses are re-evaluated for finite differences,
+  metrics are recounted brute-force from raw label lists, training is a
+  straight per-tensor loop, and the fixed-point interpreter
+  `scalar_q_forward` is a straight-line scalar re-implementation with its
+  own rounding code;
+- model builders, the random networks and quantized models that more than
+  one test module draws;
+- assertion helpers: `assert_grads_close`, and `assert_engine_matches_oracle`,
+  the one place the engine's entry points meet the interpreter.
+
+bench/workloads.py execs this file for `scalar_q_forward` in an environment
+without the test extras, so it imports only numpy and fcdsae, no test
+framework, and computes nothing at import.
 """
 
 import math
 
 import numpy as np
 
-from fcdsae import network, sparsity
+from fcdsae import metrics, network, quantized, sparsity
+from fcdsae.dataset import Examples, Standardizer
 from fcdsae.network import LayerParams, NetworkParams
 
 
@@ -99,8 +109,7 @@ def reference_train(cfg, data):
     as a (batch x width) matrix, and Adam one tensor at a time. Returns the
     best epoch's [weights, biases] per layer and its TrainReport.
     """
-    from fcdsae import metrics, trainer
-    from fcdsae.dataset import Standardizer
+    from fcdsae import trainer
 
     xi, psi = cfg.xi, cfg.psi
     std = Standardizer.fit(data.train.features)
@@ -387,11 +396,60 @@ def scalar_q_forward(qm, frame):
     return acts, best
 
 
-def scalar_dump_frames(qm, frames):
-    """The frame dump text from the scalar interpreter: per frame its words,
-    then its output words, one line each."""
-    lines = []
-    for frame in frames:
-        words, _ = scalar_q_forward(qm, frame)
-        lines.append(" ".join(str(w) for w in list(frame) + words) + "\n")
-    return "".join(lines)
+def random_model(rng, widths, fmt=None):
+    """Gaussian weights and standardizer quantized to fmt, by default a
+    random 4..32-bit format."""
+    params = NetworkParams([
+        LayerParams(rng.normal(0, 2, (fan_out, fan_in)), rng.normal(0, 1, fan_out))
+        for fan_in, fan_out in zip(widths[:-1], widths[1:])])
+    std = Standardizer(mean=rng.normal(0, 10, widths[0]),
+                       std=rng.uniform(0.05, 20, widths[0]))
+    return quantized.quantize_model(params, std, fmt or random_format(rng, 4))
+
+
+def random_format(rng, min_bits=2):
+    """A format of min_bits..32 bits, with any integer bits."""
+    total = int(rng.integers(min_bits, 33))
+    return quantized.QFormat(total, int(rng.integers(1, total)))
+
+
+def random_model_and_frame(rng):
+    """A random model of 1 to 3 layers, each width 1 to 5, and one frame."""
+    widths = [int(rng.integers(1, 6)) for _ in range(int(rng.integers(2, 5)))]
+    qm = random_model(rng, widths)
+    return qm, quantized.frame_from_features(rng.normal(0, 20, widths[0]))
+
+
+def model_words(qm):
+    """The model's word arrays: weights, biases, mean and scale."""
+    return qm.weights + qm.biases + [qm.std_mean, qm.std_invstd]
+
+
+def assert_engine_matches_oracle(qm, frames, rows=None):
+    """Every engine entry point on `frames` against scalar_q_forward. At
+    `rows` (every frame by default), q_forward_batch's words and class and
+    dump_frames' line give the interpreter's words and class, and so does
+    q_forward at the first of them: it is q_forward_batch on one frame.
+    For a 3-output model, evaluate_quantized's confusion over all frames is
+    the recount of q_forward_batch's classes, so with every row checked it
+    is the interpreter's."""
+    words, preds = quantized.q_forward_batch(qm, frames)
+    lines = quantized.dump_frames(qm, frames).splitlines()
+    assert len(lines) == len(frames)
+    for n, i in enumerate(range(len(frames)) if rows is None else rows):
+        want = scalar_q_forward(qm, frames[i])
+        if n == 0:
+            assert quantized.q_forward(qm, frames[i]) == want, (qm.fmt, i)
+        assert (words[i].tolist(), int(preds[i])) == want, (qm.fmt, i)
+        # the dump-line spec: the frame's input words, then its output words
+        frame = np.asarray(frames[i]).tolist()
+        assert lines[i] == " ".join([str(w) for w in frame + want[0]]), \
+            (qm.fmt, i)
+    if len(qm.biases[-1]) == 3:
+        labels = np.arange(len(frames)) % 3
+        # Q18.14 words scaled back are exact features for the same words
+        features = np.array(frames, np.float64).reshape(len(frames), -1)
+        features *= 2.0 ** -quantized.INPUT_FORMAT.frac_bits
+        got = quantized.evaluate_quantized(qm, Examples(features, labels))
+        recount = np.bincount(3 * labels + preds, minlength=9).reshape(3, 3)
+        assert (got.confusion == recount).all()

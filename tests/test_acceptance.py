@@ -7,15 +7,14 @@ import time
 import numpy as np
 import pytest
 
-from fcdsae import dataset, network, quantized, sparsity, trainer
+from fcdsae import dataset, network, quantized, sparsity
 from fcdsae.cli import main as cli_main
 from fcdsae.metrics import confusion, metric_block
 from fcdsae.quantized import QFormat, dump_frames, frame_from_features
 
-from oracles import (assert_grads_close, backward, bayes_accuracy,
-                     fd_gradients, random_network, recount_metrics,
-                     scalar_dump_frames, scalar_q_forward)
-from test_quantized import random_model_and_frame
+from oracles import (assert_engine_matches_oracle, assert_grads_close,
+                     backward, bayes_accuracy, fd_gradients,
+                     random_model_and_frame, random_network, recount_metrics)
 
 
 @contextlib.contextmanager
@@ -96,18 +95,13 @@ def test_criterion_4_quantization_degradation(reference_data, reference_run):
 
 
 def test_criterion_5_golden_model_bit_exactness():
-    with criterion(5, "q_forward matches the scalar oracle on 1000 pairs"):
+    with criterion(5, "q_forward, q_forward_batch, dump_frames and "
+                      "evaluate_quantized match the scalar oracle on 1000 "
+                      "random model-frame pairs"):
         rng = np.random.default_rng(55)
-        frames = []
-        qm_last = None
         for _ in range(1000):
             qm, frame = random_model_and_frame(rng)
-            assert quantized.q_forward(qm, frame) == scalar_q_forward(qm, frame)
-            qm_last = qm
-        width = qm_last.weights[0].shape[1]
-        frames = [frame_from_features(rng.normal(0, 20, width))
-                  for _ in range(50)]
-        assert dump_frames(qm_last, frames) == scalar_dump_frames(qm_last, frames)
+            assert_engine_matches_oracle(qm, [frame])
 
 
 def test_criterion_6_metrics_oracle():

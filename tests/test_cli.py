@@ -402,6 +402,9 @@ MALFORMED = {
          "--out", str(tmp / "out.qtxt")], 2, _off_shape(m, 4, "LAYER 10 4")),
     "eval-model-empty-path": lambda s, tmp: (
         ["eval", "--model", "", "--data", s.data], 2, _missing("")),
+    "eval-qmodel-given-float-model": lambda s, tmp: (
+        ["eval", "--qmodel", s.model, "--data", s.data], 2,
+        f"{s.model}: missing 'FCDSAE-Q 1' header\n"),
     "qmodel-10-4-2-eval": lambda s, tmp: (
         ["eval", "--qmodel", (q := _qmodel(tmp, (10, 4, 2))), "--data", s.data],
         2, _off_shape(q, 7, "LAYER 10 4")),

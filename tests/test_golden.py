@@ -17,7 +17,7 @@ import pytest
 from fcdsae import dataset
 from fcdsae.quantized import INPUT_FORMAT, dump_frames, load_qmodel, quantize
 
-from oracles import scalar_q_forward
+from oracles import assert_engine_matches_oracle
 
 GOLDEN = Path(__file__).parent / "golden"
 WORKLOADS = Path(__file__).parent.parent / "bench" / "workloads.py"
@@ -56,14 +56,11 @@ def test_model_file_is_the_frozen_one(fmt):
 
 @pytest.mark.parametrize("fmt", ["Q8.8", "Q2.30", "Q3.5"])
 def test_frame_dump_is_the_frozen_one(fmt, test_frames):
-    """The dump of every test frame has the frozen digest, and a sample of
-    its lines is what the scalar interpreter computes."""
+    """The dump of every test frame has the frozen digest, and at a sample
+    of frames every engine entry point gives the scalar interpreter's words."""
     qm = load_qmodel(GOLDEN / f"model-{fmt}.qtxt")
     assert len(test_frames) == 9091
     dump = dump_frames(qm, test_frames)
     assert sha256(dump.encode()) == EXPECTED[f"{fmt} frames"]
-    lines = dump.splitlines()
-    for i in random.Random(SEED).sample(range(len(lines)), 20):
-        frame = test_frames[i].tolist()
-        words, _ = scalar_q_forward(qm, frame)
-        assert lines[i] == " ".join(map(str, frame + words))
+    sample = random.Random(SEED).sample(range(len(test_frames)), 20)
+    assert_engine_matches_oracle(qm, test_frames, sample)

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from fcdsae import DomainError, ParseError, network
+from fcdsae import DomainError, network
 from fcdsae.network import AdamState, LayerParams, NetworkParams
 
 from oracles import assert_grads_close, backward, fd_gradients, random_network
@@ -258,33 +258,3 @@ class TestTopology:
         assert copied.buffer.tobytes() == params.buffer.tobytes()
         copied.layers[0].weights[0, 0] += 1.0
         assert copied.buffer[0] != params.buffer[0]
-
-
-class TestModelFile:
-    def test_round_trip_exact(self, tmp_path):
-        from fcdsae.dataset import Standardizer
-
-        params = random_network(network.DEFAULT_TOPOLOGY, seed=11)
-        path = tmp_path / "m.txt"
-        network.save_model(params, path, Standardizer(np.zeros(10), np.ones(10)))
-        loaded, _ = network.load_model(path)
-        for la, lb in zip(params.layers, loaded.layers):
-            npt.assert_array_equal(la.weights, lb.weights)
-            npt.assert_array_equal(la.biases, lb.biases)
-
-    def test_round_trip_with_standardizer(self, tmp_path):
-        from fcdsae.dataset import Standardizer
-
-        params = random_network(network.DEFAULT_TOPOLOGY, seed=2)
-        std = Standardizer(mean=np.arange(10.0), std=np.arange(1.0, 11.0))
-        path = tmp_path / "m.txt"
-        network.save_model(params, path, standardizer=std)
-        _, std2 = network.load_model(path)
-        npt.assert_array_equal(std.mean, std2.mean)
-        npt.assert_array_equal(std.std, std2.std)
-
-    def test_bad_header(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("NOPE 3\n")
-        with pytest.raises(ParseError):
-            network.load_model(path)

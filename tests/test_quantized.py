@@ -1,25 +1,23 @@
-import dataclasses
 import math
-import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from fcdsae import DomainError, ParseError, network, quantized
+from fcdsae import DomainError, network, quantized
 from fcdsae.cli import build_parser
 from fcdsae.dataset import Examples, Standardizer
-from fcdsae.metrics import confusion
 from fcdsae.network import LayerParams, NetworkParams
 from fcdsae.quantized import (INPUT_FORMAT, SCALE_FORMAT, QFormat,
                               QuantizedModel, dump_frames,
                               evaluate_quantized, frame_from_features,
-                              load_qmodel, q_forward, q_forward_batch,
-                              quantize, quantize_model, save_qmodel)
+                              q_forward, q_forward_batch, quantize,
+                              quantize_model)
 
-from oracles import (dequantize, random_network, scalar_dump_frames,
-                     scalar_q_forward, scalar_quantize)
+from oracles import (assert_engine_matches_oracle, dequantize, model_words,
+                     random_format, random_model, random_network,
+                     scalar_quantize)
 
 Q88 = QFormat(16, 8)
 # every total_bits from 2 to 32 with integer bits 1, middle and total - 1,
@@ -191,11 +189,6 @@ class TestQuantizeOracle:
                 for t, f in tensors for v in np.ravel(t).tolist())
 
 
-def model_words(qm):
-    """The model's word arrays: weights, biases, mean and scale."""
-    return qm.weights + qm.biases + [qm.std_mean, qm.std_invstd]
-
-
 def identity_model(width=3, fmt=Q88):
     params = NetworkParams([LayerParams(np.eye(width), np.zeros(width))])
     std = Standardizer(mean=np.zeros(width), std=np.ones(width))
@@ -268,50 +261,6 @@ class TestQForward:
             with pytest.raises(DomainError):
                 dump_frames(qm, [[0, 0, 0], frame])
 
-    def test_saturation_is_total(self, reference_run):
-        params, std, _ = reference_run
-        qm = quantize_model(params, std, QFormat(8, 4))
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            frame = frame_from_features(rng.uniform(-1000, 1000, size=10))
-            outs, _ = q_forward(qm, frame)
-            for w in outs:
-                assert qm.fmt.raw_min <= w <= qm.fmt.raw_max
-
-
-def random_model_and_frame(rng):
-    widths = [int(rng.integers(1, 6)) for _ in range(int(rng.integers(2, 5)))]
-    qm = random_model(rng, widths)
-    frame = frame_from_features(rng.normal(0, 20, widths[0]))
-    return qm, frame
-
-
-def random_model(rng, widths, fmt=None):
-    """Gaussian weights and standardizer quantized to fmt, by default a
-    random 4..32-bit format."""
-    layers = []
-    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        layers.append(LayerParams(rng.normal(0, 2, (fan_out, fan_in)),
-                                  rng.normal(0, 1, fan_out)))
-    params = NetworkParams(layers)
-    std = Standardizer(mean=rng.normal(0, 10, widths[0]),
-                       std=rng.uniform(0.05, 20, widths[0]))
-    return quantize_model(params, std, fmt or random_format(rng, 4))
-
-
-def random_format(rng, min_bits=2):
-    """A format of min_bits..32 bits, with any integer bits."""
-    total = int(rng.integers(min_bits, 33))
-    return QFormat(total, int(rng.integers(1, total)))
-
-
-class TestScalarOracle:
-    def test_equivalence_on_random_pairs(self):
-        rng = np.random.default_rng(123)
-        for _ in range(200):
-            qm, frame = random_model_and_frame(rng)
-            assert q_forward(qm, frame) == scalar_q_forward(qm, frame)
-
 
 class TestWideningError:
     def test_more_frac_bits_never_worse(self, reference_run):
@@ -333,39 +282,6 @@ class TestWideningError:
 
 
 class TestFilesAndDumps:
-    def test_qmodel_round_trip(self, tmp_path):
-        rng = np.random.default_rng(5)
-        qm = random_model(rng, network.DEFAULT_TOPOLOGY)
-        path = tmp_path / "m.qtxt"
-        save_qmodel(qm, path)
-        back = load_qmodel(path)
-        assert back.fmt == qm.fmt
-        for got, want in zip(model_words(back), model_words(qm), strict=True):
-            assert got.dtype == np.int64 and np.array_equal(got, want)
-
-    @pytest.mark.parametrize("word", [0, -1, SCALE_FORMAT.raw_min])
-    def test_stdinvstd_word_is_not_negative(self, tmp_path, word):
-        """quantize_model writes 1 / std, std > 0: a 0 word (std >= 2^25)
-        loads, a negative one is refused, naming the record and the word."""
-        qm = random_model(np.random.default_rng(5), network.DEFAULT_TOPOLOGY)
-        invstd = qm.std_invstd.copy()
-        invstd[3] = word
-        path = tmp_path / "m.qtxt"
-        save_qmodel(dataclasses.replace(qm, std_invstd=invstd), path)
-        if word == 0:
-            assert load_qmodel(path).std_invstd.tolist() == invstd.tolist()
-            return
-        with pytest.raises(ParseError, match=re.escape(
-                f"{path}: STDINVSTD word {word} is negative")):
-            load_qmodel(path)
-
-    def test_frame_dump_deterministic(self):
-        rng = np.random.default_rng(6)
-        qm, _ = random_model_and_frame(rng)
-        frames = [frame_from_features(rng.normal(0, 5, qm.weights[0].shape[1]))
-                  for _ in range(5)]
-        assert dump_frames(qm, frames) == scalar_dump_frames(qm, frames)
-
     def test_frame_dump_shape(self):
         qm = identity_model()
         text = dump_frames(qm, [frame_from_features([1.0, 2.0, 3.0])])
@@ -424,8 +340,8 @@ def limb_stress_model(rng, fmt, fan_in, sign):
     # the frame word x standardizes to the activation x >> shift exactly
     shift = max(0, 8 - f)
     end = min(fmt.raw_max, INPUT_FORMAT.raw_max >> shift)
-    acts = [sign * (end - 2 * int(u))
-            for u in rng.integers(0, min(8, end // 2 + 1), fan_in)]
+    a = sign * (end - 2 * rng.integers(0, min(8, end // 2 + 1), fan_in))
+    acts = a.tolist()
     rest = sum(acts[1:])
     widest = fmt.raw_max if sign > 0 else fmt.raw_min + (1 << low_bits) - 1
     columns = [([widest] * fan_in, widest * sum(acts))]
@@ -438,30 +354,12 @@ def limb_stress_model(rng, fmt, fan_in, sign):
                           for _, acc in columns])],
         std_mean=np.zeros(fan_in, np.int64),
         std_invstd=np.full(fan_in, 1 << (38 - f - shift)))
-    return qm, [a << shift for a in acts]
+    return qm, a << shift
 
 
 class TestBatchEngine:
-    """q_forward_batch, dump_frames and the evaluate_quantized confusion
-    against the scalar oracle, frame by frame."""
-
-    @staticmethod
-    def assert_matches_oracle(qm, frames, rng):
-        expected = [scalar_q_forward(qm, frame) for frame in frames]
-        words, preds = q_forward_batch(qm, frames)
-        assert words.tolist() == [w for w, _ in expected]
-        assert preds.tolist() == [p for _, p in expected]
-        assert dump_frames(qm, frames).splitlines() == [
-            " ".join(map(str, frame + w)) for frame, (w, _) in zip(frames, expected)]
-        if len(qm.biases[-1]) == 3:
-            labels = rng.integers(0, 3, len(frames)).tolist()
-            # Q18.14 words scaled back are exact features for the same words
-            scale = 2.0**-INPUT_FORMAT.frac_bits
-            examples = Examples(np.array(frames).reshape(len(frames), -1) * scale,
-                                np.array(labels))
-            got = evaluate_quantized(qm, examples).confusion
-            want = confusion(labels, [p for _, p in expected])
-            assert (got == want).all()
+    """Every engine entry point against the scalar oracle, frame by frame,
+    through oracles.assert_engine_matches_oracle."""
 
     def test_random_models_and_saturating_frames(self):
         rng = np.random.default_rng(404)
@@ -473,7 +371,7 @@ class TestBatchEngine:
             rows = [*rng.normal(0, 20, (6, n_in)), *rng.normal(0, 1e4, (2, n_in)),
                     [inf] * n_in, [-inf] * n_in, [1e12, -1e12] * n_in]
             frames = [frame_from_features(row[:n_in]) for row in rows]
-            self.assert_matches_oracle(qm, frames, rng)
+            assert_engine_matches_oracle(qm, frames)
 
     def test_range_end_words_every_width(self):
         rng = np.random.default_rng(2032)
@@ -483,7 +381,7 @@ class TestBatchEngine:
                 qm = range_end_model(rng, QFormat(total, integer), (10, 16, 8, 3))
                 frames = rng.choice([lo, lo + 1, -1, 0, 1, hi - 1, hi],
                                     size=(12, 10)).tolist()
-                self.assert_matches_oracle(qm, frames, rng)
+                assert_engine_matches_oracle(qm, frames)
 
     def test_limb_sums_near_the_float64_bound(self):
         """Every total_bits with integer bits 1 and total - 1, at each
@@ -495,9 +393,7 @@ class TestBatchEngine:
             for fmt in {QFormat(total, 1), QFormat(total, total - 1)}:
                 for i, fan_in in enumerate(limb_fan_ins(total)):
                     qm, frame = limb_stress_model(rng, fmt, fan_in, (-1) ** i)
-                    words, _ = q_forward_batch(qm, [frame])
-                    assert words[0].tolist() == scalar_q_forward(qm, frame)[0], \
-                        (fmt, fan_in)
+                    assert_engine_matches_oracle(qm, [frame])
 
     @pytest.mark.parametrize("fmt, fan_in, width, count", [
         (Q88, 32, 33, 1), (QFormat(32, 2), 32, 17, 2),
@@ -536,10 +432,7 @@ class TestBatchEngine:
                 with pytest.raises(DomainError):
                     q_forward(qm, frames[0])
             else:
-                expected = scalar_q_forward(qm, frames[0])
-                words, _ = q_forward_batch(qm, frames)
-                assert words.tolist() == [expected[0]]
-                assert q_forward(qm, frames[0]) == expected
+                assert_engine_matches_oracle(qm, frames)
 
 
 def block_frames(rng, n_in):
@@ -552,8 +445,9 @@ def block_frames(rng, n_in):
 
 class TestBlocks:
     def test_every_block_matches_the_oracle(self):
-        """At random 2..32-bit formats, the first and last frame of every
-        block, and a seeded sample, equal the scalar oracle's words."""
+        """At random 2..32-bit formats, every entry point gives the scalar
+        oracle's words at the first and last frame of every block and at a
+        seeded sample."""
         rng = np.random.default_rng(1023)
         for _ in range(6):
             qm = random_model(rng, (10, 32, 16, 3), random_format(rng))
@@ -562,11 +456,7 @@ class TestBlocks:
             rows = {i for s in range(0, n, block)
                     for i in (s, min(s + block, n) - 1)}
             rows |= set(rng.choice(n, 24, replace=False).tolist())
-            words, preds = q_forward_batch(qm, frames)
-            for i in sorted(rows):
-                want, pred = scalar_q_forward(qm, frames[i])
-                assert (words[i].tolist(), int(preds[i])) == (want, pred), \
-                    (qm.fmt, i)
+            assert_engine_matches_oracle(qm, frames, sorted(rows))
 
     @pytest.mark.parametrize("fmt", [Q88, QFormat(32, 2), QFormat(2, 1)])
     def test_engine_writes_to_no_input(self, fmt):
