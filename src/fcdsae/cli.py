@@ -175,6 +175,12 @@ def _check_paths(args) -> None:
     flags = [f for f in ("out", "out_model", "out_report", "out_confusion",
                          "data", "model", "qmodel", "config")
              if getattr(args, f, None)]
+    for f in flags:  # before realpath and open, whose error names no path
+        try:
+            os.fsencode(path := getattr(args, f))
+        except UnicodeEncodeError as exc:
+            raise ParseError(f"--{f.replace('_', '-')}: cannot encode {path!a} "
+                             f"in the file system's encoding ({exc.encoding})")
     for f, g in combinations(flags, 2):  # outputs first: if either is one, f is
         a, b = getattr(args, f), getattr(args, g)
         if f.startswith("out") and (

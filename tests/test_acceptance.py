@@ -51,15 +51,19 @@ def test_criterion_1_gradient_fidelity():
 
 
 def test_criterion_2_kl_correctness():
-    with criterion(2, "KL divergence value, identity, and non-negativity"):
+    with criterion(2, "KL divergence value, identity, and non-negativity, "
+                      "an ulp from the target included"):
         assert sparsity.kl_divergence(0.05, 0.5) == pytest.approx(0.494632,
                                                                   abs=1e-6)
         rng = np.random.default_rng(2)
-        for _ in range(10_000):
-            xi = float(rng.uniform(1e-4, 1 - 1e-4))
-            xi_k = float(rng.uniform(1e-4, 1 - 1e-4))
-            assert sparsity.kl_divergence(xi, xi_k) >= 0.0
-            assert sparsity.kl_divergence(xi, xi) == 0.0
+        # the identity by hand, and xi_k an ulp above xi, where the two
+        # log terms add up to -2.2e-19 before the clamp at 0
+        pairs = [(0.05, 0.05), (0.5, 0.5), (0.001, 0.0010000000000000002)]
+        pairs += [(float(rng.uniform(1e-4, 1 - 1e-4)),
+                   float(rng.uniform(1e-4, 1 - 1e-4))) for _ in range(10_000)]
+        for xi, xi_k in pairs:
+            assert sparsity.kl_divergence(xi, xi_k) >= 0.0, (xi, xi_k)
+            assert sparsity.kl_divergence(xi, xi) == 0.0, xi
 
 
 def test_criterion_3_reference_run(reference_data, reference_run):
@@ -108,22 +112,25 @@ def test_criterion_6_metrics_oracle():
     with criterion(6, "metric_block equals brute-force recount, mse = 1-acc"):
         rng = np.random.default_rng(6)
         for _ in range(200):
-            n = int(rng.integers(1, 500))
+            n = int(rng.integers(1, 1001))
             trues = rng.integers(0, 3, size=n).tolist()
             preds = rng.integers(0, 3, size=n).tolist()
             block = metric_block(confusion(trues, preds))
-            acc, prec, rec, f1 = recount_metrics(trues, preds)
             assert (block.accuracy, block.precision, block.recall,
-                    block.f1) == (acc, prec, rec, f1)
-            assert block.mse == 1.0 - acc
+                    block.f1) == recount_metrics(trues, preds)
+            assert block.mse == 1.0 - block.accuracy
 
 
 def test_criterion_7_label_boundaries():
-    with criterion(7, "HFR class thresholds exact at the boundaries"):
-        assert dataset.label_for_hfr(88.5) == 0
-        assert dataset.label_for_hfr(89.0) == 1
-        assert dataset.label_for_hfr(90.99) == 1
-        assert dataset.label_for_hfr(91.0) == 2
+    with criterion(7, "HFR class thresholds exact at the boundaries, in the "
+                      "scalar and the array rule"):
+        cases = {85.0: 0, 88.5: 0, 89.0: 1, 90.99: 1, 91.0: 2, 95.0: 2}
+        for low, c in ((89.0, 1), (91.0, 2)):  # an ulp either side of each
+            cases[float(np.nextafter(low, 0.0))] = c - 1
+            cases[float(np.nextafter(low, 99.0))] = c
+        for hfr, want in cases.items():
+            assert dataset.label_for_hfr(hfr) == want, hfr
+            assert dataset.labels_for_hfr(np.array([hfr])).tolist() == [want], hfr
 
 
 def test_criterion_8_pipeline_determinism(tmp_path, monkeypatch):

@@ -296,6 +296,13 @@ def _off_shape(path, line, read):
     return f"{path} line {line}: expected 'LAYER 10 32', read '{read}'\n"
 
 
+def _unencodable(flag, path, encoding=sys.getfilesystemencoding()):
+    """A file flag holding a path the file system's encoding cannot encode:
+    refused before any file is read or written."""
+    return (f"{flag}: cannot encode {ascii(path)} in the file system's "
+            f"encoding ({encoding})\n")
+
+
 def _same_file(out, other):
     return f"{out} and {other} name the same file\n"
 
@@ -536,9 +543,14 @@ MALFORMED = {
     "train-report-unencodable": lambda s, tmp: (
         ["train", "--data", s.data, "--epochs", "1",
          "--out-model", str(tmp / "m.txt"),
-         "--out-report", str(tmp / "\ud800.txt")], 2,
-        # head only: the position is the length of tmp's path
-        "'utf-8' codec can't encode character '\\ud800' in position "),
+         "--out-report", (r := str(tmp / "\ud800.txt"))], 2,
+        _unencodable("--out-report", r)),
+    "eval-data-unencodable": lambda s, tmp: (
+        ["eval", "--model", s.model, "--data", (d := str(tmp / "\ud800.csv"))],
+        2, _unencodable("--data", d)),
+    "config-out-unencodable": lambda s, tmp: (  # JSON can hold a lone surrogate
+        ["--config", _write(tmp / "c.json", b'{"n": 5, "out": "\\ud800.csv"}'),
+         "gen-data"], 2, _unencodable("--out", "\ud800.csv")),
     "train-report-empty-path": lambda s, tmp: (
         ["train", "--data", s.data, "--epochs", "1",
          "--out-model", str(tmp / "m.txt"), "--out-report", ""], 2, _missing("")),
@@ -871,39 +883,33 @@ def c_locale(tmp_path_factory):
         pytest.skip("the C locale's encoding is UTF-8 on this system")
 
 
-# id -> f(saved files, tmp dir) returning (argv, exit code, end of stderr):
-# the same under the C locale as under UTF-8, since every file is read and
-# written as UTF-8, except that a path the file system's encoding cannot
-# encode is a data error
-UNENCODABLE = ("can't encode character '\\xe9' in position 0: ordinal not in "
-               "range(128)\n")
+# id -> f(saved files, tmp dir) returning (argv, exit code, message), as in
+# MALFORMED but with whole messages only: the same under the C locale as
+# under UTF-8, since every file is read and written as UTF-8, except that a
+# path the file system's encoding cannot encode is a data error
 C_LOCALE_CASES = {
     "qmodel-arabic-indic-word": lambda s, tmp: (
-        ["infer", "--qmodel", _edited(s.qmodel, tmp / "m.qtxt", 7, " ".join(
-            ["\u0663"] + _words(s.qmodel, 7)[1:])), "--row", ROW],
-        2, "line 8: '\\u0663' is not a plain ASCII number\n"),
+        ["infer", "--qmodel", (q := _edited(s.qmodel, tmp / "m.qtxt", 7, " ".join(
+            ["\u0663"] + _words(s.qmodel, 7)[1:]))), "--row", ROW],
+        2, f"{q} line 8: '\\u0663' is not a plain ASCII number\n"),
     "csv-nbsp-row": lambda s, tmp: (
         ["eval", "--model", s.model, "--data", _write(
             tmp / "d.csv", Path(s.data).read_bytes().replace(
                 b"\r\n1,", "\r\n\u00a0\r\n1,".encode()))], 0, None),
     "config-non-ascii-out": lambda s, tmp: (
         ["--config", _write(tmp / "c.json", '{"out": "\u00e9.csv"}'.encode()),
-         "gen-data", "--n", "5"], 2, UNENCODABLE),
+         "gen-data", "--n", "5"], 2, _unencodable("--out", "\u00e9.csv", "ascii")),
     "out-non-ascii": lambda s, tmp: (
-        ["gen-data", "--n", "5", "--out", "\u00e9.csv"], 2, UNENCODABLE),
+        ["gen-data", "--n", "5", "--out", "\u00e9.csv"], 2,
+        _unencodable("--out", "\u00e9.csv", "ascii")),
 }
 
 
 @pytest.mark.parametrize("case", C_LOCALE_CASES)
 def test_c_locale_reads_and_writes_utf8(case, c_locale, saved, tmp_path):
-    argv, expected, tail = C_LOCALE_CASES[case](saved, tmp_path)
+    argv, expected, message = C_LOCALE_CASES[case](saved, tmp_path)
     code, err = _main_in_child(argv, tmp_path)
-    assert code == expected, err
-    if expected:
-        assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert err.endswith(tail), err
-    else:
-        assert err == "", err
+    assert (code, err) == (expected, f"error: {message}" if expected else "")
 
 
 def test_no_text_file_uses_the_default_encoding(tmp_path):

@@ -91,8 +91,10 @@ class TestParseCsv:
         path = tmp_path / "d.csv"
         row = TABLE_ROW_1.replace("24.2", "abc")
         path.write_text(HEADER + "\n" + row + "\n")
-        with pytest.raises(ParseError, match=r"row 2.*'Power'"):
+        with pytest.raises(ParseError) as exc:
             parse_csv(path)
+        assert str(exc.value) == (f"{path} row 2, column 'Power': "
+                                  "not a finite number 'abc'")
 
     def test_header_only(self, tmp_path):
         """The header alone, then blank lines, then whitespace-only lines."""
@@ -102,21 +104,17 @@ class TestParseCsv:
             # loadtxt warns on a blank body; parse_csv must not pass that on
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                with pytest.raises(ParseError, match="no data rows"):
+                with pytest.raises(ParseError) as exc:
                     parse_csv(path)
             assert caught == [], body
-
-    def test_missing_column(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("t,Power,HFR\n1,2,88\n")
-        with pytest.raises(ParseError, match="missing columns"):
-            parse_csv(path)
+            assert str(exc.value) == f"{path}: no data rows"
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("")
-        with pytest.raises(ParseError, match="empty"):
+        with pytest.raises(ParseError) as exc:
             parse_csv(path)
+        assert str(exc.value) == f"{path}: empty file"
 
     @pytest.mark.filterwarnings("error")
     @settings(max_examples=300, deadline=None)
@@ -311,15 +309,6 @@ class TestWriteFiles:
 
 
 class TestLabel:
-    @pytest.mark.parametrize("hfr,expected", [
-        (88.5, 0), (89.0, 1), (90.99, 1), (91.0, 2), (85.0, 0), (95.0, 2),
-        (float(np.nextafter(89.0, 0.0)), 0), (float(np.nextafter(89.0, 99.0)), 1),
-        (float(np.nextafter(91.0, 0.0)), 1), (float(np.nextafter(91.0, 99.0)), 2),
-    ])
-    def test_thresholds(self, hfr, expected):
-        assert label_for_hfr(hfr) == expected
-        assert labels_for_hfr(np.array([hfr])).tolist() == [expected]
-
     @given(st.floats(0.001, 1000.0))
     def test_total_function(self, hfr):
         assert label_for_hfr(hfr) in (0, 1, 2)

@@ -87,17 +87,6 @@ class TestMetricBlock:
         assert block.recall == pytest.approx(block.accuracy, abs=1e-12)
         assert block.mse == 1.0 - block.accuracy
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 1000))
-    def test_matches_brute_force_recount(self, seed, n):
-        rng = np.random.default_rng(seed)
-        trues = rng.integers(0, 3, size=n).tolist()
-        preds = rng.integers(0, 3, size=n).tolist()
-        block = metric_block(confusion(trues, preds))
-        assert (block.accuracy, block.precision, block.recall,
-                block.f1) == recount_metrics(trues, preds)
-        assert block.mse == 1.0 - block.accuracy
-
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(0, 60), min_size=9, max_size=9),
            st.sets(st.integers(0, 2), max_size=2),

@@ -142,31 +142,31 @@ class TestTrain:
                   dataset.SplitDataset(train=[], test=data.test))
 
 
-class TestReferenceTrain:
-    @pytest.mark.parametrize("psi", [0.0, 1e-3])
-    @pytest.mark.parametrize("seed", [3, 11])
-    def test_bit_equal_to_per_tensor_loop(self, small_data, psi, seed):
-        cfg = TrainConfig(batch_size=7, max_epochs=3, seed=seed, psi=psi)
-        assert len(small_data.train) % cfg.batch_size  # a short last batch
-        params, _, report = train(cfg, small_data)
-        ref_layers, ref_report = reference_train(cfg, small_data)
-        assert len(params.layers) == len(ref_layers)
-        for layer, (w, b) in zip(params.layers, ref_layers):
-            assert layer.weights.tobytes() == w.tobytes()
-            assert layer.biases.tobytes() == b.tobytes()
-        assert report.format_text() == ref_report.format_text()
+def _short_batches(seed, psi):
+    """small_data at batch 7, which ends every epoch on a short batch."""
+    return lambda small: (small, TrainConfig(batch_size=7, max_epochs=3,
+                                             seed=seed, psi=psi))
 
-    def test_bit_equal_over_several_eval_blocks(self):
-        """The oracle evaluates each partition in one forward pass; the
-        trainer's evaluations run in _EVAL_ROWS-row blocks."""
-        data = tiny_data(8 * B + 108, seed=5)
-        assert min(len(data.train), len(data.test)) >= 2 * B
-        cfg = TrainConfig(max_epochs=2, seed=5)
+
+# id -> f(small_data) returning (data, config). The oracle evaluates each
+# partition in one forward pass, the trainer in _EVAL_ROWS-row blocks: the
+# last case has several blocks per partition.
+REFERENCE_CASES = {f"{seed}-{psi}": _short_batches(seed, psi)
+                   for seed in (3, 11) for psi in (0.0, 1e-3)}
+REFERENCE_CASES["several-eval-blocks"] = lambda small: (
+    tiny_data(8 * B + 108, seed=5), TrainConfig(max_epochs=2, seed=5))
+
+
+class TestReferenceTrain:
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_bit_equal_to_per_tensor_loop(self, small_data, case):
+        data, cfg = REFERENCE_CASES[case](small_data)
+        assert len(data.train) % cfg.batch_size  # a short last batch
+        assert case != "several-eval-blocks" or len(data.test) >= 2 * B
         params, _, report = train(cfg, data)
         ref_layers, ref_report = reference_train(cfg, data)
-        for layer, (w, b) in zip(params.layers, ref_layers):
-            assert layer.weights.tobytes() == w.tobytes()
-            assert layer.biases.tobytes() == b.tobytes()
+        got = [t.tobytes() for l in params.layers for t in (l.weights, l.biases)]
+        assert got == [t.tobytes() for layer in ref_layers for t in layer]
         assert report.format_text() == ref_report.format_text()
         assert report.j_total == ref_report.j_total
 
